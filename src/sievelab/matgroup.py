@@ -255,8 +255,8 @@ class GeneratorMultiset:
     """Symmetric generator multiset containing the identity.
 
     pairs holds (element, multiplicity); size counts with multiplicity.
-    tag is a stable name for the built-in families, used by the walk
-    engines to pick a specialized step kernel.
+    tag is a stable name for the built-in families. It is only a label,
+    written to JSON and closure reports; no computation reads it.
     """
 
     pairs: Tuple[Tuple[GroupElement, int], ...]

@@ -9,6 +9,8 @@ and the two are tested to agree bit for bit.
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -49,15 +51,15 @@ def _mix64_np(z):
 
 
 def draw_block(seed: int, trial0: int, ntrials: int, nsteps: int, bound: int):
-    """(ntrials, nsteps) uint8 array of draws in [0, bound), trials trial0...
+    """(ntrials, nsteps) array of draws in [0, bound), trials trial0...
 
-    Row t equals draw_indices(seed, trial0+t, nsteps, bound). bound must
-    fit a uint8 (all generator multisets here are tiny).
+    Row t equals draw_indices(seed, trial0+t, nsteps, bound). The dtype is
+    uint8 for bound <= 256 and uint16 up to 65536.
     """
-    if not 1 <= bound <= 255:
-        raise ValueError("bound must be in [1, 255]")
+    if not 1 <= bound <= 1 << 16:
+        raise DomainError(f"draw bound {bound} outside [1, 65536]")
     trials = np.arange(trial0, trial0 + ntrials, dtype=np.uint64)
     keys = _mix64_np(np.uint64(seed & _MASK) + (trials + np.uint64(1)) * np.uint64(_GAMMA))
     steps = (np.arange(nsteps, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
     vals = _mix64_np(keys[:, None] + steps[None, :])
-    return (vals % np.uint64(bound)).astype(np.uint8)
+    return (vals % np.uint64(bound)).astype(np.uint8 if bound <= 256 else np.uint16)

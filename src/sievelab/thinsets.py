@@ -685,6 +685,14 @@ class EntryPolynomial:
         return total % modulus if modulus is not None else total
 
     def evaluate_batch(self, coords):
+        """Values at many points, one array per coordinate. Exact: the
+        arrays are taken as Python ints when int64 could overflow."""
+        if len(coords) != self.arity:
+            raise ArityMismatch(
+                f"expected {self.arity} coordinates, got {len(coords)}")
+        big = max(int(abs(arr).max(initial=0)) for arr in coords)
+        if sum(abs(c) * big ** sum(e) for c, e in self.monomials) >= 1 << 63:
+            coords = [arr.astype(object) for arr in coords]
         total = None
         for coeff, exps in self.monomials:
             term = np.full_like(coords[0], coeff)

@@ -1,10 +1,10 @@
 """The uniform random walk on Cay(Gamma, A) and its exact small-n law.
 
 Walk states are exact: big-integer matrix entries or exponent vectors.
-Monte Carlo estimation runs on raw flat states through per-family step
-kernels; the generic kernels work for any multiset, and the built-in
-families get specialized inner loops. Exact distributions are integer
-path counts with implicit denominator |A|^n.
+Monte Carlo estimation runs one kernel for every multiset: trials are
+batched into int64 lanes that step by the draw table alone and continue
+in Python ints before they could overflow. Exact distributions are
+integer path counts with implicit denominator |A|^n.
 """
 
 from __future__ import annotations
@@ -187,158 +187,64 @@ class MCEstimate:
 
 
 _CHUNK = 1 << 14
+_LIMIT = 1 << 62
 
 
-def _sweep_sl2_st(oracle, grid, m, seed):
-    # draw_table order: 0=I, 1=S, 2=S^-1, 3=T, 4=T^-1 (right multiplication)
-    hits = {n: 0 for n in grid}
-    unknown = {n: 0 for n in grid}
-    cps = sorted(grid)
-    nmax = cps[-1]
-    hit_raw = oracle.hit_raw
-    for t0 in range(0, m, _CHUNK):
-        cnt = min(_CHUNK, m - t0)
-        rows = prng.draw_block(seed, t0, cnt, nmax, 5).tobytes()
-        for r in range(cnt):
-            base = r * nmax
-            a, b, c, d = 1, 0, 0, 1
-            k = 0
-            for cp in cps:
-                for g in rows[base + k:base + cp]:
-                    if g == 3:
-                        b += a
-                        d += c
-                    elif g == 4:
-                        b -= a
-                        d -= c
-                    elif g == 1:
-                        a, b = -b, a
-                        c, d = -d, c
-                    elif g == 2:
-                        a, b = b, -a
-                        c, d = d, -c
-                k = cp
-                v = hit_raw((a, b, c, d))
-                if v is None:
-                    unknown[cp] += 1
-                elif v:
-                    hits[cp] += 1
-    return hits, unknown
+def _exact_step(st, big, after):
+    """(lanes, bound on max|entry| after the next step).
 
-
-def _sweep_sl2_elementary(oracle, grid, m, seed):
-    # draw_table order: 0=I, 1=E12(+1), 2=E12(-1), 3=E21(+1), 4=E21(-1)
-    hits = {n: 0 for n in grid}
-    unknown = {n: 0 for n in grid}
-    cps = sorted(grid)
-    nmax = cps[-1]
-    hit_raw = oracle.hit_raw
-    for t0 in range(0, m, _CHUNK):
-        cnt = min(_CHUNK, m - t0)
-        rows = prng.draw_block(seed, t0, cnt, nmax, 5).tobytes()
-        for r in range(cnt):
-            base = r * nmax
-            a, b, c, d = 1, 0, 0, 1
-            k = 0
-            for cp in cps:
-                for g in rows[base + k:base + cp]:
-                    if g == 1:
-                        b += a
-                        d += c
-                    elif g == 2:
-                        b -= a
-                        d -= c
-                    elif g == 3:
-                        a += b
-                        c += d
-                    elif g == 4:
-                        a -= b
-                        c -= d
-                k = cp
-                v = hit_raw((a, b, c, d))
-                if v is None:
-                    unknown[cp] += 1
-                elif v:
-                    hits[cp] += 1
-    return hits, unknown
-
-
-def _sweep_matrix_generic(A, oracle, grid, m, seed):
-    table = [g.flat() for g in A.draw_table()]
-    dim = A.draw_table()[0].dimension
-    ident = tuple(1 if i == j else 0 for i in range(dim) for j in range(dim))
-    idx = range(dim)
-    hits = {n: 0 for n in grid}
-    unknown = {n: 0 for n in grid}
-    cps = sorted(grid)
-    nmax = cps[-1]
-    hit_raw = oracle.hit_raw
-    is_ident = [g.is_identity() for g in A.draw_table()]
-    for t0 in range(0, m, _CHUNK):
-        cnt = min(_CHUNK, m - t0)
-        rows = prng.draw_block(seed, t0, cnt, nmax, len(table)).tobytes()
-        for r in range(cnt):
-            base = r * nmax
-            st = ident
-            k = 0
-            for cp in cps:
-                for g in rows[base + k:base + cp]:
-                    if is_ident[g]:
-                        continue
-                    gg = table[g]
-                    st = tuple(
-                        sum(st[i * dim + t] * gg[t * dim + j] for t in idx)
-                        for i in idx for j in idx
-                    )
-                k = cp
-                v = hit_raw(st)
-                if v is None:
-                    unknown[cp] += 1
-                elif v:
-                    hits[cp] += 1
-    return hits, unknown
-
-
-def _sweep_abelian(A, oracle, grid, m, seed):
-    """Abelian walks. Vectorized when the oracle supports batch verdicts.
-
-    The int64 lanes are exact: increments are -1/0/+1 and the guard
-    nmax < 2^62 cannot overflow partial sums.
+    Lanes stay int64 while after(bound) < 2^62, which keeps every partial
+    sum of the step in range; otherwise they become Python ints.
     """
-    table = [g.exponents for g in A.draw_table()]
-    rank = len(table[0])
-    cps = sorted(grid)
-    nmax = cps[-1]
-    hits = {n: 0 for n in grid}
-    unknown = {n: 0 for n in grid}
+    if st.dtype != object and after(big) >= _LIMIT:
+        big = int(abs(st).max())
+        if after(big) >= _LIMIT:
+            st = st.astype(object)
+    return st, after(big)
+
+
+def _sweep_lanes(A, oracle, grid, m, seed):
+    """Hits and UNKNOWNs per n of the sorted grid, up to _CHUNK trials at once.
+
+    Each trial is one lane, and steps come from A.draw_table() alone.
+    Matrix lanes take one batched product per step, abelian lanes one
+    gathered sum per checkpoint segment. Lanes are exact: see _exact_step.
+    """
+    table = A.draw_table()
+    gens = np.array([g.flat() for g in table], dtype=object)
+    abelian = isinstance(table[0], AbelianElement)
+    if abelian:
+        gens = gens.T  # gens[r][d] is coordinate r of step d
+        growth = int(abs(gens).max())
+        start = np.zeros((1, len(gens)), dtype=np.int64)
+    else:
+        dim = table[0].dimension
+        gens = gens.reshape(-1, dim, dim)
+        growth = int(abs(gens).sum(axis=1).max())  # largest column abs-sum
+        start = np.eye(dim, dtype=np.int64)[None]
+    fast = gens.astype(np.int64) if growth < _LIMIT else None
+    hits, unknown = dict.fromkeys(grid, 0), dict.fromkeys(grid, 0)
     batch = getattr(oracle, "hit_raw_batch", None)
-    if batch is not None and nmax * max(abs(x) for t in table for x in t) < 2 ** 62:
-        inc = [np.array([t[r] for t in table], dtype=np.int64) for r in range(rank)]
-        chunk = max(1, min(_CHUNK, (1 << 22) // max(1, nmax)))
-        for t0 in range(0, m, chunk):
-            cnt = min(chunk, m - t0)
-            draws = prng.draw_block(seed, t0, cnt, nmax, len(table))
-            coords = [np.cumsum(inc[r][draws], axis=1, dtype=np.int64) for r in range(rank)]
-            for cp in cps:
-                state = tuple(coords[r][:, cp - 1] for r in range(rank))
-                verdict = batch(state)
-                hits[cp] += int(np.count_nonzero(verdict))
-        return hits, unknown
-    hit_raw = oracle.hit_raw
-    for t0 in range(0, m, _CHUNK):
-        cnt = min(_CHUNK, m - t0)
-        rows = prng.draw_block(seed, t0, cnt, nmax, len(table)).tobytes()
-        for r in range(cnt):
-            base = r * nmax
-            st = [0] * rank
-            k = 0
-            for cp in cps:
-                for g in rows[base + k:base + cp]:
-                    t = table[g]
-                    for i in range(rank):
-                        st[i] += t[i]
-                k = cp
-                v = hit_raw(tuple(st))
+    chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
+    for t0 in range(0, m, chunk):
+        cnt = min(chunk, m - t0)
+        draws = prng.draw_block(seed, t0, cnt, grid[-1], len(table))
+        st, big, k = np.repeat(start, cnt, axis=0), int(start.max()), 0
+        for cp in grid:
+            if abelian:
+                st, big = _exact_step(st, big, lambda b: b + (cp - k) * growth)
+                g = gens if st.dtype == object else fast
+                st = st + np.stack([c[draws[:, k:cp]].sum(axis=1) for c in g], axis=1)
+            else:
+                for s in range(k, cp):
+                    st, big = _exact_step(st, big, lambda b: b * growth)
+                    st = st @ (gens if st.dtype == object else fast)[draws[:, s]]
+            k = cp
+            flat = st.reshape(cnt, -1)
+            if batch is not None and flat.dtype != object:
+                hits[cp] += int(np.count_nonzero(batch(tuple(flat.T))))
+                continue
+            for v in map(oracle.hit_raw, flat.tolist()):
                 if v is None:
                     unknown[cp] += 1
                 elif v:
@@ -356,15 +262,7 @@ def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int, seed: in
     if not grid or min(grid) < 1 or m < 1:
         raise DomainError("grid must be non-empty with n >= 1 and m >= 1")
     grid = sorted(set(grid))
-    first = A.draw_table()[0]
-    if A.tag == "sl2_st":
-        hits, unknown = _sweep_sl2_st(oracle, grid, m, seed)
-    elif A.tag == "sl2_elementary":
-        hits, unknown = _sweep_sl2_elementary(oracle, grid, m, seed)
-    elif isinstance(first, AbelianElement):
-        hits, unknown = _sweep_abelian(A, oracle, grid, m, seed)
-    else:
-        hits, unknown = _sweep_matrix_generic(A, oracle, grid, m, seed)
+    hits, unknown = _sweep_lanes(A, oracle, grid, m, seed)
     out = []
     for n in grid:
         est = MCEstimate(n=n, trials=m, hits=hits[n], unknown=unknown[n])

@@ -1,6 +1,7 @@
 import numpy as np
 
 from sievelab import prng
+from sievelab.errors import DomainError
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -56,25 +57,22 @@ def test_draw_indices_range():
 
 def test_block_matches_scalar_rows():
     seed, trial0 = 2024, 5
-    block = prng.draw_block(seed, trial0, 8, 33, 5)
-    assert block.shape == (8, 33)
-    assert block.dtype == np.uint8
-    for t in range(8):
-        row = prng.draw_indices(seed, trial0 + t, 33, 5)
-        assert list(block[t]) == row
+    for bound, dtype in ((5, np.uint8), (256, np.uint8), (265, np.uint16), (65536, np.uint16)):
+        block = prng.draw_block(seed, trial0, 8, 33, bound)
+        assert block.shape == (8, 33)
+        assert block.dtype == dtype
+        for t in range(8):
+            row = prng.draw_indices(seed, trial0 + t, 33, bound)
+            assert list(block[t]) == row
 
 
 def test_block_bound_validation():
-    try:
-        prng.draw_block(0, 0, 1, 1, 0)
-        assert False
-    except ValueError:
-        pass
-    try:
-        prng.draw_block(0, 0, 1, 1, 256)
-        assert False
-    except ValueError:
-        pass
+    for bound in (0, 65537):
+        try:
+            prng.draw_block(0, 0, 1, 1, bound)
+            assert False
+        except DomainError:
+            pass
 
 
 def test_rough_uniformity():

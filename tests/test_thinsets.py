@@ -471,6 +471,19 @@ def test_entry_polynomial_batch_matches_scalar():
         assert batch[i] == poly.evaluate((int(xs[i]), int(ys[i])))
 
 
+def test_entry_polynomial_batch_exact_past_int64():
+    import numpy as np
+
+    poly = EntryPolynomial(2, ((2, (1, 1)), (-3, (0, 2)), (1, (0, 0))))
+    xs = np.array([1 << 40, -(1 << 35), 3], dtype=np.int64)
+    ys = np.array([1 << 31, 1 << 33, -(1 << 62)], dtype=np.int64)
+    batch = poly.evaluate_batch((xs, ys))
+    for i in range(len(xs)):
+        assert batch[i] == poly.evaluate((int(xs[i]), int(ys[i])))
+    with pytest.raises(ArityMismatch):
+        poly.evaluate_batch((xs,))
+
+
 # ----- torus squares -----
 
 def test_torus_squares_verdicts():

@@ -1,6 +1,10 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+import pytest
+
+from sievelab import lab
 from sievelab.errors import (
     BudgetExceeded,
     DomainError,
@@ -11,9 +15,16 @@ from sievelab.matgroup import (
     AbelianElement,
     GeneratorMultiset,
     MatrixElement,
+    elementary_generators,
     sl2_st_generators,
     validate_generators,
     z_generators,
+)
+from sievelab.thinsets import (
+    NongenericGaloisOracle,
+    RationalFixedFlagOracle,
+    SubvarietyOracle,
+    coordinate_polynomial,
 )
 from sievelab.walker import (
     MCEstimate,
@@ -207,8 +218,8 @@ def test_sweep_duplicate_grid_entries_collapse():
 
 
 def test_specialized_kernel_matches_generic():
-    # same elements with a blank tag take the generic matrix kernel;
-    # the step tables coincide, so estimates agree exactly
+    # the tag is only a label: the lane kernel reads its steps from the
+    # draw table, so the same pairs under a blank tag agree exactly
     st = sl2_st_generators()
     generic = GeneratorMultiset(st.pairs, tag="")
     oracle = TraceOracle()
@@ -220,8 +231,8 @@ def test_specialized_kernel_matches_generic():
 
 
 def test_abelian_batch_matches_scalar():
-    # OriginOracle has no hit_raw_batch, so it runs the scalar loop;
-    # an oracle with batch must produce identical counts
+    # OriginOracle has no hit_raw_batch, so its lanes get one hit_raw per
+    # trial at each checkpoint; an oracle with batch must agree exactly
     import numpy as np
 
     class BatchOrigin(OriginOracle):
@@ -278,3 +289,202 @@ def test_identity_multiplicity_lazy_walk():
          AbelianElement((1,)), AbelianElement((-1,))])
     d = exact_distribution(A, 1)
     assert d.probability(AbelianElement((0,))) == Fraction(1, 2)
+
+
+# ----- the lane kernel against the exact path -----
+
+def reference_counts(A, oracle, grid, m, seed):
+    """Hits and UNKNOWNs per n from run_walk plus global_verdict."""
+    config = WalkConfig(generators=A, n=max(grid), m=m, seed=seed)
+    hits = [0] * len(grid)
+    unknown = [0] * len(grid)
+    for t in range(m):
+        path = run_walk(config, t)
+        for i, n in enumerate(grid):
+            status = oracle.global_verdict(path[n]).status
+            hits[i] += status == "IN"
+            unknown[i] += status == "UNKNOWN"
+    return tuple(hits), tuple(unknown)
+
+
+def swept_counts(A, oracle, grid, m, seed):
+    ests = mc_sweep(A, oracle, grid, m, seed)
+    assert [e.n for e in ests] == list(grid)
+    return tuple(e.hits for e in ests), tuple(e.unknown for e in ests)
+
+
+def _st_reversed():
+    return GeneratorMultiset(tuple(reversed(sl2_st_generators().pairs)), tag="sl2_st")
+
+
+def _st_mistagged():
+    return GeneratorMultiset(sl2_st_generators().pairs, tag="sl2_elementary")
+
+
+def _cases():
+    """(name, generators, oracle) for every built-in scenario, the
+    elementary SL_2 walk, and S/T multisets whose tag does not describe
+    their draw table."""
+    scenarios = [lab.get_scenario(name) for name in lab.list_scenarios()]
+    out = [(s.name, s.generators, s.oracle) for s in scenarios]
+    trace = NongenericGaloisOracle(2)
+    out += [("sl2_elementary", elementary_generators(2), trace),
+            ("st_reversed_tagged_st", _st_reversed(), trace),
+            ("st_tagged_elementary", _st_mistagged(), trace)]
+    return out
+
+
+CASES = {name: (A, oracle) for name, A, oracle in _cases()}
+PROPERTY_GRIDS = {"sl3_galois": ((2, 5, 12), 40)}
+
+
+@pytest.mark.parametrize("seed", [4, 77])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_equals_run_walk_verdicts(name, seed):
+    A, oracle = CASES[name]
+    grid, m = PROPERTY_GRIDS.get(name, ((1, 3, 8, 21), 150))
+    assert swept_counts(A, oracle, grid, m, seed) == reference_counts(A, oracle, grid, m, seed)
+
+
+# mc_sweep on every built-in multiset, frozen from the four-kernel walker
+# this kernel replaced: (hits per n, UNKNOWNs per n)
+FROZEN_GRIDS = {"sl2": ((1, 2, 4, 8, 16, 32), 2000), "sl3": ((5, 10, 20, 40), 300),
+                "z_additive": ((1, 4, 16, 64, 256), 2000),
+                "torus_23": ((1, 4, 16, 64, 256), 2000)}
+FROZEN = {
+    ("sl2_trace", 11): ((1197, 1017, 1062, 952, 758, 538), (0,) * 6),
+    ("sl2_trace", 2029): ((1207, 1036, 1082, 968, 783, 549), (0,) * 6),
+    ("sl3_galois", 11): ((243, 142, 76, 22), (0,) * 4),
+    ("sl3_galois", 2029): ((239, 146, 65, 17), (0,) * 4),
+    ("z_origin", 11): ((630, 467, 225, 138, 58), (0,) * 5),
+    ("z_origin", 2029): ((681, 492, 212, 144, 57), (0,) * 5),
+    ("torus_squares", 11): ((381, 566, 500, 478, 508), (0,) * 5),
+    ("torus_squares", 2029): ((411, 557, 521, 528, 524), (0,) * 5),
+    ("sl2_fixed_flag", 11): ((1197, 1017, 1062, 952, 758, 538), (0,) * 6),
+    ("sl2_fixed_flag", 2029): ((1207, 1036, 1082, 968, 783, 549), (0,) * 6),
+    ("sl2_elementary", 11): ((2000, 1332, 979, 715, 495, 219), (0,) * 6),
+    ("sl2_elementary", 2029): ((2000, 1362, 1021, 704, 495, 213), (0,) * 6),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(FROZEN))
+def test_sweep_frozen_builtin_counts(name, seed):
+    A, oracle = CASES[name]
+    group = "sl2" if name == "sl2_elementary" else lab.get_scenario(name).group
+    grid, m = FROZEN_GRIDS[group]
+    assert swept_counts(A, oracle, grid, m, seed) == FROZEN[(name, seed)]
+
+
+def test_sweep_ignores_tag_reordered_st():
+    # the S/T pairs in reverse order under the tag "sl2_st" once walked the
+    # tag's step rules, not the draw table: 1034 hits instead of 997
+    oracle = NongenericGaloisOracle(2)
+    got = swept_counts(_st_reversed(), oracle, [6], 2000, 1)
+    assert got == ((997,), (0,))
+    assert got == reference_counts(_st_reversed(), oracle, [6], 2000, 1)
+
+
+def test_sweep_ignores_tag_mislabelled_st():
+    # the S/T pairs under the tag "sl2_elementary" once walked the
+    # elementary group: 8150 hits instead of 10202
+    oracle = NongenericGaloisOracle(2)
+    plain = GeneratorMultiset(sl2_st_generators().pairs)
+    assert swept_counts(_st_mistagged(), oracle, [6], 20000, 1) == ((10202,), (0,))
+    assert swept_counts(plain, oracle, [6], 20000, 1) == ((10202,), (0,))
+
+
+# ----- overflow boundary: lanes leave int64 before they could wrap -----
+
+class CornerSignOracle:
+    """IN iff the (0, 0) entry is positive: wrapping past 2^63 flips it."""
+
+    def global_verdict(self, g):
+        class V:
+            pass
+        v = V()
+        v.status = "IN" if g.entries[0][0] > 0 else "OUT"
+        return v
+
+    def hit_raw(self, flat):
+        return flat[0] > 0
+
+
+class FarOracle:
+    """IN iff the coordinate exceeds 2^61; 8 * 2^60 wraps to -2^63."""
+
+    def global_verdict(self, g):
+        class V:
+            pass
+        v = V()
+        v.status = "IN" if g.exponents[0] > 1 << 61 else "OUT"
+        return v
+
+    def hit_raw(self, state):
+        return state[0] > 1 << 61
+
+
+class BatchFarOracle(FarOracle):
+    def hit_raw_batch(self, coords):
+        return coords[0] > 1 << 61
+
+
+def _big_elementary():
+    c = 1 << 20
+    return validate_generators([
+        MatrixElement(((1, 0), (0, 1))),
+        MatrixElement(((1, c), (0, 1))), MatrixElement(((1, -c), (0, 1))),
+        MatrixElement(((1, 0), (c, 1))), MatrixElement(((1, 0), (-c, 1))),
+    ])
+
+
+def test_matrix_lanes_exact_past_int64():
+    A = _big_elementary()
+    grid = list(range(1, 9))
+    m = 300
+    config = WalkConfig(generators=A, n=8, m=m, seed=6)
+    biggest = max(max(map(abs, run_walk(config, t)[8].flat())) for t in range(m))
+    assert biggest >= 1 << 63  # the grid runs past int64
+    for oracle in (CornerSignOracle(), NongenericGaloisOracle(2),
+                   SubvarietyOracle([coordinate_polynomial(4, 1)])):
+        assert swept_counts(A, oracle, grid, m, 6) == reference_counts(A, oracle, grid, m, 6)
+
+
+def test_abelian_lanes_exact_past_int64():
+    # steps +-2^60 pass the guard's 2^62 within four steps; steps +-3*2^60
+    # pass 2^63 within three, where int64 lanes would wrap
+    for step, seed, past in ((1 << 60, 12, 1 << 62), (3 << 60, 13, 1 << 63)):
+        A = validate_generators([AbelianElement((0,)), AbelianElement((step,)),
+                                 AbelianElement((-step,))])
+        grid = list(range(1, 9))
+        m = 500
+        config = WalkConfig(generators=A, n=8, m=m, seed=seed)
+        assert max(abs(run_walk(config, t)[8].exponents[0]) for t in range(m)) >= past
+        for oracle in (FarOracle(), BatchFarOracle(), OriginOracle()):
+            want = reference_counts(A, oracle, grid, m, seed)
+            assert swept_counts(A, oracle, grid, m, seed) == want
+            # one segment of eight steps, past the guard before its checkpoint
+            assert swept_counts(A, oracle, [8], m, seed) == (want[0][-1:], want[1][-1:])
+
+
+def test_lanes_exact_with_generators_beyond_int64():
+    c = 1 << 70
+    A = validate_generators([
+        MatrixElement(((1, 0), (0, 1))),
+        MatrixElement(((1, c), (0, 1))), MatrixElement(((1, -c), (0, 1))),
+        MatrixElement(((1, 0), (c, 1))), MatrixElement(((1, 0), (-c, 1))),
+    ])
+    B = validate_generators([AbelianElement((0, 0)), AbelianElement((c, 1)),
+                             AbelianElement((-c, -1))])
+    for gens, oracle in ((A, CornerSignOracle()), (A, NongenericGaloisOracle(2)),
+                         (B, OriginOracle())):
+        grid = [1, 2, 5]
+        assert swept_counts(gens, oracle, grid, 60, 3) == reference_counts(gens, oracle, grid, 60, 3)
+
+
+def test_sweep_more_than_256_generators():
+    # elementary_generators(12) has 265 elements: uint16 draws
+    A = elementary_generators(12)
+    assert len(A.draw_table()) == 265
+    grid = [1, 3, 6]
+    for oracle in (RationalFixedFlagOracle(12), CornerSignOracle()):
+        assert swept_counts(A, oracle, grid, 12, 5) == reference_counts(A, oracle, grid, 12, 5)
