@@ -190,25 +190,16 @@ _CHUNK = 1 << 14
 _LIMIT = 1 << 62
 
 
-def _exact_step(st, big, after):
-    """(lanes, bound on max|entry| after the next step).
-
-    Lanes stay int64 while after(bound) < 2^62, which keeps every partial
-    sum of the step in range; otherwise they become Python ints.
-    """
-    if st.dtype != object and after(big) >= _LIMIT:
-        big = int(abs(st).max())
-        if after(big) >= _LIMIT:
-            st = st.astype(object)
-    return st, after(big)
-
-
 def _sweep_lanes(A, oracle, grid, m, seed):
     """Hits and UNKNOWNs per n of the sorted grid, up to _CHUNK trials at once.
 
     Each trial is one lane, and steps come from A.draw_table() alone.
     Matrix lanes take one batched product per step, abelian lanes one
-    gathered sum per checkpoint segment. Lanes are exact: see _exact_step.
+    gathered sum per checkpoint segment. Lanes are exact: a lane steps in
+    int64 while max|entry| x (largest column abs-sum of a generator), or
+    max|coord| + segment x max|increment|, stays below 2^62, which bounds
+    every partial sum of the step; past that it continues in Python ints
+    and the other lanes stay in int64.
     """
     table = A.draw_table()
     gens = np.array([g.flat() for g in table], dtype=object)
@@ -229,27 +220,46 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     for t0 in range(0, m, chunk):
         cnt = min(chunk, m - t0)
         draws = prng.draw_block(seed, t0, cnt, grid[-1], len(table))
-        st, big, k = np.repeat(start, cnt, axis=0), int(start.max()), 0
+        # (trial ids, states) of the int64 lanes, then of the Python-int lanes
+        lanes = [(slice(None), np.repeat(start, cnt, axis=0)),
+                 (np.arange(0), np.repeat(start, 0, axis=0).astype(object))]
+        big, k = int(start.max()), 0  # big bounds max|entry| of int64 lanes
         for cp in grid:
-            if abelian:
-                st, big = _exact_step(st, big, lambda b: b + (cp - k) * growth)
-                g = gens if st.dtype == object else fast
-                st = st + np.stack([c[draws[:, k:cp]].sum(axis=1) for c in g], axis=1)
-            else:
-                for s in range(k, cp):
-                    st, big = _exact_step(st, big, lambda b: b * growth)
-                    st = st @ (gens if st.dtype == object else fast)[draws[:, s]]
+            for s in ([k] if abelian else range(k, cp)):
+                cap = _LIMIT - 1 - (cp - k) * growth if abelian else (_LIMIT - 1) // growth
+                if big > cap:
+                    (ids, st), (bids, bst) = lanes
+                    big = int(abs(st).max(initial=0))
+                if big > cap:  # move the lanes past cap, and only those
+                    out = abs(st).reshape(-1, start.size).max(axis=1) > cap
+                    ids = np.arange(cnt)[ids]
+                    lanes = [(ids[~out], st[~out]),
+                             (np.concatenate([bids, ids[out]]),
+                              np.concatenate([bst, st[out].astype(object)]))]
+                    big = int(abs(st[~out]).max(initial=0))
+                cols = slice(k, cp) if abelian else s
+                lanes = [(ids, _advance(st, g, draws[ids, cols], abelian))
+                         for (ids, st), g in zip(lanes, (fast, gens))]
+                big = big + (cp - k) * growth if abelian else big * growth
             k = cp
-            flat = st.reshape(cnt, -1)
-            if batch is not None and flat.dtype != object:
-                hits[cp] += int(np.count_nonzero(batch(tuple(flat.T))))
-                continue
-            for v in map(oracle.hit_raw, flat.tolist()):
-                if v is None:
-                    unknown[cp] += 1
-                elif v:
-                    hits[cp] += 1
+            for ids, st in lanes:
+                flat = st.reshape(-1, start.size)
+                if batch is not None and flat.dtype != object and len(flat):
+                    hits[cp] += int(np.count_nonzero(batch(tuple(flat.T))))
+                    continue
+                verdicts = list(map(oracle.hit_raw, flat.tolist()))
+                unknown[cp] += verdicts.count(None)
+                hits[cp] += sum(map(bool, verdicts))
     return hits, unknown
+
+
+def _advance(st, gens, draws, abelian):
+    """Lanes after one matrix step, or one abelian segment, of their draws."""
+    if not len(st):
+        return st
+    if abelian:
+        return st + np.stack([c[draws].sum(axis=1) for c in gens], axis=1)
+    return st @ gens[draws]
 
 
 def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int, seed: int,

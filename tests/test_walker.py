@@ -350,7 +350,10 @@ def test_sweep_equals_run_walk_verdicts(name, seed):
 # this kernel replaced: (hits per n, UNKNOWNs per n)
 FROZEN_GRIDS = {"sl2": ((1, 2, 4, 8, 16, 32), 2000), "sl3": ((5, 10, 20, 40), 300),
                 "z_additive": ((1, 4, 16, 64, 256), 2000),
-                "torus_23": ((1, 4, 16, 64, 256), 2000)}
+                "torus_23": ((1, 4, 16, 64, 256), 2000),
+                # for d = 2 this oracle is sl2_trace's, so its rows walk further:
+                # 48 of 300 lanes pass 2^61 by n = 1000 and 206 by n = 1300
+                "sl2_fixed_flag": ((2, 8, 700, 1000, 1300), 300)}
 FROZEN = {
     ("sl2_trace", 11): ((1197, 1017, 1062, 952, 758, 538), (0,) * 6),
     ("sl2_trace", 2029): ((1207, 1036, 1082, 968, 783, 549), (0,) * 6),
@@ -360,8 +363,8 @@ FROZEN = {
     ("z_origin", 2029): ((681, 492, 212, 144, 57), (0,) * 5),
     ("torus_squares", 11): ((381, 566, 500, 478, 508), (0,) * 5),
     ("torus_squares", 2029): ((411, 557, 521, 528, 524), (0,) * 5),
-    ("sl2_fixed_flag", 11): ((1197, 1017, 1062, 952, 758, 538), (0,) * 6),
-    ("sl2_fixed_flag", 2029): ((1207, 1036, 1082, 968, 783, 549), (0,) * 6),
+    ("sl2_fixed_flag", 11): ((159, 157, 0, 0, 0), (0,) * 5),
+    ("sl2_fixed_flag", 2029): ((159, 149, 0, 0, 0), (0,) * 5),
     ("sl2_elementary", 11): ((2000, 1332, 979, 715, 495, 219), (0,) * 6),
     ("sl2_elementary", 2029): ((2000, 1362, 1021, 704, 495, 213), (0,) * 6),
 }
@@ -371,7 +374,7 @@ FROZEN = {
 def test_sweep_frozen_builtin_counts(name, seed):
     A, oracle = CASES[name]
     group = "sl2" if name == "sl2_elementary" else lab.get_scenario(name).group
-    grid, m = FROZEN_GRIDS[group]
+    grid, m = FROZEN_GRIDS.get(name) or FROZEN_GRIDS[group]
     assert swept_counts(A, oracle, grid, m, seed) == FROZEN[(name, seed)]
 
 
@@ -464,6 +467,24 @@ def test_abelian_lanes_exact_past_int64():
             assert swept_counts(A, oracle, grid, m, seed) == want
             # one segment of eight steps, past the guard before its checkpoint
             assert swept_counts(A, oracle, [8], m, seed) == (want[0][-1:], want[1][-1:])
+
+
+def test_long_walk_splits_lanes_exactly():
+    # S/T lanes pass 2^61 one by one from about n = 700 on, so by n = 1300
+    # the chunk holds int64 lanes and Python-int lanes at once
+    A = sl2_st_generators()
+    grid = [700, 1000, 1300]
+    m = 60
+    config = WalkConfig(generators=A, n=grid[-1], m=m, seed=11)
+    paths = [run_walk(config, t) for t in range(m)]
+    tops = [max(map(abs, path[-1].flat())) for path in paths]
+    assert min(tops) < 1 << 61 <= max(tops)
+    for oracle in (CornerSignOracle(), NongenericGaloisOracle(2),
+                   SubvarietyOracle([coordinate_polynomial(4, 1)])):
+        want = tuple(tuple(sum(oracle.global_verdict(path[n]).status == status
+                               for path in paths) for n in grid)
+                     for status in ("IN", "UNKNOWN"))
+        assert swept_counts(A, oracle, grid, m, 11) == want
 
 
 def test_lanes_exact_with_generators_beyond_int64():
