@@ -277,8 +277,8 @@ def exact_probability(scenario: Scenario, n: int,
         for g, mult in scenario.generators.pairs:
             r = q.reduce(g)
             merged[r] = merged.get(r, 0) + mult
-        counts = walker.convolve_counts(q.identity(), tuple(merged.items()),
-                                        n, q.multiply, budget)
+        steps, step = walker.memoized_steps(tuple(merged.items()), q.multiply)
+        counts = walker.convolve_counts(q.identity(), steps, n, step, budget)
         total = scenario.generators.size ** n
         return Fraction(counts.get((0, 0), 0), total)
     return walker.hit_probability_exact(scenario.generators, n,

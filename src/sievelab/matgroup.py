@@ -115,21 +115,25 @@ class MatrixElement:
         return compose(self, other)
 
     def inverse(self) -> "MatrixElement":
-        """Exact inverse: the adjugate, since det = 1."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination on [g | I].
+
+        Every division is exact, and the left half ends as d*I with d =
+        +-det = +-1, so the right half is d * g^-1.
+        """
         n = self.dimension
-        e = self.entries
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [e[r][c] for c in range(n) if c != i]
-                    for r in range(n) if r != j
-                ]
-                cof = _det_bareiss(minor) if n > 1 else 1
-                row.append(cof if (i + j) % 2 == 0 else -cof)
-            adj.append(tuple(row))
-        return MatrixElement(tuple(adj))
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
+        prev = 1
+        for k in range(n):
+            if m[k][k] == 0:
+                swap = next(i for i in range(k + 1, n) if m[i][k] != 0)
+                m[k], m[swap] = m[swap], m[k]
+            pivot, row_k = m[k][k], m[k]
+            for i in range(n):
+                if i != k:
+                    row, f = m[i], m[i][k]
+                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, row_k)]
+            prev = pivot
+        return MatrixElement(tuple(tuple(x * prev for x in row[n:]) for row in m))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dimension))

@@ -8,14 +8,17 @@ with componentwise addition.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
     CompositeModulus,
     DomainError,
+    EnumerationIncomplete,
     EnumerationUnavailable,
 )
 from .matgroup import AbelianElement, GeneratorMultiset, MatrixElement, elementary_generators
@@ -110,16 +113,50 @@ def prime_schedule(t: int, min_norm: int, growth_constant: int = 100) -> PrimeSc
     return PrimeSchedule(tuple(primes), min_norm, growth_constant)
 
 
-def _matmul_flat(x: Tuple[int, ...], y: Tuple[int, ...], dim: int, p: int) -> Tuple[int, ...]:
-    idx = range(dim)
-    return tuple(
-        sum(x[i * dim + t] * y[t * dim + j] for t in idx) % p
-        for i in idx for j in idx
-    )
+class _Coded:
+    """Integer codes of quotient elements.
+
+    An element's digits are its entries, block after block, each flat
+    row-major; its code reads them in the mixed radix of their moduli,
+    first digit most significant, so sorted codes follow sorted element
+    order. Codes are int64 while the code space stays below 2^62 (so no
+    sum or product of digits reaches 2^63) and Python ints past it.
+    """
+
+    def _basis(self):
+        """(radix, place): each digit's modulus and place value."""
+        radix = self._radices()
+        place = [math.prod(radix[k + 1:]) for k in range(len(radix))]
+        dtype = np.int64 if radix[0] * place[0] <= 2 ** 62 else object
+        return np.array(radix, dtype=dtype), np.array(place, dtype=dtype)
+
+    def encode(self, digits) -> np.ndarray:
+        """Codes of the rows of a digit array or list of digit tuples."""
+        place = self._basis()[1]
+        return np.asarray(digits, dtype=place.dtype) @ place
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        radix, place = self._basis()
+        return codes[:, None] // place % radix
+
+    # an element as its digit tuple and back; matrix quotients split blocks
+    digits = _element = staticmethod(tuple)
+
+    def element_codes(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        """Sorted codes of all elements; raises when the order exceeds budget."""
+        total = self.order()
+        if total > budget:
+            raise EnumerationUnavailable(
+                f"order {total} of quotient {self.label} exceeds budget {budget}")
+        return self._codes()
+
+    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> List:
+        """All elements in sorted order, as a list."""
+        return [self._element(row) for row in self.decode(self.element_codes(budget)).tolist()]
 
 
 @dataclass(frozen=True)
-class MatrixQuotient:
+class MatrixQuotient(_Coded):
     """SL_dim over one prime, or the direct product over a pair."""
 
     dimension: int
@@ -159,42 +196,50 @@ class MatrixQuotient:
         return tuple(tuple(e % p for e in flat) for p in self.moduli)
 
     def multiply(self, x, y):
-        dim = self.dimension
+        d = self.dimension
+        idx = range(d)
         return tuple(
-            _matmul_flat(xb, yb, dim, p)
+            tuple(sum(xb[i * d + t] * yb[t * d + j] for t in idx) % p for i in idx for j in idx)
             for xb, yb, p in zip(x, y, self.moduli)
         )
 
-    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> List:
-        """All elements, as a list; raises when the order exceeds budget."""
-        total = self.order()
-        if total > budget:
-            raise EnumerationUnavailable(
-                f"order {total} of quotient {self.label} exceeds budget {budget}")
-        blocks = []
+    def _radices(self) -> Tuple[int, ...]:
+        return tuple(p for p in self.moduli for _ in range(self.dimension ** 2))
+
+    def digits(self, x) -> Tuple[int, ...]:
+        return tuple(e for block in x for e in block)
+
+    def _element(self, row):
+        size = self.dimension ** 2
+        return tuple(tuple(row[b * size:(b + 1) * size]) for b in range(len(self.moduli)))
+
+    def multiply_digits(self, digits: np.ndarray, y) -> np.ndarray:
+        """Digit rows of x*y for every row x of digits, in one batch."""
+        d, b = self.dimension, len(self.moduli)
+        g = np.array(y, dtype=digits.dtype).reshape(b, d, d)
+        mods = np.array(self.moduli, dtype=digits.dtype).reshape(b, 1, 1)
+        return (digits.reshape(-1, b, d, d) @ g % mods).reshape(digits.shape)
+
+    def _codes(self) -> np.ndarray:
+        # per prime, the closure of the elementary generators, checked
+        # against the group order; a pair's codes are c0 * p1^(d^2) + c1
+        d = self.dimension
+        codes = np.zeros(1, dtype=self._basis()[1].dtype)
         for p in self.moduli:
-            single = MatrixQuotient(self.dimension, (p,))
-            gens = [single.reduce(g)[0]
-                    for g in elementary_generators(self.dimension).support]
-            seen = {single.identity()[0]}
-            queue = deque(seen)
-            while queue:
-                x = queue.popleft()
-                for g in gens:
-                    y = _matmul_flat(x, g, self.dimension, p)
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            want = group_order(self.dimension, p)
-            assert len(seen) == want, (len(seen), want)
-            blocks.append(sorted(seen))
-        if len(blocks) == 1:
-            return [(b,) for b in blocks[0]]
-        return [(b0, b1) for b0 in blocks[0] for b1 in blocks[1]]
+            single = MatrixQuotient(d, (p,))
+            gens = [single.digits(single.reduce(g)) for g in elementary_generators(d).support]
+            want = group_order(d, p)
+            block = _closure_codes(single, gens, want)
+            if block.size != want:
+                raise EnumerationIncomplete(
+                    f"elementary generators reach {block.size} of {want} elements of "
+                    f"SL_{d}(F_{p})")
+            codes = (codes[:, None] * p ** (d * d) + block.astype(codes.dtype)).ravel()
+        return codes
 
 
 @dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(_Coded):
     """(Z/modulus)^rank with componentwise addition."""
 
     rank: int
@@ -223,15 +268,34 @@ class AbelianQuotient:
         m = self.modulus
         return tuple((a + b) % m for a, b in zip(x, y))
 
-    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> List:
-        total = self.order()
-        if total > budget:
-            raise EnumerationUnavailable(
-                f"order {total} of quotient {self.label} exceeds budget {budget}")
-        elems = [()]
-        for _ in range(self.rank):
-            elems = [e + (v,) for e in elems for v in range(self.modulus)]
-        return elems
+    def _radices(self) -> Tuple[int, ...]:
+        return (self.modulus,) * self.rank
+
+    def multiply_digits(self, digits: np.ndarray, y) -> np.ndarray:
+        return (digits + np.array(y, dtype=digits.dtype)) % self.modulus
+
+    def _codes(self) -> np.ndarray:
+        return np.arange(self.order(), dtype=np.int64)
+
+
+def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
+    """Sorted codes of the closure of the identity under right
+    multiplication by gens (digit tuples), level by level: each level's
+    frontier is multiplied by each generator in one batch. Raises
+    BudgetExceeded as soon as the closure would pass budget elements."""
+    seen = frontier = quotient.encode([quotient.digits(quotient.identity())])
+    while frontier.size:
+        digits = quotient.decode(frontier)
+        cand = np.sort(np.concatenate(
+            [quotient.encode(quotient.multiply_digits(digits, g)) for g in gens]))
+        cand = cand[np.append(True, cand[1:] != cand[:-1])]
+        pos = np.searchsorted(seen, cand)
+        new = seen[np.minimum(pos, seen.size - 1)] != cand
+        frontier = cand[new]
+        if seen.size + frontier.size > budget:
+            raise BudgetExceeded(f"closure in {quotient.label} exceeded budget {budget}")
+        seen = np.insert(seen, pos[new], frontier)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -260,27 +324,9 @@ class ClosureReport:
 def bfs_closure(A: GeneratorMultiset, quotient, budget: int = DEFAULT_ENUM_BUDGET) -> ClosureReport:
     """Subgroup generated by the image of A (A is symmetric, so the
     reachable set under right multiplication is already the subgroup)."""
-    gens = []
-    seen_g = set()
-    for g in A.support:
-        r = quotient.reduce(g)
-        if r not in seen_g:
-            seen_g.add(r)
-            gens.append(r)
-    start = quotient.identity()
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = quotient.multiply(x, g)
-            if y not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(
-                        f"closure in {quotient.label} exceeded budget {budget}")
-                seen.add(y)
-                queue.append(y)
-    return ClosureReport(quotient.label, A.tag, len(seen), quotient.order())
+    gens = dict.fromkeys(quotient.digits(quotient.reduce(g)) for g in A.support)
+    codes = _closure_codes(quotient, list(gens), budget)
+    return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 
 
 def find_excluded_primes(A: GeneratorMultiset, primes: Sequence[int],

@@ -8,8 +8,9 @@ modulus away from the top eigenvector.
 
 Small quotients get a dense symmetric eigensolver; past the threshold
 a deflated power iteration on (I+P)/2 and (I-P)/2 extracts the two
-extremes with a certified residual. Consumers add the residual before
-comparing against thresholds, so rounding always errs conservative.
+extremes with a residual: the 2-norm ||Pv - theta v|| of each Rayleigh
+pair, which bounds |lambda - theta| for some eigenvalue lambda of P.
+Consumers add the residual before comparing against thresholds.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
-from .matgroup import GeneratorMultiset
-from .walker import convolve_counts
+from .matgroup import GeneratorMultiset, MatrixElement
+from .quotients import MatrixQuotient
+from .walker import convolve_counts, memoized_steps
 
 DENSE_THRESHOLD = 4000
 _POWER_TOL = 1e-9
@@ -83,24 +85,60 @@ def _reduced_pairs(source, quotient) -> List[Tuple[object, int]]:
     return pairs
 
 
-def _neighbor_maps(pairs, quotient, budget):
-    elems = quotient.enumerate_elements(budget)
-    index = {e: i for i, e in enumerate(elems)}
-    size = sum(m for _, m in pairs)
-    maps = []
-    for g, m in pairs:
-        perm = np.empty(len(elems), dtype=np.int64)
-        for i, x in enumerate(elems):
-            perm[i] = index[quotient.multiply(x, g)]
-        maps.append((perm, m / size))
-    return elems, maps, size
+def _neighbor_maps(quotient, budget):
+    """Order of the quotient, and g -> the index permutation of x -> x g
+    over its sorted element codes."""
+    codes = quotient.element_codes(budget)
+    digits = quotient.decode(codes)
+
+    def perm(g):
+        return np.searchsorted(codes, quotient.encode(
+            quotient.multiply_digits(digits, quotient.digits(g))))
+    return len(codes), perm
+
+
+def _minus_identity(quotient):
+    """-I reduced into a matrix quotient where it is not I (even dimension,
+    every modulus odd); None otherwise."""
+    if (not isinstance(quotient, MatrixQuotient) or quotient.dimension % 2
+            or not all(p % 2 for p in quotient.moduli)):
+        return None
+    d = quotient.dimension
+    return quotient.reduce(MatrixElement(tuple(
+        tuple(-int(i == j) for j in range(d)) for i in range(d))))
+
+
+def _dense_spectrum(maps, neg=None) -> np.ndarray:
+    """All eigenvalues of P = sum of its (permutation, weight) maps, ascending.
+
+    neg, when given, permutes x -> -x; -I is central, so P commutes with
+    it and splits on even and odd functions into P+- [x, y] = P[x, y] +-
+    P[x, -y] over one x of each pair {x, -x}: two blocks of order |G|/2
+    whose spectra together are P's. Without neg the one block is P.
+    """
+    ell = maps[0][0].size
+    neg = np.arange(ell) if neg is None else neg
+    rep = np.arange(ell) <= neg
+    rows = np.flatnonzero(rep)
+    slot = np.empty(ell, dtype=np.int64)
+    slot[rows] = slot[neg[rows]] = np.arange(rows.size)
+    signs = [np.ones(ell)] + ([] if rep.all() else [np.where(rep, 1.0, -1.0)])
+    eig = []
+    for sign in signs:
+        block = np.zeros((rows.size, rows.size))
+        for perm, w in maps:
+            t = perm[rows]
+            block[np.arange(rows.size), slot[t]] += w * sign[t]
+        eig.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(eig))
 
 
 def _power_top(matvec, dim: int, deflate: np.ndarray):
     """Largest eigenvalue of a PSD-shifted operator, u-deflated.
 
-    Returns (rayleigh, residual_inf); residual bounds the distance to
-    a true eigenvalue for self-adjoint operators.
+    Returns (rayleigh, residual, v): residual is the 2-norm ||Av - rayleigh
+    v|| for the unit vector v, which bounds the distance from rayleigh to
+    an eigenvalue of a self-adjoint A.
     """
     rng = np.random.default_rng(987654321)
     v = rng.standard_normal(dim)
@@ -114,12 +152,12 @@ def _power_top(matvec, dim: int, deflate: np.ndarray):
         w = matvec(v)
         w -= (deflate @ w) * deflate
         mu = float(v @ w)
-        res = float(np.max(np.abs(w - mu * v)))
+        res = float(np.linalg.norm(w - mu * v))
         if res <= _POWER_TOL:
-            return mu, res
+            return mu, res, v
         nrm = np.linalg.norm(w)
         if nrm == 0:
-            return 0.0, 0.0
+            return 0.0, 0.0, v
         v = w / nrm
     raise ConvergenceFailure(
         f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
@@ -130,31 +168,32 @@ def second_eigenvalue(source, quotient, dense_threshold: int = DENSE_THRESHOLD,
     """pi_1, pi_min, pi_star of the walk operator on the quotient.
 
     source is a GeneratorMultiset (reduced here) or pre-reduced
-    (element, multiplicity) pairs.
+    (element, multiplicity) pairs. A dense spectrum is exact up to
+    rounding (residual 0.0); an iterative one reports a residual that
+    bounds the distance of pi_1 and of pi_min to eigenvalues of P.
     """
     pairs = _reduced_pairs(source, quotient)
-    elems, maps, a_size = _neighbor_maps(pairs, quotient, budget)
-    ell = len(elems)
+    ell, perm = _neighbor_maps(quotient, budget)
+    a_size = sum(m for _, m in pairs)
+    maps = [(perm(g), m / a_size) for g, m in pairs]
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
     if ell <= dense_threshold:
-        P = np.zeros((ell, ell))
-        for perm, w in maps:
-            P[np.arange(ell), perm] += w
-        eig = np.linalg.eigvalsh(P)
+        minus = _minus_identity(quotient)
+        eig = _dense_spectrum(maps, None if minus is None else perm(minus))
         return AdjacencySpectrum(quotient.label, ell, a_size,
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)
 
     def matvec_p(v):
         out = np.zeros_like(v)
-        for perm, w in maps:
-            out += w * v[perm]
+        for idx, w in maps:
+            out += w * v[idx]
         return out
 
     u = np.full(ell, 1.0 / np.sqrt(ell))
-    mu_plus, res_plus = _power_top(lambda v: 0.5 * (v + matvec_p(v)), ell, u)
-    mu_minus, res_minus = _power_top(lambda v: 0.5 * (v - matvec_p(v)), ell, u)
+    mu_plus, res_plus, _ = _power_top(lambda v: 0.5 * (v + matvec_p(v)), ell, u)
+    mu_minus, res_minus, _ = _power_top(lambda v: 0.5 * (v - matvec_p(v)), ell, u)
     pi_1 = 2.0 * mu_plus - 1.0
     pi_min = 1.0 - 2.0 * mu_minus
     residual = 2.0 * max(res_plus, res_minus)
@@ -227,8 +266,8 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int],
             out[k] = worst
 
     out_keys = set(grid)
-    convolve_counts(quotient.identity(), pairs, grid[-1], quotient.multiply,
-                    budget, on_snapshot=snap)
+    steps, step = memoized_steps(pairs, quotient.multiply)
+    convolve_counts(quotient.identity(), steps, grid[-1], step, budget, on_snapshot=snap)
     return out
 
 

@@ -213,3 +213,44 @@ def test_identity_self_inverse_allows_order_two_elements():
     negI = MatrixElement(((-1, 0), (0, -1)))
     A = validate_generators([MatrixElement.identity(2), negI])
     assert A.size == 2
+
+
+def adjugate(rows):
+    n = len(rows)
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)))
+
+    return tuple(
+        tuple((-1) ** (i + j) * det([list(r[:i] + r[i + 1:])
+                                     for k, r in enumerate(rows) if k != j])
+              for j in range(n))
+        for i in range(n))
+
+
+def random_word(dim, seed, trial, length):
+    table = elementary_generators(dim).draw_table()
+    g = MatrixElement.identity(dim)
+    for idx in prng.draw_indices(seed, trial, length, len(table)):
+        g = g * table[idx]
+    return g
+
+
+def test_inverse_by_elimination_on_random_words():
+    for dim in range(2, 9):
+        for trial in range(6):
+            g = random_word(dim, 31, trial, 10 + 6 * trial)
+            assert g.inverse() * g == MatrixElement.identity(dim)
+            assert g * g.inverse() == MatrixElement.identity(dim)
+            if dim <= 4:
+                assert g.inverse().entries == adjugate(g.entries)
+
+
+def test_inverse_needs_row_swaps():
+    # zero pivots in the first and second columns force row exchanges
+    g = MatrixElement(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    assert g.inverse().entries == adjugate(g.entries) == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert (S.inverse() * S).is_identity()

@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+from collections import deque
 from itertools import product
+from pathlib import Path
 
-from sievelab import prng
+import numpy as np
+import pytest
+
+import sievelab
+from sievelab import prng, quotients
 from sievelab.errors import (
     BudgetExceeded,
     CompositeModulus,
+    EnumerationIncomplete,
     EnumerationUnavailable,
 )
 from sievelab.matgroup import (
@@ -11,6 +21,7 @@ from sievelab.matgroup import (
     MatrixElement,
     elementary_generators,
     sl2_st_generators,
+    validate_generators,
     z_generators,
 )
 from sievelab.quotients import (
@@ -216,3 +227,99 @@ def test_no_excluded_primes_for_builtins():
     assert find_excluded_primes(sl2_st_generators(), primes) == []
     # SL_3 quotients blow up fast; 2 and 3 are the interesting small cases
     assert find_excluded_primes(elementary_generators(3), [2, 3]) == []
+
+
+def closure_by_multiply(quotient, gens):
+    """Sorted closure of the identity under right multiplication by gens,
+    one element at a time through quotient.multiply."""
+    seen = {quotient.identity()}
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = quotient.multiply(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("dim,moduli", [(2, (5,)), (2, (13,)), (3, (2,)), (3, (3,)),
+                                        (2, (3, 5)), (2, (3, 7))])
+def test_code_enumeration_equals_bfs_by_multiply(dim, moduli):
+    q = MatrixQuotient(dim, moduli)
+    gens = [q.reduce(g) for g in elementary_generators(dim).support]
+    want = closure_by_multiply(q, gens)
+    els = q.enumerate_elements()
+    assert els == want
+    codes = q.element_codes()
+    assert codes.dtype == np.int64 and np.all(codes[1:] > codes[:-1])
+    assert [q._element(r) for r in q.decode(codes).tolist()] == els
+    assert np.array_equal(q.encode([q.digits(x) for x in els]), codes)
+
+
+def test_abelian_codes_follow_element_order():
+    q = AbelianQuotient(3, 4)
+    els = q.enumerate_elements()
+    assert els == sorted(product(range(4), repeat=3))
+    assert np.array_equal(q.encode([q.digits(x) for x in els]), np.arange(64))
+
+
+def _upper_unipotent_only(n):
+    T = MatrixElement(((1, 1), (0, 1)))
+    return validate_generators([MatrixElement.identity(2), T, T.inverse()])
+
+
+def test_enumeration_check_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(quotients, "elementary_generators", _upper_unipotent_only)
+    with pytest.raises(EnumerationIncomplete):
+        MatrixQuotient(2, (5,)).enumerate_elements()
+
+
+def test_enumeration_check_survives_optimized_mode():
+    script = (
+        "from sievelab import quotients\n"
+        "from sievelab.errors import EnumerationIncomplete\n"
+        "from sievelab.matgroup import MatrixElement, validate_generators\n"
+        "T = MatrixElement(((1, 1), (0, 1)))\n"
+        "quotients.elementary_generators = lambda n: validate_generators(\n"
+        "    [MatrixElement.identity(2), T, T.inverse()])\n"
+        "try:\n"
+        "    quotients.MatrixQuotient(2, (5,)).enumerate_elements()\n"
+        "except EnumerationIncomplete:\n"
+        "    print('typed', __debug__)\n"
+    )
+    src = str(Path(sievelab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["typed", "False"]
+
+
+def test_bfs_closure_budget_boundary():
+    A = sl2_st_generators()
+    assert bfs_closure(A, MatrixQuotient(2, (5,)), budget=120).size == 120
+    with pytest.raises(BudgetExceeded):
+        bfs_closure(A, MatrixQuotient(2, (5,)), budget=119)
+    assert bfs_closure(z_generators(), AbelianQuotient(1, 7), budget=7).size == 7
+    with pytest.raises(BudgetExceeded):
+        bfs_closure(z_generators(), AbelianQuotient(1, 7), budget=6)
+
+
+def test_closure_exact_past_int64_codes():
+    # p^4 >= 2^63 for p > 55108: codes are Python ints there
+    I = MatrixElement.identity(2)
+    minus = MatrixElement(((-1, 0), (0, -1)))
+    S = MatrixElement(((0, 1), (-1, 0)))
+    p = 55109
+    assert is_prime(p) and p ** 4 > 2 ** 63
+    assert bfs_closure(validate_generators([I, minus]), MatrixQuotient(2, (p,))).size == 2
+    four = validate_generators([I, S, S.inverse()])
+    assert bfs_closure(four, MatrixQuotient(2, (p,))).size == 4
+    assert bfs_closure(four, MatrixQuotient(2, (3, p))).size == 4
+    big = 2 ** 61 - 1
+    assert bfs_closure(four, MatrixQuotient(2, (big,))).size == 4
+    q = MatrixQuotient(2, (p,))
+    x = q.reduce(MatrixElement(((2, 3), (1, 2))))
+    codes = q.encode([q.digits(x)])
+    assert codes.dtype == object
+    assert q._element(q.decode(codes).tolist()[0]) == x

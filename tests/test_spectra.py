@@ -1,10 +1,17 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.linalg import eigh
 
+from sievelab import spectra
 from sievelab.errors import DomainError, MissingIdentity, NotSymmetric
-from sievelab.matgroup import elementary_generators, sl2_st_generators, z_generators
+from sievelab.matgroup import (
+    elementary_generators,
+    sl2_st_generators,
+    torus_generators,
+    z_generators,
+)
 from sievelab.quotients import AbelianQuotient, MatrixQuotient
 from sievelab.spectra import (
     exact_deviation_sweep,
@@ -196,3 +203,94 @@ def test_spectrum_csv_format():
     assert cells[6] == "dense"
     # repr round-trip: parsing the cell recovers the float exactly
     assert float(cells[3]) == s.pi_1
+
+
+@pytest.mark.parametrize("quotient,A", [
+    (MatrixQuotient(2, (5,)), sl2_st_generators()),
+    (MatrixQuotient(2, (3, 5)), elementary_generators(2)),
+    (MatrixQuotient(3, (2,)), elementary_generators(3)),
+    (AbelianQuotient(2, 5), torus_generators()),
+])
+def test_neighbor_permutations_match_multiply(quotient, A):
+    els = quotient.enumerate_elements()
+    ell, perm = spectra._neighbor_maps(quotient, 10 ** 6)
+    assert ell == len(els) == quotient.order()
+    gens = [quotient.reduce(g) for g in A.support]
+    minus = spectra._minus_identity(quotient)
+    for g in gens + ([minus] if minus is not None else []):
+        idx = perm(g)
+        assert sorted(idx) == list(range(ell))
+        assert all(els[j] == quotient.multiply(x, g) for x, j in zip(els, idx))
+
+
+@pytest.mark.parametrize("moduli", [(5,), (7,), (11,), (13,), (3, 5)])
+def test_folded_spectrum_equals_unfolded(moduli):
+    q = MatrixQuotient(2, moduli)
+    A = sl2_st_generators()
+    ell, perm = spectra._neighbor_maps(q, 10 ** 6)
+    maps = [(perm(q.reduce(g)), m / A.size) for g, m in A.pairs]
+    P = np.zeros((ell, ell))
+    for idx, w in maps:
+        P[np.arange(ell), idx] += w
+    minus = spectra._minus_identity(q)
+    assert minus == tuple((p - 1, 0, 0, p - 1) for p in moduli)
+    folded = spectra._dense_spectrum(maps, perm(minus))
+    assert folded.shape == (ell,)
+    assert np.max(np.abs(folded - np.linalg.eigvalsh(P))) <= 1e-12
+    assert np.max(np.abs(spectra._dense_spectrum(maps) - folded)) <= 1e-12
+
+
+def test_fold_needs_minus_identity_distinct_from_identity():
+    assert spectra._minus_identity(MatrixQuotient(2, (2,))) is None
+    assert spectra._minus_identity(MatrixQuotient(2, (2, 3))) is None
+    assert spectra._minus_identity(MatrixQuotient(3, (5,))) is None
+    assert spectra._minus_identity(AbelianQuotient(1, 5)) is None
+
+
+@pytest.mark.parametrize("quotient,A", [
+    (MatrixQuotient(2, (5,)), sl2_st_generators()),
+    (MatrixQuotient(2, (7,)), elementary_generators(2)),
+    (MatrixQuotient(3, (2,)), elementary_generators(3)),
+    (AbelianQuotient(1, 9), z_generators()),
+])
+def test_iterative_residual_is_a_two_norm_bound(quotient, A):
+    it = second_eigenvalue(A, quotient, dense_threshold=1)
+    assert it.method == "iterative"
+    P = _walk_matrix(quotient, A)
+    eig = np.linalg.eigvalsh(P)
+    assert np.min(np.abs(eig - it.pi_1)) <= it.residual
+    assert np.min(np.abs(eig - it.pi_min)) <= it.residual
+    # the reported number is the 2-norm of the residual vector
+    ell = len(P)
+    u = np.full(ell, 1.0 / np.sqrt(ell))
+    for op in (lambda v: 0.5 * (v + P @ v), lambda v: 0.5 * (v - P @ v)):
+        mu, res, v = spectra._power_top(op, ell, u)
+        w = op(v)
+        w -= (u @ w) * u
+        assert res >= np.linalg.norm(w - mu * v) * (1 - 1e-9)
+        assert res <= spectra._POWER_TOL
+
+
+def _walk_matrix(quotient, A):
+    ell, perm = spectra._neighbor_maps(quotient, 10 ** 6)
+    P = np.zeros((ell, ell))
+    for g, m in A.pairs:
+        P[np.arange(ell), perm(quotient.reduce(g))] += m / A.size
+    return P
+
+
+def test_deviation_sweep_multiplies_each_pair_once():
+    calls = []
+
+    class Counting(MatrixQuotient):
+        def multiply(self, x, y):
+            calls.append(1)
+            return super().multiply(x, y)
+
+    A = sl2_st_generators()
+    q = Counting(2, (5,))
+    devs = exact_deviation_sweep(A, q, range(25))
+    assert devs == exact_deviation_sweep(A, MatrixQuotient(2, (5,)), range(25))
+    # the symmetry check multiplies at most 5 x 5 pairs; the sweep at most
+    # 120 states x 5 generators
+    assert len(calls) <= 25 + 120 * 5
