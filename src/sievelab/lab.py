@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,8 +278,8 @@ def exact_probability(scenario: Scenario, n: int,
         for g, mult in scenario.generators.pairs:
             r = q.reduce(g)
             merged[r] = merged.get(r, 0) + mult
-        steps, step = walker.memoized_steps(tuple(merged.items()), q.multiply)
-        counts = walker.convolve_counts(q.identity(), steps, n, step, budget)
+        counts = walker.convolve_counts(q.identity(), tuple(merged.items()),
+                                        n, cache(q.multiply), budget)
         total = scenario.generators.size ** n
         return Fraction(counts.get((0, 0), 0), total)
     return walker.hit_probability_exact(scenario.generators, n,

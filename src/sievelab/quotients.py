@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -123,6 +124,7 @@ class _Coded:
     sum or product of digits reaches 2^63) and Python ints past it.
     """
 
+    @cached_property
     def _basis(self):
         """(radix, place): each digit's modulus and place value."""
         radix = self._radices()
@@ -132,15 +134,12 @@ class _Coded:
 
     def encode(self, digits) -> np.ndarray:
         """Codes of the rows of a digit array or list of digit tuples."""
-        place = self._basis()[1]
+        place = self._basis[1]
         return np.asarray(digits, dtype=place.dtype) @ place
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        radix, place = self._basis()
+        radix, place = self._basis
         return codes[:, None] // place % radix
-
-    # an element as its digit tuple and back; matrix quotients split blocks
-    digits = _element = staticmethod(tuple)
 
     def element_codes(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         """Sorted codes of all elements; raises when the order exceeds budget."""
@@ -213,18 +212,19 @@ class MatrixQuotient(_Coded):
         size = self.dimension ** 2
         return tuple(tuple(row[b * size:(b + 1) * size]) for b in range(len(self.moduli)))
 
-    def multiply_digits(self, digits: np.ndarray, y) -> np.ndarray:
-        """Digit rows of x*y for every row x of digits, in one batch."""
+    def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
+        """Digit rows of x*y for every row x of digits and every digit
+        tuple y in ys, x-major, in one batch."""
         d, b = self.dimension, len(self.moduli)
-        g = np.array(y, dtype=digits.dtype).reshape(b, d, d)
+        g = np.asarray(ys, dtype=digits.dtype).reshape(1, -1, b, d, d)
         mods = np.array(self.moduli, dtype=digits.dtype).reshape(b, 1, 1)
-        return (digits.reshape(-1, b, d, d) @ g % mods).reshape(digits.shape)
+        return (digits.reshape(-1, 1, b, d, d) @ g % mods).reshape(-1, digits.shape[1])
 
     def _codes(self) -> np.ndarray:
         # per prime, the closure of the elementary generators, checked
         # against the group order; a pair's codes are c0 * p1^(d^2) + c1
         d = self.dimension
-        codes = np.zeros(1, dtype=self._basis()[1].dtype)
+        codes = np.zeros(1, dtype=self._basis[1].dtype)
         for p in self.moduli:
             single = MatrixQuotient(d, (p,))
             gens = [single.digits(single.reduce(g)) for g in elementary_generators(d).support]
@@ -271,8 +271,15 @@ class AbelianQuotient(_Coded):
     def _radices(self) -> Tuple[int, ...]:
         return (self.modulus,) * self.rank
 
-    def multiply_digits(self, digits: np.ndarray, y) -> np.ndarray:
-        return (digits + np.array(y, dtype=digits.dtype)) % self.modulus
+    def digits(self, x) -> Tuple[int, ...]:
+        return tuple(x)
+
+    def _element(self, row):
+        return tuple(row)
+
+    def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
+        ys = np.asarray(ys, dtype=digits.dtype)
+        return ((digits[:, None] + ys) % self.modulus).reshape(-1, self.rank)
 
     def _codes(self) -> np.ndarray:
         return np.arange(self.order(), dtype=np.int64)
@@ -280,22 +287,28 @@ class AbelianQuotient(_Coded):
 
 def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     """Sorted codes of the closure of the identity under right
-    multiplication by gens (digit tuples), level by level: each level's
-    frontier is multiplied by each generator in one batch. Raises
-    BudgetExceeded as soon as the closure would pass budget elements."""
-    seen = frontier = quotient.encode([quotient.digits(quotient.identity())])
+    multiplication by gens, digit tuples closed under inverses.
+
+    Level by level: each level is multiplied by every generator in one
+    batch. As gens is symmetric, the neighbours of level k lie in levels
+    k-1, k and k+1, so new elements are checked against the last two
+    levels only. Raises BudgetExceeded as soon as the closure would pass
+    budget elements.
+    """
+    frontier = quotient.encode([quotient.digits(quotient.identity())])
+    gens = np.array(gens, dtype=frontier.dtype)
+    levels, last, total = [frontier], frontier, 1
     while frontier.size:
-        digits = quotient.decode(frontier)
-        cand = np.sort(np.concatenate(
-            [quotient.encode(quotient.multiply_digits(digits, g)) for g in gens]))
-        cand = cand[np.append(True, cand[1:] != cand[:-1])]
-        pos = np.searchsorted(seen, cand)
-        new = seen[np.minimum(pos, seen.size - 1)] != cand
-        frontier = cand[new]
-        if seen.size + frontier.size > budget:
+        cand = np.sort(quotient.encode(quotient.multiply_digits(quotient.decode(frontier), gens)))
+        new = np.concatenate(([True], cand[1:] != cand[:-1]))
+        for old in (last, frontier):
+            new &= old[np.minimum(np.searchsorted(old, cand), old.size - 1)] != cand
+        last, frontier = frontier, cand[new]
+        total += frontier.size
+        if total > budget:
             raise BudgetExceeded(f"closure in {quotient.label} exceeded budget {budget}")
-        seen = np.insert(seen, pos[new], frontier)
-    return seen
+        levels.append(frontier)
+    return np.sort(np.concatenate(levels))
 
 
 @dataclass(frozen=True)
@@ -322,9 +335,10 @@ class ClosureReport:
 
 
 def bfs_closure(A: GeneratorMultiset, quotient, budget: int = DEFAULT_ENUM_BUDGET) -> ClosureReport:
-    """Subgroup generated by the image of A (A is symmetric, so the
-    reachable set under right multiplication is already the subgroup)."""
-    gens = dict.fromkeys(quotient.digits(quotient.reduce(g)) for g in A.support)
+    """Subgroup generated by the image of A: in a finite quotient the
+    reachable set under right multiplication by A and its inverses."""
+    gens = dict.fromkeys(quotient.digits(quotient.reduce(h))
+                         for g in A.support for h in (g, g.inverse()))
     codes = _closure_codes(quotient, list(gens), budget)
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
-from .matgroup import GeneratorMultiset, MatrixElement
+from .matgroup import GeneratorMultiset
 from .quotients import MatrixQuotient
-from .walker import convolve_counts, memoized_steps
+from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
 _POWER_TOL = 1e-9
@@ -87,13 +88,17 @@ def _reduced_pairs(source, quotient) -> List[Tuple[object, int]]:
 
 def _neighbor_maps(quotient, budget):
     """Order of the quotient, and g -> the index permutation of x -> x g
-    over its sorted element codes."""
+    over its sorted element codes; raises DomainError when g is not in
+    the quotient group."""
     codes = quotient.element_codes(budget)
     digits = quotient.decode(codes)
 
     def perm(g):
-        return np.searchsorted(codes, quotient.encode(
-            quotient.multiply_digits(digits, quotient.digits(g))))
+        target = quotient.encode(quotient.multiply_digits(digits, [quotient.digits(g)]))
+        idx = np.searchsorted(codes, target)
+        if not np.array_equal(codes[np.minimum(idx, len(codes) - 1)], target):
+            raise DomainError(f"multiset element {g} is not in the quotient {quotient.label}")
+        return idx
     return len(codes), perm
 
 
@@ -104,8 +109,8 @@ def _minus_identity(quotient):
             or not all(p % 2 for p in quotient.moduli)):
         return None
     d = quotient.dimension
-    return quotient.reduce(MatrixElement(tuple(
-        tuple(-int(i == j) for j in range(d)) for i in range(d))))
+    return tuple(tuple((p - 1) * (i == j) for i in range(d) for j in range(d))
+                 for p in quotient.moduli)
 
 
 def _dense_spectrum(maps, neg=None) -> np.ndarray:
@@ -136,9 +141,9 @@ def _dense_spectrum(maps, neg=None) -> np.ndarray:
 def _power_top(matvec, dim: int, deflate: np.ndarray):
     """Largest eigenvalue of a PSD-shifted operator, u-deflated.
 
-    Returns (rayleigh, residual, v): residual is the 2-norm ||Av - rayleigh
-    v|| for the unit vector v, which bounds the distance from rayleigh to
-    an eigenvalue of a self-adjoint A.
+    Returns (rayleigh, residual): residual is the 2-norm ||Av - rayleigh
+    v|| for the last unit vector v, which bounds the distance from
+    rayleigh to an eigenvalue of a self-adjoint A.
     """
     rng = np.random.default_rng(987654321)
     v = rng.standard_normal(dim)
@@ -154,10 +159,10 @@ def _power_top(matvec, dim: int, deflate: np.ndarray):
         mu = float(v @ w)
         res = float(np.linalg.norm(w - mu * v))
         if res <= _POWER_TOL:
-            return mu, res, v
+            return mu, res
         nrm = np.linalg.norm(w)
         if nrm == 0:
-            return 0.0, 0.0, v
+            return 0.0, 0.0
         v = w / nrm
     raise ConvergenceFailure(
         f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
@@ -192,8 +197,8 @@ def second_eigenvalue(source, quotient, dense_threshold: int = DENSE_THRESHOLD,
         return out
 
     u = np.full(ell, 1.0 / np.sqrt(ell))
-    mu_plus, res_plus, _ = _power_top(lambda v: 0.5 * (v + matvec_p(v)), ell, u)
-    mu_minus, res_minus, _ = _power_top(lambda v: 0.5 * (v - matvec_p(v)), ell, u)
+    mu_plus, res_plus = _power_top(lambda v: 0.5 * (v + matvec_p(v)), ell, u)
+    mu_minus, res_minus = _power_top(lambda v: 0.5 * (v - matvec_p(v)), ell, u)
     pi_1 = 2.0 * mu_plus - 1.0
     pi_min = 1.0 - 2.0 * mu_minus
     residual = 2.0 * max(res_plus, res_minus)
@@ -266,8 +271,9 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int],
             out[k] = worst
 
     out_keys = set(grid)
-    steps, step = memoized_steps(pairs, quotient.multiply)
-    convolve_counts(quotient.identity(), steps, grid[-1], step, budget, on_snapshot=snap)
+    # states recur on a finite quotient: each (state, step) product once
+    convolve_counts(quotient.identity(), pairs, grid[-1], cache(quotient.multiply),
+                    budget, on_snapshot=snap)
     return out
 
 

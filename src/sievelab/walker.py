@@ -81,20 +81,6 @@ def convolve_counts(identity, step_pairs, n: int, compose: Callable,
     return counts
 
 
-def memoized_steps(step_pairs, compose: Callable):
-    """(step_pairs, compose) for convolve_counts where states recur, as on
-    a finite quotient: steps become indices, each product computed once."""
-    products: List[Dict] = [{} for _ in step_pairs]
-
-    def step(x, i):
-        y = products[i].get(x)
-        if y is None:
-            y = products[i][x] = compose(x, step_pairs[i][0])
-        return y
-
-    return [(i, m) for i, (_, m) in enumerate(step_pairs)], step
-
-
 @dataclass(frozen=True)
 class WalkDistribution:
     """Exact law of omega_n: path counts over |A|^n."""

@@ -18,6 +18,7 @@ from sievelab.errors import (
 )
 from sievelab.matgroup import (
     AbelianElement,
+    GeneratorMultiset,
     MatrixElement,
     elementary_generators,
     sl2_st_generators,
@@ -323,3 +324,18 @@ def test_closure_exact_past_int64_codes():
     codes = q.encode([q.digits(x)])
     assert codes.dtype == object
     assert q._element(q.decode(codes).tolist()[0]) == x
+
+
+def test_closure_long_diameter_and_unsymmetric_generators():
+    # <T> mod p is the unipotent group of order p; its Cayley graph is a
+    # p-cycle, so the level-by-level BFS runs (p + 1) / 2 levels
+    I = MatrixElement.identity(2)
+    T = MatrixElement(((1, 1), (0, 1)))
+    p = 101
+    sym = validate_generators([I, T, T.inverse()])
+    assert bfs_closure(sym, MatrixQuotient(2, (p,))).size == p
+    assert bfs_closure(z_generators(), AbelianQuotient(1, 10007)).size == 10007
+    # without its inverses, T still generates <T> in a finite quotient
+    one_way = GeneratorMultiset(((I, 1), (T, 1)))
+    assert bfs_closure(one_way, MatrixQuotient(2, (p,)), budget=p).size == p
+    assert bfs_closure(one_way, MatrixQuotient(2, (3, p)), budget=3 * p).size == 3 * p

@@ -260,11 +260,18 @@ def test_iterative_residual_is_a_two_norm_bound(quotient, A):
     eig = np.linalg.eigvalsh(P)
     assert np.min(np.abs(eig - it.pi_1)) <= it.residual
     assert np.min(np.abs(eig - it.pi_min)) <= it.residual
-    # the reported number is the 2-norm of the residual vector
+    # the reported number is the 2-norm of the residual vector of the
+    # last vector the iteration applied the operator to
     ell = len(P)
     u = np.full(ell, 1.0 / np.sqrt(ell))
-    for op in (lambda v: 0.5 * (v + P @ v), lambda v: 0.5 * (v - P @ v)):
-        mu, res, v = spectra._power_top(op, ell, u)
+    for sign in (1.0, -1.0):
+        applied = []
+
+        def op(v):
+            applied.append(v.copy())
+            return 0.5 * (v + sign * (P @ v))
+        mu, res = spectra._power_top(op, ell, u)
+        v = applied[-1]
         w = op(v)
         w -= (u @ w) * u
         assert res >= np.linalg.norm(w - mu * v) * (1 - 1e-9)
@@ -294,3 +301,14 @@ def test_deviation_sweep_multiplies_each_pair_once():
     # the symmetry check multiplies at most 5 x 5 pairs; the sweep at most
     # 120 states x 5 generators
     assert len(calls) <= 25 + 120 * 5
+
+
+def test_pre_reduced_element_outside_the_group_raises():
+    # {I, 2I, 3I} mod 5 has the identity and is symmetric (2 * 3 = 1),
+    # but det 2I = 4: 2I is not in SL_2(F_5)
+    q = MatrixQuotient(2, (5,))
+    pairs = [(q.identity(), 1), (((2, 0, 0, 2),), 1), (((3, 0, 0, 3),), 1)]
+    with pytest.raises(DomainError):
+        second_eigenvalue(pairs, q)
+    with pytest.raises(DomainError):
+        second_eigenvalue(pairs, q, dense_threshold=1)
