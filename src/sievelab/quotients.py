@@ -300,10 +300,10 @@ def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     levels, last, total = [frontier], frontier, 1
     while frontier.size:
         cand = np.sort(quotient.encode(quotient.multiply_digits(quotient.decode(frontier), gens)))
-        new = np.concatenate(([True], cand[1:] != cand[:-1]))
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
         for old in (last, frontier):
-            new &= old[np.minimum(np.searchsorted(old, cand), old.size - 1)] != cand
-        last, frontier = frontier, cand[new]
+            cand = cand[old[np.minimum(np.searchsorted(old, cand), old.size - 1)] != cand]
+        last, frontier = frontier, cand
         total += frontier.size
         if total > budget:
             raise BudgetExceeded(f"closure in {quotient.label} exceeded budget {budget}")
