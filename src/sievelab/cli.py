@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import lab, sieve, walker
 from .errors import ConfigError, DomainError, ResourceError, SievelabError
-from .quotients import AbelianQuotient, MatrixQuotient, bfs_closure, is_prime
+from .quotients import bfs_closure, is_prime, quotient_for
 from .spectra import second_eigenvalue, spectrum_csv
 from .thinsets import residual
 
@@ -66,18 +66,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _quotient_for(scenario, p: int, q: Optional[int] = None):
-    if scenario.group == "z_additive":
-        if q is not None:
-            raise DomainError("pair moduli apply to matrix groups only")
-        return AbelianQuotient(1, p)
-    if scenario.group == "torus_23":
-        if q is not None:
-            raise DomainError("pair moduli apply to matrix groups only")
-        return AbelianQuotient(2, p)
-    dim = 2 if scenario.group == "sl2" else 3
-    moduli = (p,) if q is None else (p, q)
-    return MatrixQuotient(dim, moduli)
+def _moduli(args):
+    return (args.prime,) if args.prime2 is None else (args.prime, args.prime2)
 
 
 def _cmd_walk(args) -> int:
@@ -103,7 +93,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     scenario = lab.get_scenario(args.scenario)
-    quotient = _quotient_for(scenario, args.prime, args.prime2)
+    quotient = quotient_for(scenario.generators, _moduli(args))
     spec = second_eigenvalue(scenario.generators, quotient)
     if args.format == "csv":
         _emit(spectrum_csv([spec]), args.out)
@@ -120,7 +110,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_closure(args) -> int:
     scenario = lab.get_scenario(args.scenario)
-    quotient = _quotient_for(scenario, args.prime, args.prime2)
+    quotient = quotient_for(scenario.generators, _moduli(args))
     report = bfs_closure(scenario.generators, quotient)
     obj = report.to_json_obj()
     obj["schema_version"] = SCHEMA_VERSION

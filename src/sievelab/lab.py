@@ -37,7 +37,7 @@ from .thinsets import (
     residual,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REGIMES = ("exponential", "polynomial", "non-decaying")
 
@@ -267,13 +267,9 @@ class ExperimentTable:
 def exact_probability(scenario: Scenario, n: int,
                       budget: int = walker.DEFAULT_EXACT_BUDGET) -> Fraction:
     """P(omega_n in Z) exactly, where the scenario admits it."""
-    if scenario.name == "z_origin" or (
-            scenario.group == "z_additive"
-            and getattr(scenario.oracle, "polys", None) is not None):
-        return walker.exact_origin_scan_z([n])[n]
-    if scenario.group == "torus_23":
-        # squares are detected by the parity image: convolve on (Z/2)^2
-        q = AbelianQuotient(2, 2)
+    if isinstance(scenario.oracle, TorusSquaresOracle):
+        # squares are detected by the parity image: convolve on (Z/2)^rank
+        q = AbelianQuotient(scenario.oracle.rank, 2)
         merged: Dict[tuple, int] = {}
         for g, mult in scenario.generators.pairs:
             r = q.reduce(g)
@@ -281,7 +277,7 @@ def exact_probability(scenario: Scenario, n: int,
         counts = walker.convolve_counts(q.identity(), tuple(merged.items()),
                                         n, cache(q.multiply), budget)
         total = scenario.generators.size ** n
-        return Fraction(counts.get((0, 0), 0), total)
+        return Fraction(counts.get(q.identity(), 0), total)
     return walker.hit_probability_exact(scenario.generators, n,
                                         scenario.oracle, budget)
 

@@ -46,6 +46,18 @@ def _det_bareiss(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def discriminant(coeffs: Sequence[int]) -> int:
+    """Discriminant of a monic polynomial given constant term first;
+    degrees 2 and 3 only (all the oracles need)."""
+    if len(coeffs) == 3:
+        c, b, _ = coeffs
+        return b * b - 4 * c
+    if len(coeffs) == 4:
+        d, c, b, _ = coeffs
+        return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
+    raise DegreeUnsupported("discriminant implemented for degrees 2 and 3")
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Monic integer polynomial; coefficients stored constant term first."""
@@ -70,14 +82,7 @@ class IntPolynomial:
         return tuple(i * c for i, c in enumerate(self.coefficients))[1:]
 
     def discriminant(self) -> int:
-        """Discriminant, degrees 2 and 3 only (all the oracles need)."""
-        if self.degree == 2:
-            c, b, _ = self.coefficients
-            return b * b - 4 * c
-        if self.degree == 3:
-            d, c, b, _ = self.coefficients
-            return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
-        raise DegreeUnsupported("discriminant implemented for degrees 2 and 3")
+        return discriminant(self.coefficients)
 
     def to_json_obj(self):
         return [str(c) for c in self.coefficients]

@@ -22,7 +22,13 @@ from .errors import (
     EnumerationIncomplete,
     EnumerationUnavailable,
 )
-from .matgroup import AbelianElement, GeneratorMultiset, MatrixElement, elementary_generators
+from .matgroup import (
+    AbelianElement,
+    GeneratorMultiset,
+    MatrixElement,
+    _det_bareiss,
+    elementary_generators,
+)
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 
@@ -194,6 +200,14 @@ class MatrixQuotient(_Coded):
         flat = g.flat()
         return tuple(tuple(e % p for e in flat) for p in self.moduli)
 
+    def contains(self, x) -> bool:
+        """Whether x is an element: one reduced block of determinant 1 per modulus."""
+        d = self.dimension
+        return len(x) == len(self.moduli) and all(
+            len(block) == d * d and all(0 <= e < p for e in block)
+            and _det_bareiss([block[i * d:(i + 1) * d] for i in range(d)]) % p == 1
+            for block, p in zip(x, self.moduli))
+
     def multiply(self, x, y):
         d = self.dimension
         idx = range(d)
@@ -263,6 +277,9 @@ class AbelianQuotient(_Coded):
         if g.rank != self.rank:
             raise DomainError(f"element rank {g.rank} != quotient rank {self.rank}")
         return tuple(e % self.modulus for e in g.exponents)
+
+    def contains(self, x) -> bool:
+        return len(x) == self.rank and all(0 <= e < self.modulus for e in x)
 
     def multiply(self, x, y):
         m = self.modulus
@@ -343,13 +360,20 @@ def bfs_closure(A: GeneratorMultiset, quotient, budget: int = DEFAULT_ENUM_BUDGE
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 
 
+def quotient_for(A: GeneratorMultiset, moduli: Sequence[int]):
+    """The finite quotient of A's ambient group: SL_dim over one prime or
+    a pair for matrices, (Z/modulus)^rank over one modulus for exponent
+    vectors."""
+    first = A.support[0]
+    if isinstance(first, MatrixElement):
+        return MatrixQuotient(first.dimension, tuple(moduli))
+    if len(moduli) != 1:
+        raise DomainError("pair moduli apply to matrix groups only")
+    return AbelianQuotient(first.rank, moduli[0])
+
+
 def find_excluded_primes(A: GeneratorMultiset, primes: Sequence[int],
                          budget: int = DEFAULT_ENUM_BUDGET) -> List[int]:
-    """Primes in the list where the image of A fails to be all of SL_dim."""
-    dim = A.support[0].dimension
-    bad = []
-    for p in primes:
-        report = bfs_closure(A, MatrixQuotient(dim, (p,)), budget)
-        if not report.surjective:
-            bad.append(p)
-    return bad
+    """Primes in the list where the image of A fails to be the whole quotient."""
+    return [p for p in primes
+            if not bfs_closure(A, quotient_for(A, (p,)), budget).surjective]

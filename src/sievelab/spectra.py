@@ -69,6 +69,8 @@ def _reduced_pairs(source, quotient) -> List[Tuple[object, int]]:
         raw = [(g, int(m)) for g, m in source]
     merged: Dict = {}
     for r, m in raw:
+        if not quotient.contains(r):
+            raise DomainError(f"multiset element {r} is not in the quotient {quotient.label}")
         merged[r] = merged.get(r, 0) + m
     pairs = list(merged.items())
     ident = quotient.identity()
@@ -88,17 +90,13 @@ def _reduced_pairs(source, quotient) -> List[Tuple[object, int]]:
 
 def _neighbor_maps(quotient, budget):
     """Order of the quotient, and g -> the index permutation of x -> x g
-    over its sorted element codes; raises DomainError when g is not in
-    the quotient group."""
+    over its sorted element codes, for g in the quotient group."""
     codes = quotient.element_codes(budget)
     digits = quotient.decode(codes)
 
     def perm(g):
-        target = quotient.encode(quotient.multiply_digits(digits, [quotient.digits(g)]))
-        idx = np.searchsorted(codes, target)
-        if not np.array_equal(codes[np.minimum(idx, len(codes) - 1)], target):
-            raise DomainError(f"multiset element {g} is not in the quotient {quotient.label}")
-        return idx
+        return np.searchsorted(
+            codes, quotient.encode(quotient.multiply_digits(digits, [quotient.digits(g)])))
     return len(codes), perm
 
 

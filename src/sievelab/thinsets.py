@@ -35,6 +35,7 @@ from .matgroup import (
     GeneratorMultiset,
     MatrixElement,
     charpoly_coefficients,
+    discriminant,
     _det_bareiss,
 )
 from .quotients import (
@@ -43,6 +44,7 @@ from .quotients import (
     PrimeSchedule,
     is_prime,
     prime_schedule,
+    quotient_for,
 )
 
 IN = "IN"
@@ -153,12 +155,9 @@ def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int,
     return tuple(ints)
 
 
-def _det_flat_shifted_mod(block: Sequence[int], dim: int, shift: int, p: int) -> int:
-    rows = [
-        [block[i * dim + j] + (shift if i == j else 0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    return _det_bareiss(rows) % p
+def _at_pm1(coeffs: Sequence[int]) -> Tuple[int, int]:
+    """(chi(1), chi(-1)) for chi given constant term first."""
+    return sum(coeffs), sum(coeffs[::2]) - sum(coeffs[1::2])
 
 
 def _cycle_pattern_mod(coeffs: Sequence[int], p: int):
@@ -170,12 +169,12 @@ def _cycle_pattern_mod(coeffs: Sequence[int], p: int):
     return gfpoly.degree_pattern(f, p)
 
 
-_DEFAULT_WITNESS_PRIMES = prime_schedule(25, 2).primes
+_WITNESS_PRIMES = prime_schedule(25, 2).primes
 
 
-def _reducible_quartic_factor(coeffs: Sequence[int]):
-    """Monic quadratic factor pair of a rootless monic quartic with
-    constant term 1, or None.
+def _reducible_quartic_factor(coeffs: Sequence[int]) -> Optional[dict]:
+    """Certificate of a monic quadratic factor pair of a rootless monic
+    quartic with constant term 1, or None.
 
     X^4+aX^3+bX^2+cX+1 = (X^2+pX+q)(X^2+rX+s) forces qs = 1, so
     q = s = 1 (needs c = a) or q = s = -1 (needs c = -a); in either case
@@ -193,49 +192,128 @@ def _reducible_quartic_factor(coeffs: Sequence[int]):
         r = math.isqrt(disc)
         if (a + r) % 2 != 0:
             continue
-        pp = (a + r) // 2
-        rr = (a - r) // 2
-        return (q, pp, 1), (q, rr, 1)
+        return {"quadratic_factor": [q, (a + r) // 2, 1],
+                "cofactor": [q, (a - r) // 2, 1],
+                "witness": "product of two monic integer quadratics"}
+    return None
+
+
+def _rational_factor(coeffs: Sequence[int]) -> Optional[dict]:
+    """Certificate of a factor over Z that a complete search finds, or None.
+
+    The rational roots of a monic integer polynomial with constant term
+    +-1 are +-1; a quartic without them may split into two quadratics.
+    """
+    for r, value in zip((1, -1), _at_pm1(coeffs)):
+        if value == 0:
+            return {"rational_root": r,
+                    "cofactor": list(_synthetic_division(coeffs, r)),
+                    "witness": f"(X - ({r})) divides the characteristic polynomial"}
+    if len(coeffs) == 5:
+        return _reducible_quartic_factor(coeffs)
+    return None
+
+
+def _jordan_witnesses(coeffs, n):
+    half_primes = [q for q in range(n // 2 + 1, n) if is_prime(q)]
+    need_odd = n % 2 == 1  # an n-cycle is an even permutation then
+    found: Dict[str, list] = {}
+    for p in _WITNESS_PRIMES:
+        try:
+            pat = _cycle_pattern_mod(coeffs, p)
+        except InseparableResidue:
+            continue
+        if "n_cycle" not in found and pat == [n]:
+            found["n_cycle"] = [p, pat]
+        if "p_cycle" not in found:
+            big = [c for c in pat if c > 1]
+            if len(big) == 1 and big[0] in half_primes:
+                found["p_cycle"] = [p, pat]
+        if need_odd and "odd_pattern" not in found:
+            if (n - len(pat)) % 2 == 1:
+                found["odd_pattern"] = [p, pat]
+        if "n_cycle" in found and "p_cycle" in found and (
+                not need_odd or "odd_pattern" in found):
+            return found
     return None
 
 
 # ----- oracle classes -----
 
-class ReducibleCharpolyOracle:
-    """Thin set {g : char poly of g factors nontrivially over Q}."""
+class _CharpolyOracle:
+    """A thin set of SL_dim(Z) read off the characteristic polynomial chi.
 
-    kind = "REDUCIBLE_CHARPOLY"
+    The base computes chi once per element and holds everything the sets
+    share; a subclass gives only its decision over Z with certificates
+    (_verdict_from_coeffs) and its test on one block mod p
+    (_block_contains).
+    """
 
-    def __init__(self, dimension: int, complexity: Optional[int] = None):
+    # the Galois set also holds the irreducible cubics of square discriminant
+    _square_discriminant = False
+
+    def __init__(self, dimension: int):
         if dimension < 2:
             raise DomainError("dimension must be at least 2")
         self.dimension = dimension
-        self.complexity = dimension if complexity is None else complexity
 
     @property
     def name(self) -> str:
-        return f"reducible_charpoly(dim={self.dimension})"
+        return f"{self.kind.lower()}(dim={self.dimension})"
 
     def quotient_for_prime(self, p: int) -> MatrixQuotient:
         return MatrixQuotient(self.dimension, (p,))
 
     def global_verdict(self, g: MatrixElement) -> OracleVerdict:
-        coeffs = charpoly_coefficients(g.flat(), g.dimension)
-        return self._verdict_from_coeffs(coeffs)
+        flat = g.flat()
+        return self._verdict_from_coeffs(charpoly_coefficients(flat, g.dimension), flat)
 
-    def _verdict_from_coeffs(self, coeffs) -> OracleVerdict:
+    def residual_contains(self, x, quotient) -> bool:
+        # the reduction of a member passes the test in every block
+        dim = quotient.dimension
+        return all(self._block_contains(charpoly_coefficients(block, dim), p)
+                   for block, p in zip(x, quotient.moduli))
+
+    def hit_raw(self, flat):
+        d = self.dimension
+        if d == 2:
+            # over SL_2(Z) each of the three sets is {trace = +-2}
+            t = flat[0] + flat[3]
+            return t == 2 or t == -2
+        if d == 3:
+            # chi = X^3 - tX^2 + sX - 1: chi(1) = s - t, chi(-1) = -s - t - 2
+            t = flat[0] + flat[4] + flat[8]
+            s = (flat[0] * flat[4] - flat[1] * flat[3]
+                 + flat[0] * flat[8] - flat[2] * flat[6]
+                 + flat[4] * flat[8] - flat[5] * flat[7])
+            if s == t or s == -t - 2:
+                return True
+            if not self._square_discriminant:
+                return False
+            # the discriminant of chi and is_perfect_square, inlined: this
+            # runs once per Monte Carlo lane and checkpoint
+            ts = t * s
+            disc = 18 * ts - 4 * t * t * t + ts * ts - 4 * s * s * s - 27
+            return disc >= 0 and math.isqrt(disc) ** 2 == disc
+        v = self._verdict_from_coeffs(charpoly_coefficients(flat, d), flat)
+        return None if v.status == UNKNOWN else v.status == IN
+
+    def to_json_obj(self):
+        return {"kind": self.kind, "dimension": self.dimension}
+
+
+class ReducibleCharpolyOracle(_CharpolyOracle):
+    """Thin set {g : char poly of g factors nontrivially over Q}."""
+
+    kind = "REDUCIBLE_CHARPOLY"
+
+    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
         deg = len(coeffs) - 1
-        # rational roots of a monic integer poly divide the constant +-1
-        for r in (1, -1):
-            if sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
-                cof = _synthetic_division(coeffs, r)
-                return OracleVerdict(IN, {
-                    "rational_root": r,
-                    "cofactor": list(cof),
-                    "witness": f"(X - ({r})) divides the characteristic polynomial",
-                })
+        factor = _rational_factor(coeffs)
+        if factor is not None:
+            return OracleVerdict(IN, factor)
         if deg == 2:
-            disc = coeffs[1] ** 2 - 4 * coeffs[0]
+            disc = discriminant(coeffs)
             return OracleVerdict(OUT, {
                 "discriminant": disc,
                 "witness": f"no rational root; discriminant {disc} is not a square",
@@ -245,18 +323,10 @@ class ReducibleCharpolyOracle:
                 "witness": "monic cubic with constant term -1 and no root at +-1",
             })
         if deg == 4:
-            pair = _reducible_quartic_factor(coeffs)
-            if pair is not None:
-                (q1, p1, _), (q2, p2, _) = pair
-                return OracleVerdict(IN, {
-                    "quadratic_factor": [q1, p1, 1],
-                    "cofactor": [q2, p2, 1],
-                    "witness": "product of two monic integer quadratics",
-                })
             return OracleVerdict(OUT, {
                 "witness": "no root at +-1 and no monic quadratic factor pair",
             })
-        for p in _DEFAULT_WITNESS_PRIMES:
+        for p in _WITNESS_PRIMES:
             f = gfpoly.from_int_coeffs(coeffs, p)
             if gfpoly.is_irreducible(f, p):
                 return OracleVerdict(OUT, {
@@ -266,36 +336,11 @@ class ReducibleCharpolyOracle:
         return OracleVerdict(
             UNKNOWN, reason=f"degree {deg} > 4 and no mod-p irreducibility witness")
 
-    def residual_contains(self, x, quotient) -> bool:
-        for block, p in zip(x, quotient.moduli):
-            f = gfpoly.from_int_coeffs(
-                charpoly_coefficients(block, quotient.dimension), p)
-            if gfpoly.is_irreducible(f, p):
-                return False
-        return True
-
-    def hit_raw(self, flat):
-        d = self.dimension
-        if d == 2:
-            t = flat[0] + flat[3]
-            return t == 2 or t == -2
-        if d == 3:
-            t = flat[0] + flat[4] + flat[8]
-            s = (flat[0] * flat[4] - flat[1] * flat[3]
-                 + flat[0] * flat[8] - flat[2] * flat[6]
-                 + flat[4] * flat[8] - flat[5] * flat[7])
-            return s == t or s == -t - 2
-        v = self._verdict_from_coeffs(charpoly_coefficients(flat, d))
-        if v.status == UNKNOWN:
-            return None
-        return v.status == IN
-
-    def to_json_obj(self):
-        return {"kind": self.kind, "dimension": self.dimension,
-                "complexity": self.complexity}
+    def _block_contains(self, coeffs, p) -> bool:
+        return not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p)
 
 
-class NongenericGaloisOracle:
+class NongenericGaloisOracle(_CharpolyOracle):
     """Thin set {g : Galois group of char poly is not the full S_dim}.
 
     IN means NON-generic. Degree 2: discriminant a perfect square.
@@ -306,33 +351,12 @@ class NongenericGaloisOracle:
     """
 
     kind = "NONGENERIC_GALOIS"
+    _square_discriminant = True
 
-    def __init__(self, dimension: int, expected: Optional[str] = None,
-                 witness_primes: Optional[Sequence[int]] = None,
-                 complexity: Optional[int] = None):
-        if dimension < 2:
-            raise DomainError("dimension must be at least 2")
-        self.dimension = dimension
-        self.expected = expected if expected is not None else f"S{dimension}"
-        if self.expected != f"S{dimension}":
-            raise DomainError(
-                f"only the full symmetric group S{dimension} is certifiable")
-        self.witness_primes = tuple(
-            witness_primes if witness_primes is not None else _DEFAULT_WITNESS_PRIMES)
-        self.complexity = dimension if complexity is None else complexity
-
-    @property
-    def name(self) -> str:
-        return f"nongeneric_galois(dim={self.dimension})"
-
-    def quotient_for_prime(self, p: int) -> MatrixQuotient:
-        return MatrixQuotient(self.dimension, (p,))
-
-    def global_verdict(self, g: MatrixElement) -> OracleVerdict:
-        coeffs = charpoly_coefficients(g.flat(), g.dimension)
+    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
         deg = len(coeffs) - 1
         if deg == 2:
-            disc = coeffs[1] ** 2 - 4 * coeffs[0]
+            disc = discriminant(coeffs)
             if is_perfect_square(disc):
                 return OracleVerdict(IN, {
                     "square_discriminant": disc,
@@ -344,16 +368,15 @@ class NongenericGaloisOracle:
                 "discriminant": disc,
                 "witness": f"discriminant {disc} is not a perfect square",
             })
+        factor = _rational_factor(coeffs)
         if deg == 3:
-            red = ReducibleCharpolyOracle(3)._verdict_from_coeffs(coeffs)
-            if red.status == IN:
+            if factor is not None:
                 return OracleVerdict(IN, {
                     "degeneracy": "reducible",
-                    "rational_root": red.certificate["rational_root"],
+                    "rational_root": factor["rational_root"],
                     "witness": "characteristic polynomial has a rational root",
                 })
-            d, c, b, _ = coeffs
-            disc = 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
+            disc = discriminant(coeffs)
             if is_perfect_square(disc):
                 return OracleVerdict(IN, {
                     "degeneracy": "square_discriminant",
@@ -365,13 +388,12 @@ class NongenericGaloisOracle:
                 "discriminant": disc,
                 "witness": "irreducible cubic with non-square discriminant",
             })
-        red = ReducibleCharpolyOracle(deg)._verdict_from_coeffs(coeffs)
-        if red.status == IN:
+        if factor is not None:
             return OracleVerdict(IN, {
                 "degeneracy": "reducible",
                 "witness": "reducible characteristic polynomial: group not transitive",
             })
-        witnesses = self._jordan_witnesses(coeffs, deg)
+        witnesses = _jordan_witnesses(coeffs, deg)
         if witnesses is not None:
             return OracleVerdict(OUT, {
                 "galois_group": f"S{deg}",
@@ -380,137 +402,52 @@ class NongenericGaloisOracle:
             })
         return OracleVerdict(
             UNKNOWN,
-            reason=f"no full witness set among primes up to {self.witness_primes[-1]}")
+            reason=f"no full witness set among primes up to {_WITNESS_PRIMES[-1]}")
 
-    def _jordan_witnesses(self, coeffs, n):
-        half_primes = [q for q in range(n // 2 + 1, n) if is_prime(q)]
-        need_odd = n % 2 == 1  # an n-cycle is an even permutation then
-        found: Dict[str, list] = {}
-        for p in self.witness_primes:
-            try:
-                pat = _cycle_pattern_mod(coeffs, p)
-            except InseparableResidue:
-                continue
-            if "n_cycle" not in found and pat == [n]:
-                found["n_cycle"] = [p, pat]
-            if "p_cycle" not in found:
-                big = [c for c in pat if c > 1]
-                if len(big) == 1 and big[0] in half_primes:
-                    found["p_cycle"] = [p, pat]
-            if need_odd and "odd_pattern" not in found:
-                if (n - len(pat)) % 2 == 1:
-                    found["odd_pattern"] = [p, pat]
-            if "n_cycle" in found and "p_cycle" in found and (
-                    not need_odd or "odd_pattern" in found):
-                return found
-        return None
-
-    def residual_contains(self, x, quotient) -> bool:
-        if self.dimension > 3:
-            raise DegreeUnsupported(
-                "residual test implemented for dimensions 2 and 3")
-        for block, p in zip(x, quotient.moduli):
-            coeffs = charpoly_coefficients(block, quotient.dimension)
-            f = gfpoly.from_int_coeffs(coeffs, p)
-            if not gfpoly.is_irreducible(f, p):
-                return True
-            if quotient.dimension == 2:
-                disc = coeffs[1] ** 2 - 4 * coeffs[0]
-            else:
-                d, c, b, _ = coeffs
-                disc = (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c
-                        - 4 * c ** 3 - 27 * d * d)
-            # squares persist under reduction; Euler criterion, 0 counts
-            if p == 2 or pow(disc % p, (p - 1) // 2, p) <= 1:
-                return True
-        return False
-
-    def hit_raw(self, flat):
-        d = self.dimension
-        if d == 2:
-            t = flat[0] + flat[3]
-            # over Z, t^2 - 4 a square forces t = +-2
-            return t == 2 or t == -2
-        if d == 3:
-            t = flat[0] + flat[4] + flat[8]
-            s = (flat[0] * flat[4] - flat[1] * flat[3]
-                 + flat[0] * flat[8] - flat[2] * flat[6]
-                 + flat[4] * flat[8] - flat[5] * flat[7])
-            if s == t or s == -t - 2:
-                return True
-            disc = (18 * t * s - 4 * t ** 3 + t * t * s * s - 4 * s ** 3 - 27)
-            return is_perfect_square(disc)
-        return None
-
-    def to_json_obj(self):
-        return {"kind": self.kind, "dimension": self.dimension,
-                "expected": self.expected, "complexity": self.complexity}
+    def _block_contains(self, coeffs, p) -> bool:
+        if len(coeffs) > 4:
+            raise DegreeUnsupported("residual test implemented for dimensions 2 and 3")
+        if not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p):
+            return True
+        # squares persist under reduction; Euler criterion, 0 counts
+        return p == 2 or pow(discriminant(coeffs) % p, (p - 1) // 2, p) <= 1
 
 
-class RationalFixedFlagOracle:
+class RationalFixedFlagOracle(_CharpolyOracle):
     """Thin set {g : g fixes a rational line}, i.e. g has an eigenvector
     over Q. The eigenvalue is an integer dividing det(g) = 1, so the test
-    is det(g - I) = 0 or det(g + I) = 0, any dimension."""
+    is chi(1) = 0 or chi(-1) = 0, any dimension; det(g -+ I) is
+    (-1)^dim chi(+-1)."""
 
     kind = "RATIONAL_FIXED_FLAG"
 
-    def __init__(self, dimension: int, complexity: Optional[int] = None):
-        if dimension < 2:
-            raise DomainError("dimension must be at least 2")
-        self.dimension = dimension
-        self.complexity = dimension if complexity is None else complexity
-
-    @property
-    def name(self) -> str:
-        return f"rational_fixed_flag(dim={self.dimension})"
-
-    def quotient_for_prime(self, p: int) -> MatrixQuotient:
-        return MatrixQuotient(self.dimension, (p,))
-
-    def global_verdict(self, g: MatrixElement) -> OracleVerdict:
-        d_minus = g.shifted_det(-1)
-        if d_minus == 0:
-            v = _kernel_vector(g.flat(), g.dimension, 1)
-            return OracleVerdict(IN, {
-                "eigenvalue": 1,
-                "fixed_vector": list(v),
-                "witness": f"g fixes the line through {list(v)}",
-            })
-        d_plus = g.shifted_det(1)
-        if d_plus == 0:
-            v = _kernel_vector(g.flat(), g.dimension, -1)
-            return OracleVerdict(IN, {
-                "eigenvalue": -1,
-                "fixed_vector": list(v),
-                "witness": f"g maps the line through {list(v)} to itself (eigenvalue -1)",
-            })
+    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
+        dim = len(coeffs) - 1
+        at_one, at_minus_one = _at_pm1(coeffs)
+        for lam, value in ((1, at_one), (-1, at_minus_one)):
+            if value == 0:
+                v = list(_kernel_vector(flat, dim, lam))
+                return OracleVerdict(IN, {
+                    "eigenvalue": lam,
+                    "fixed_vector": v,
+                    "witness": (f"g fixes the line through {v}" if lam == 1 else
+                                f"g maps the line through {v} to itself (eigenvalue -1)"),
+                })
+        sign = (-1) ** dim
         return OracleVerdict(OUT, {
-            "det_g_minus_identity": d_minus,
-            "det_g_plus_identity": d_plus,
+            "det_g_minus_identity": sign * at_one,
+            "det_g_plus_identity": sign * at_minus_one,
             "witness": "neither +1 nor -1 is an eigenvalue",
         })
 
-    def residual_contains(self, x, quotient) -> bool:
-        dim = quotient.dimension
-        for block, p in zip(x, quotient.moduli):
-            if (_det_flat_shifted_mod(block, dim, -1, p) != 0
-                    and _det_flat_shifted_mod(block, dim, 1, p) != 0):
-                return False
-        return True
+    def _block_contains(self, coeffs, p) -> bool:
+        at_one, at_minus_one = _at_pm1(coeffs)
+        return at_one % p == 0 or at_minus_one % p == 0
 
-    def hit_raw(self, flat):
-        d = self.dimension
-        if d == 2:
-            t = flat[0] + flat[3]
-            return t == 2 or t == -2
-        coeffs = charpoly_coefficients(flat, d)
-        at_one = sum(coeffs)
-        at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
-        return at_one == 0 or at_minus_one == 0
 
-    def to_json_obj(self):
-        return {"kind": self.kind, "dimension": self.dimension,
-                "complexity": self.complexity}
+# explicit roots are searched in the ball of this radius, up to this size
+_BALL_DEPTH = 3
+_BALL_BUDGET = 20_000
 
 
 class ProperPowerOracle:
@@ -524,17 +461,12 @@ class ProperPowerOracle:
     kind_base = "PROPER_POWER"
 
     def __init__(self, k: int, generators: Optional[GeneratorMultiset] = None,
-                 schedule: Optional[PrimeSchedule] = None,
-                 search_depth: int = 3, search_budget: int = 20000,
-                 complexity: Optional[int] = None):
+                 schedule: Optional[PrimeSchedule] = None):
         if k < 2:
             raise DomainError("k must be at least 2")
         self.k = k
         self.generators = generators
         self.schedule = schedule if schedule is not None else prime_schedule(3, 2)
-        self.search_depth = search_depth
-        self.search_budget = search_budget
-        self.complexity = k if complexity is None else complexity
         self._power_sets: Dict[str, frozenset] = {}
 
     @property
@@ -548,23 +480,20 @@ class ProperPowerOracle:
     def quotient_for_prime(self, p: int):
         if self.generators is None:
             raise DomainError("proper_power needs generators to build quotients")
-        first = self.generators.support[0]
-        if isinstance(first, MatrixElement):
-            return MatrixQuotient(first.dimension, (p,))
-        return AbelianQuotient(first.rank, p)
+        return quotient_for(self.generators, (p,))
 
     def _ball(self):
         assert self.generators is not None
         ident = self.generators.identity_element()
         seen = {ident}
         frontier = [ident]
-        for _ in range(self.search_depth):
+        for _ in range(_BALL_DEPTH):
             nxt = []
             for x in frontier:
                 for h in self.generators.support:
                     y = x * h
                     if y not in seen:
-                        if len(seen) >= self.search_budget:
+                        if len(seen) >= _BALL_BUDGET:
                             return seen
                         seen.add(y)
                         nxt.append(y)
@@ -648,8 +577,7 @@ class ProperPowerOracle:
 
     def to_json_obj(self):
         return {"kind": self.kind, "k": self.k,
-                "schedule": list(self.schedule.primes),
-                "complexity": self.complexity}
+                "schedule": list(self.schedule.primes)}
 
 
 @dataclass(frozen=True)
@@ -762,8 +690,7 @@ class SubvarietyOracle:
 
     kind = "SUBVARIETY"
 
-    def __init__(self, polys: Sequence[EntryPolynomial], domain: str = "matrix",
-                 complexity: Optional[int] = None):
+    def __init__(self, polys: Sequence[EntryPolynomial], domain: str = "matrix"):
         polys = tuple(polys)
         if not polys:
             raise DomainError("polynomial list must be non-empty")
@@ -783,8 +710,6 @@ class SubvarietyOracle:
             self.dimension = d
         else:
             self.dimension = None
-        self.complexity = (max(q.total_degree for q in polys)
-                           if complexity is None else complexity)
 
     @property
     def name(self) -> str:
@@ -825,10 +750,8 @@ class SubvarietyOracle:
     def residual_contains(self, x, quotient) -> bool:
         if isinstance(quotient, AbelianQuotient):
             return all(q.evaluate(x, quotient.modulus) == 0 for q in self.polys)
-        for block, p in zip(x, quotient.moduli):
-            if not all(q.evaluate(block, p) == 0 for q in self.polys):
-                return False
-        return True
+        return all(q.evaluate(block, p) == 0
+                   for block, p in zip(x, quotient.moduli) for q in self.polys)
 
     def hit_raw(self, state):
         return all(q.evaluate(state) == 0 for q in self.polys)
@@ -842,8 +765,7 @@ class SubvarietyOracle:
 
     def to_json_obj(self):
         return {"kind": self.kind, "domain": self.domain,
-                "polys": [q.to_json_obj() for q in self.polys],
-                "complexity": self.complexity}
+                "polys": [q.to_json_obj() for q in self.polys]}
 
 
 class TorusSquaresOracle:
@@ -851,11 +773,10 @@ class TorusSquaresOracle:
 
     kind = "TORUS_SQUARES"
 
-    def __init__(self, rank: int = 2, complexity: int = 2):
+    def __init__(self, rank: int = 2):
         if rank < 1:
             raise DomainError("rank must be at least 1")
         self.rank = rank
-        self.complexity = complexity
 
     @property
     def name(self) -> str:
@@ -895,7 +816,7 @@ class TorusSquaresOracle:
         return out
 
     def to_json_obj(self):
-        return {"kind": self.kind, "rank": self.rank, "complexity": self.complexity}
+        return {"kind": self.kind, "rank": self.rank}
 
 
 # ----- one-shot operation wrappers -----
@@ -904,8 +825,8 @@ def reducible_charpoly(g: MatrixElement) -> OracleVerdict:
     return ReducibleCharpolyOracle(g.dimension).global_verdict(g)
 
 
-def generic_galois(g: MatrixElement, expected: Optional[str] = None) -> OracleVerdict:
-    return NongenericGaloisOracle(g.dimension, expected).global_verdict(g)
+def generic_galois(g: MatrixElement) -> OracleVerdict:
+    return NongenericGaloisOracle(g.dimension).global_verdict(g)
 
 
 def rational_fixed_flag(g: MatrixElement) -> OracleVerdict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import prng
 from .errors import BudgetExceeded, DomainError, UndecidedMembership, UnknownRateExceeded
-from .matgroup import AbelianElement, GeneratorMultiset, GroupElement
+from .matgroup import AbelianElement, GeneratorMultiset, GroupElement, z_generators
 
 DEFAULT_EXACT_BUDGET = 5_000_000
 
@@ -121,17 +121,38 @@ def exact_distribution(A: GeneratorMultiset, n: int,
 
 def hit_probability_exact(A: GeneratorMultiset, n: int, oracle,
                           budget: int = DEFAULT_EXACT_BUDGET) -> Fraction:
-    """P(omega_n in Z) as an exact rational; errors on UNKNOWN verdicts."""
-    dist = exact_distribution(A, n, budget)
-    total = A.size ** n
+    """P(omega_n in Z) as an exact rational; errors on UNKNOWN verdicts.
+
+    The walk on the integers with steps {0, +1, -1} takes the dense line
+    scan, any other multiset the convolution; either way global_verdict
+    decides every reachable element.
+    """
+    if dict(A.pairs) == dict(z_generators().pairs):
+        for line in _z_line_counts(n):
+            pass  # keep the counts after n steps
+        counts = [(AbelianElement((x,)), c) for x, c in enumerate(line, -n)]
+    else:
+        counts = exact_distribution(A, n, budget).counts
     hit = 0
-    for e, c in dist.counts:
+    for e, c in counts:
         v = oracle.global_verdict(e)
         if v.status == "UNKNOWN":
             raise UndecidedMembership(f"oracle undecided on {e}: {v.reason}")
         if v.status == "IN":
             hit += c
-    return Fraction(hit, total)
+    return Fraction(hit, A.size ** n)
+
+
+def _z_line_counts(nmax: int):
+    """Path counts of the walk on Z with steps {0, +1, -1}: after k steps,
+    for k = 0..nmax, the list of counts at positions -k..k."""
+    counts = [1]
+    yield counts
+    for _ in range(nmax):
+        # position x after k steps sums positions x-1, x, x+1 after k-1
+        pad = [0, 0, *counts, 0, 0]
+        counts = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
+        yield counts
 
 
 def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
@@ -139,26 +160,9 @@ def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
 
     Dense line convolution with integer counts; one pass to max(grid).
     """
-    grid = sorted(set(grid))
-    nmax = grid[-1] if grid else 0
-    out: Dict[int, Fraction] = {}
-    counts = [1]  # positions -k..k after k steps
-    if 0 in grid:
-        out[0] = Fraction(1)
-    for k in range(1, nmax + 1):
-        prev = counts
-        width = 2 * k + 1
-        counts = [0] * width
-        # prev index i is position i-(k-1); new index j is position j-k
-        for i, c in enumerate(prev):
-            if c:
-                j = i + 1
-                counts[j - 1] += c
-                counts[j] += c
-                counts[j + 1] += c
-        if k in grid:
-            out[k] = Fraction(counts[k], 3 ** k)
-    return out
+    grid = set(grid)
+    return {k: Fraction(counts[k], 3 ** k)
+            for k, counts in enumerate(_z_line_counts(max(grid, default=0))) if k in grid}
 
 
 # ----- Monte Carlo -----

@@ -49,7 +49,7 @@ def test_scenarios_json_listing(tmp_path):
     rc, text = run(tmp_path, "scenarios", "--format", "json")
     assert rc == 0
     obj = json.loads(text)
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     names = [s["name"] for s in obj["scenarios"]]
     assert "torus_squares" in names
 
@@ -135,6 +135,13 @@ def test_closure_single_prime(tmp_path):
     assert obj["closure_size"] == 24
     assert obj["group_order"] == 24
     assert obj["surjective"] is True
+
+
+@pytest.mark.parametrize("command", ["closure", "spectrum"])
+def test_pair_modulus_on_an_abelian_scenario_exits_2(tmp_path, command):
+    rc, _ = run(tmp_path, command, "--scenario", "z_origin",
+                "--prime", "3", "--prime2", "5")
+    assert rc == 2
 
 
 def test_closure_pair_modulus(tmp_path):

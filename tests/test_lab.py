@@ -5,14 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab import lab
+from sievelab import lab, walker
 from sievelab.errors import DomainError, InsufficientData
-from sievelab.matgroup import sl2_st_generators, z_generators
+from sievelab.matgroup import (
+    AbelianElement,
+    sl2_st_generators,
+    validate_generators,
+    z_generators,
+)
 from sievelab.thinsets import (
     EntryPolynomial,
     NongenericGaloisOracle,
     SubvarietyOracle,
     TorusSquaresOracle,
+    coordinate_polynomial,
 )
 
 
@@ -63,7 +69,7 @@ def test_get_scenario_unknown():
 
 def test_describe_sl2_trace():
     obj = lab.describe("sl2_trace")
-    assert obj["schema_version"] == 1
+    assert obj["schema_version"] == 2
     assert "trace in {-2, 2}" in obj["thin_set"]
     assert obj["regime"] == "exponential"
     assert obj["theory_bound"] == {"kind": "single_prime", "prime": 7}
@@ -112,6 +118,26 @@ def test_exact_probability_z_origin():
 def test_exact_probability_torus():
     s = lab.get_scenario("torus_squares")
     assert lab.exact_probability(s, 2) == Fraction(9, 25)
+
+
+def test_exact_probability_decides_every_reachable_position():
+    # the oracle decides, not the scenario: the empty set is never hit
+    assert lab.exact_probability(empty_scenario(), 1) == 0
+    table = lab.run_experiment(empty_scenario(), (3, 6), m=1, seed=0, mode="exact")
+    assert [r.estimate for r in table.rows] == [0.0, 0.0]
+    # {x = 1}: the line scan against the convolution of the same steps
+    one = SubvarietyOracle([coordinate_polynomial(1, 0, shift=1)], domain="abelian")
+    line = lab.Scenario(name="z_one", group="z_additive", generators=z_generators(),
+                        oracle=one, regime="polynomial", description="{x = 1}")
+    for n in (1, 2, 5):
+        dist = walker.exact_distribution(z_generators(), n)
+        assert lab.exact_probability(line, n) == dist.probability(AbelianElement((1,)))
+    assert lab.exact_probability(line, 5) == Fraction(45, 243)
+    # steps {0, +-2} never reach an odd position
+    steps = validate_generators([AbelianElement((x,)) for x in (0, 2, -2)])
+    even = lab.Scenario(name="z_even", group="z_additive", generators=steps,
+                        oracle=one, regime="polynomial", description="{x = 1}")
+    assert lab.exact_probability(even, 4) == 0
 
 
 def test_exact_probability_sl2_trace():

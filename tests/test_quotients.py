@@ -13,6 +13,7 @@ from sievelab import prng, quotients
 from sievelab.errors import (
     BudgetExceeded,
     CompositeModulus,
+    DomainError,
     EnumerationIncomplete,
     EnumerationUnavailable,
 )
@@ -22,6 +23,7 @@ from sievelab.matgroup import (
     MatrixElement,
     elementary_generators,
     sl2_st_generators,
+    torus_generators,
     validate_generators,
     z_generators,
 )
@@ -33,6 +35,7 @@ from sievelab.quotients import (
     group_order,
     is_prime,
     prime_schedule,
+    quotient_for,
 )
 
 
@@ -228,6 +231,28 @@ def test_no_excluded_primes_for_builtins():
     assert find_excluded_primes(sl2_st_generators(), primes) == []
     # SL_3 quotients blow up fast; 2 and 3 are the interesting small cases
     assert find_excluded_primes(elementary_generators(3), [2, 3]) == []
+    # abelian images: the lazy steps generate every (Z/p)^rank
+    assert find_excluded_primes(torus_generators(), [2, 3, 5]) == []
+
+
+def test_quotient_for_reads_the_group_off_the_generators():
+    assert quotient_for(sl2_st_generators(), (3, 5)) == MatrixQuotient(2, (3, 5))
+    assert quotient_for(elementary_generators(3), [5]) == MatrixQuotient(3, (5,))
+    assert quotient_for(z_generators(), (7,)) == AbelianQuotient(1, 7)
+    assert quotient_for(torus_generators(), (7,)) == AbelianQuotient(2, 7)
+    with pytest.raises(DomainError):
+        quotient_for(torus_generators(), (3, 5))
+
+
+def test_contains_checks_range_and_determinant():
+    q = MatrixQuotient(2, (3, 5))
+    assert q.contains(q.identity())
+    assert q.contains(q.reduce(MatrixElement(((2, 1), (1, 1)))))
+    assert not q.contains(((1, 0, 0, 1),))  # one block short
+    assert not q.contains(((1, 0, 0, 1), (2, 0, 0, 2)))  # det 4 mod 5
+    assert not q.contains(((1, 0, 0, 1), (6, 0, 0, 1)))  # entry past 5
+    a = AbelianQuotient(2, 4)
+    assert a.contains((3, 0)) and not a.contains((4, 0)) and not a.contains((1,))
 
 
 def closure_by_multiply(quotient, gens):

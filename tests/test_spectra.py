@@ -312,3 +312,5 @@ def test_pre_reduced_element_outside_the_group_raises():
         second_eigenvalue(pairs, q)
     with pytest.raises(DomainError):
         second_eigenvalue(pairs, q, dense_threshold=1)
+    with pytest.raises(DomainError):
+        exact_deviation_sweep(pairs, q, [1, 2, 5])

@@ -241,13 +241,6 @@ def test_galois_quintic_reducible():
     assert v.certificate["degeneracy"] == "reducible"
 
 
-def test_galois_expected_group_validation():
-    with pytest.raises(DomainError):
-        NongenericGaloisOracle(2, expected="A2")
-    oracle = NongenericGaloisOracle(3, expected="S3")
-    assert oracle.expected == "S3"
-
-
 def test_galois_residual_dimension_cap():
     oracle = NongenericGaloisOracle(4)
     q = MatrixQuotient(4, (3,))
@@ -672,6 +665,31 @@ def test_hit_raw_matches_global_verdict():
         assert red.hit_raw(flat) == (red.global_verdict(g).status == IN)
         assert flag.hit_raw(flat) == (flag.global_verdict(g).status == IN)
         assert gal.hit_raw(flat) == (gal.global_verdict(g).status == IN)
+    # past dimension 3 hit_raw takes the coefficient route of global_verdict
+    red, flag = ReducibleCharpolyOracle(4), RationalFixedFlagOracle(4)
+    seen = set()
+    for g in sl4_walk_elements(60, seed=42, length=8):
+        flat = list(g.flat())
+        for oracle in (red, flag):
+            status = oracle.global_verdict(g).status
+            seen.add(status)
+            assert oracle.hit_raw(flat) == (status == IN)
+    assert seen == {IN, OUT}
+
+
+@pytest.mark.parametrize("oracle", [
+    ReducibleCharpolyOracle(2),
+    NongenericGaloisOracle(2),
+    RationalFixedFlagOracle(2),
+    SubvarietyOracle([trace_polynomial(2, shift=2)]),
+], ids=lambda o: o.kind)
+def test_pair_residual_density_is_the_crt_product(oracle):
+    # an element of SL_2(F_p) x SL_2(F_q) is in the residual set when each
+    # block is, so the pair density is the product of the single ones
+    for p, q in ((3, 5), (5, 7)):
+        pair = residual(oracle, MatrixQuotient(2, (p, q))).density
+        single = [residual(oracle, MatrixQuotient(2, (r,))).density for r in (p, q)]
+        assert pair == single[0] * single[1]
 
 
 def test_oracle_kind_strings():
@@ -680,15 +698,6 @@ def test_oracle_kind_strings():
     assert RationalFixedFlagOracle(2).kind == "RATIONAL_FIXED_FLAG"
     assert SubvarietyOracle([zero_polynomial(4)]).kind == "SUBVARIETY"
     assert TorusSquaresOracle(2).kind == "TORUS_SQUARES"
-
-
-def test_oracle_complexity_defaults():
-    assert ReducibleCharpolyOracle(3).complexity == 3
-    assert NongenericGaloisOracle(2).complexity == 2
-    assert ProperPowerOracle(4).complexity == 4
-    poly = EntryPolynomial(4, ((1, (2, 1, 0, 0)),))
-    assert SubvarietyOracle([poly]).complexity == 3
-    assert TorusSquaresOracle(2).complexity == 2
 
 
 def test_oracle_json_objects():
