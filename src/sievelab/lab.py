@@ -26,7 +26,7 @@ from .matgroup import (
     torus_generators,
     z_generators,
 )
-from .quotients import AbelianQuotient, PrimeSchedule, prime_schedule
+from .quotients import AbelianQuotient, PrimeSchedule, is_prime, prime_schedule
 from .spectra import second_eigenvalue
 from .thinsets import (
     NongenericGaloisOracle,
@@ -82,6 +82,11 @@ class Scenario:
             raise DomainError("sl2 scenario with a non-2-dimensional oracle")
         if self.group == "sl3" and dim not in (None, 3):
             raise DomainError("sl3 scenario with a non-3-dimensional oracle")
+        spec = self.bound_spec
+        if spec is not None and not (
+                isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "single_prime"
+                and isinstance(spec[1], int) and is_prime(spec[1])):
+            raise DomainError(f"bound_spec {spec!r} is not ('single_prime', p) with p prime")
 
     def to_json_obj(self):
         return {
@@ -211,9 +216,7 @@ def _single_prime_inputs(scenario: Scenario, p: int) -> Tuple[int, float, float]
 def theory_bound(scenario: Scenario, n: int) -> Optional[float]:
     if scenario.bound_spec is None:
         return None
-    kind, p = scenario.bound_spec
-    assert kind == "single_prime"
-    order, density, rate = _single_prime_inputs(scenario, p)
+    order, density, rate = _single_prime_inputs(scenario, scenario.bound_spec[1])
     return sieve.single_prime_bound(order, density, scenario.generators.size,
                                     n, pi_star=rate)
 

@@ -143,15 +143,6 @@ class MatrixElement:
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dimension))
 
-    def shifted_det(self, shift: int) -> int:
-        """det(g + shift*I), exact."""
-        n = self.dimension
-        rows = [
-            [self.entries[i][j] + (shift if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return _det_bareiss(rows)
-
     def flat(self) -> Tuple[int, ...]:
         return tuple(x for row in self.entries for x in row)
 

@@ -9,7 +9,9 @@ Every oracle answers three ways:
   * global_verdict(g): exact IN/OUT over the ambient group where
     decidable, with a checkable certificate; UNKNOWN carries a reason.
   * residual_contains(x, quotient): a mod-p test that contains the
-    reduction of the global set (never excludes a genuine member).
+    reduction of the global set (never excludes a genuine member). The
+    characteristic-polynomial oracles also take a whole digit array
+    (residual_mask) and decide once per class of chi mod p.
   * hit_raw(state): the global test on a raw flat state, for the Monte
     Carlo inner loop; None where undecided.
 """
@@ -269,10 +271,36 @@ class _CharpolyOracle:
         return self._verdict_from_coeffs(charpoly_coefficients(flat, g.dimension), flat)
 
     def residual_contains(self, x, quotient) -> bool:
-        # the reduction of a member passes the test in every block
-        dim = quotient.dimension
-        return all(self._block_contains(charpoly_coefficients(block, dim), p)
-                   for block, p in zip(x, quotient.moduli))
+        return bool(self.residual_mask(np.array([quotient.digits(x)]), quotient)[0])
+
+    def residual_mask(self, digits, quotient) -> np.ndarray:
+        """Whether each row of digits (quotient elements, block after
+        block) passes the test in every block, as the reduction of a
+        member does. The test reads only chi mod p, so each block sorts
+        its rows into classes of chi mod p and decides once per class."""
+        d = quotient.dimension
+        mask = np.ones(len(digits), dtype=bool)
+        for b, p in enumerate(quotient.moduli):
+            m = digits[:, b * d * d:(b + 1) * d * d] % p
+            if 3 * p * p >= 1 << 62:
+                m = m.astype(object)  # the SL_3 minors would pass int64
+            if d == 2:
+                key, inverse = np.unique((m[:, 0] + m[:, 3]) % p, return_inverse=True)
+                polys = [(1, -t, 1) for t in key.tolist()]
+            elif d == 3:
+                # chi = X^3 - tX^2 + sX - 1, s the sum of the principal 2x2 minors
+                t = m[:, 0] + m[:, 4] + m[:, 8]
+                s = (m[:, 0] * m[:, 4] - m[:, 1] * m[:, 3] + m[:, 0] * m[:, 8]
+                     - m[:, 2] * m[:, 6] + m[:, 4] * m[:, 8] - m[:, 5] * m[:, 7])
+                key, inverse = np.unique(t % p * p + s % p, return_inverse=True)
+                polys = [(-1, k % p, -(k // p), 1) for k in key.tolist()]
+            else:  # one key per row: its coefficients mod p
+                key, inverse = np.unique(np.fromiter(
+                    (tuple(c % p for c in charpoly_coefficients(row, d)) for row in m.tolist()),
+                    dtype=object, count=len(m)), return_inverse=True)
+                polys = key.tolist()
+            mask &= np.array([self._block_contains(c, p) for c in polys], dtype=bool)[inverse]
+        return mask
 
     def hit_raw(self, flat):
         d = self.dimension
@@ -899,21 +927,23 @@ def sample_element(quotient, seed: int, trial: int):
 def residual(oracle, quotient, mode: str = "enumerate",
              budget: int = 10_000_000, samples: int = 100_000,
              seed: int = 0) -> ResidualReport:
-    """Residual-set size and density, exactly or by uniform sampling."""
-    if mode == "enumerate":
-        elems = quotient.enumerate_elements(budget)
+    """Residual-set size and density, exactly or by uniform sampling; in
+    one batch where the oracle has residual_mask."""
+    if mode not in ("enumerate", "sample"):
+        raise DomainError("mode must be 'enumerate' or 'sample'")
+    if mode == "sample" and samples < 1:
+        raise DomainError("samples must be positive")
+    elems = (quotient.enumerate_elements(budget) if mode == "enumerate" else
+             [sample_element(quotient, seed, trial) for trial in range(samples)])
+    batch = getattr(oracle, "residual_mask", None)
+    if batch is not None:
+        # a matrix element's blocks, flattened, are its digits
+        hits = int(np.count_nonzero(batch(np.array(elems).reshape(len(elems), -1), quotient)))
+    else:
         hits = sum(1 for x in elems if oracle.residual_contains(x, quotient))
+    if mode == "enumerate":
         return ResidualReport(quotient.label, mode, len(elems), hits,
                               Fraction(hits, len(elems)), None)
-    if mode != "sample":
-        raise DomainError("mode must be 'enumerate' or 'sample'")
-    if samples < 1:
-        raise DomainError("samples must be positive")
-    hits = 0
-    for trial in range(samples):
-        x = sample_element(quotient, seed, trial)
-        if oracle.residual_contains(x, quotient):
-            hits += 1
     est = hits / samples
     hw = 1.96 * math.sqrt(est * (1.0 - est) / samples)
     return ResidualReport(quotient.label, mode, samples, hits, est, hw)

@@ -107,6 +107,21 @@ def test_scenario_validation():
                      description="unknown regime")
 
 
+@pytest.mark.parametrize("spec", [("pair", 7), ("single_prime", 9), ("single_prime",),
+                                  ("single_prime", "7"), "single_prime"])
+def test_scenario_rejects_a_bound_spec_it_cannot_compute(spec):
+    # only a single-prime bound at a prime is computed; anything else is
+    # refused when the scenario is built, not when its bound is asked for
+    with pytest.raises(DomainError, match="bound_spec"):
+        lab.Scenario(name="bad", group="sl2", generators=sl2_st_generators(),
+                     oracle=NongenericGaloisOracle(2), regime="exponential",
+                     description="unknown bound", bound_spec=spec)
+    ok = lab.Scenario(name="ok", group="sl2", generators=sl2_st_generators(),
+                      oracle=NongenericGaloisOracle(2), regime="exponential",
+                      description="bound mod 7", bound_spec=("single_prime", 7))
+    assert lab.theory_bound(ok, 10 ** 6) == lab.theory_bound(lab.get_scenario("sl2_trace"), 10 ** 6)
+
+
 # ----- exact probabilities -----
 
 def test_exact_probability_z_origin():

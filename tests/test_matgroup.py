@@ -109,12 +109,9 @@ def test_char_poly_degree_and_det_term():
         assert coeffs[1] == -g.trace()
 
 
-def test_trace_and_shifted_det():
+def test_trace():
     g = MatrixElement(((2, 1), (1, 1)))
     assert g.trace() == 3
-    # det(g - I) = chi(1) = 1 - 3 + 1 = -1
-    assert g.shifted_det(-1) == -1
-    assert g.shifted_det(1) == char_poly(g)(-1)  # det(g+I) = (-1)^n chi(-1), n=2
 
 
 def test_poly_monic_required_and_eval():

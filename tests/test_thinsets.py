@@ -42,6 +42,7 @@ from sievelab.thinsets import (
     rational_fixed_flag,
     reducible_charpoly,
     residual,
+    sample_element,
     subvariety,
     trace_polynomial,
     zero_polynomial,
@@ -566,6 +567,68 @@ def test_residual_report_json():
     assert obj["quotient"] == "3"
     assert obj["density"] == "3/4"
     assert obj["checked"] == 24
+
+
+# ----- residual sets decided once per class of chi mod p -----
+
+CHARPOLY_ORACLES = (ReducibleCharpolyOracle, NongenericGaloisOracle, RationalFixedFlagOracle)
+
+
+def per_element_hits(oracle, quotient, elems):
+    """The residual test run on every element on its own: chi of each
+    block, then the oracle's test on that block."""
+    d = quotient.dimension
+    return sum(all(oracle._block_contains(charpoly_coefficients(block, d), p)
+                   for block, p in zip(x, quotient.moduli)) for x in elems)
+
+
+@pytest.mark.parametrize("cls", CHARPOLY_ORACLES, ids=lambda c: c.kind)
+@pytest.mark.parametrize("dim,moduli", [(2, (2,)), (2, (13,)), (3, (2,)), (3, (3,)),
+                                        (2, (3, 5))],
+                         ids=["sl2_2", "sl2_13", "sl3_2", "sl3_3", "sl2_3x5"])
+def test_residual_by_class_equals_the_per_element_test(cls, dim, moduli):
+    oracle, q = cls(dim), MatrixQuotient(dim, moduli)
+    elems = q.enumerate_elements()
+    want = per_element_hits(oracle, q, elems)
+    rep = residual(oracle, q)
+    assert (rep.checked, rep.hits, rep.density) == (len(elems), want, Fraction(want, len(elems)))
+    sampled = residual(oracle, q, mode="sample", samples=300, seed=4)
+    assert sampled.hits == per_element_hits(
+        oracle, q, [sample_element(q, 4, t) for t in range(300)])
+    # the one-element test is the same route
+    assert sum(oracle.residual_contains(x, q) for x in elems[:200]) == per_element_hits(
+        oracle, q, elems[:200])
+
+
+@pytest.mark.parametrize("cls", [ReducibleCharpolyOracle, RationalFixedFlagOracle],
+                         ids=lambda c: c.kind)
+def test_residual_past_dimension_three_keys_rows_by_their_coefficients(cls):
+    oracle, q = cls(4), MatrixQuotient(4, (2,))
+    elems = [sample_element(q, 8, t) for t in range(300)]
+    hits = per_element_hits(oracle, q, elems)
+    assert 0 < hits < 300
+    assert residual(oracle, q, mode="sample", samples=300, seed=8).hits == hits
+
+
+def test_galois_residual_past_dimension_three_is_unsupported():
+    with pytest.raises(DegreeUnsupported):
+        residual(NongenericGaloisOracle(4), MatrixQuotient(4, (2,)), mode="sample", samples=5)
+
+
+def test_residual_fixed_flag_sl3_mod_five():
+    rep = residual(RationalFixedFlagOracle(3), MatrixQuotient(3, (5,)))
+    assert rep.checked == 372000
+    assert rep.density == Fraction(53, 124)
+
+
+@pytest.mark.parametrize("cls", CHARPOLY_ORACLES, ids=lambda c: c.kind)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residual_class_keys_stay_exact_at_a_large_prime(cls, dim):
+    # entries near 2^61 would wrap int64 in the SL_3 minors
+    p = 2 ** 61 - 1
+    oracle, q = cls(dim), MatrixQuotient(dim, (p,))
+    rep = residual(oracle, q, mode="sample", samples=20, seed=2)
+    assert rep.hits == per_element_hits(oracle, q, [sample_element(q, 2, t) for t in range(20)])
 
 
 # ----- global/residual compatibility on walk samples -----
