@@ -247,6 +247,8 @@ def test_galois_residual_dimension_cap():
     q = MatrixQuotient(4, (3,))
     with pytest.raises(DegreeUnsupported):
         oracle.residual_contains(((1,) + (0,) * 15,), q)
+    with pytest.raises(DegreeUnsupported):
+        residual(oracle, q, mode="sample", samples=5)
 
 
 def test_inseparable_residue_raised():
@@ -608,11 +610,6 @@ def test_residual_past_dimension_three_keys_rows_by_their_coefficients(cls):
     hits = per_element_hits(oracle, q, elems)
     assert 0 < hits < 300
     assert residual(oracle, q, mode="sample", samples=300, seed=8).hits == hits
-
-
-def test_galois_residual_past_dimension_three_is_unsupported():
-    with pytest.raises(DegreeUnsupported):
-        residual(NongenericGaloisOracle(4), MatrixQuotient(4, (2,)), mode="sample", samples=5)
 
 
 def test_residual_fixed_flag_sl3_mod_five():
