@@ -78,9 +78,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative_coefficients(self) -> Tuple[int, ...]:
-        return tuple(i * c for i, c in enumerate(self.coefficients))[1:]
-
     def discriminant(self) -> int:
         return discriminant(self.coefficients)
 
@@ -145,9 +142,6 @@ class MatrixElement:
 
     def flat(self) -> Tuple[int, ...]:
         return tuple(x for row in self.entries for x in row)
-
-    def max_entry_bits(self) -> int:
-        return max(abs(x).bit_length() for row in self.entries for x in row)
 
     def to_json_obj(self):
         return [str(x) for x in self.flat()]

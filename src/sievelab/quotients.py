@@ -3,7 +3,8 @@
 A matrix quotient is SL_dim(Z/p) for a prime p, or the direct product
 over a pair of distinct primes. Elements are tuples of flat row-major
 entry tuples, one block per prime. Abelian quotients are (Z/q)^rank
-with componentwise addition.
+with componentwise addition. Enumeration hands out all elements at once
+as an array of digit rows: an element's entries, block after block.
 """
 
 from __future__ import annotations
@@ -138,10 +139,14 @@ class _Coded:
         dtype = np.int64 if radix[0] * place[0] <= 2 ** 62 else object
         return np.array(radix, dtype=dtype), np.array(place, dtype=dtype)
 
+    @property
+    def dtype(self):
+        """The dtype of codes and digit rows: int64, or object past 2^62."""
+        return self._basis[1].dtype
+
     def encode(self, digits) -> np.ndarray:
         """Codes of the rows of a digit array or list of digit tuples."""
-        place = self._basis[1]
-        return np.asarray(digits, dtype=place.dtype) @ place
+        return np.asarray(digits, dtype=self.dtype) @ self._basis[1]
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         radix, place = self._basis
@@ -155,9 +160,10 @@ class _Coded:
                 f"order {total} of quotient {self.label} exceeds budget {budget}")
         return self._codes()
 
-    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> List:
-        """All elements in sorted order, as a list."""
-        return [self._element(row) for row in self.decode(self.element_codes(budget)).tolist()]
+    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        """All elements in sorted order, one digit row each (the row of
+        an element x is digits(x)); raises when the order exceeds budget."""
+        return self.decode(self.element_codes(budget))
 
 
 @dataclass(frozen=True)
@@ -222,10 +228,6 @@ class MatrixQuotient(_Coded):
     def digits(self, x) -> Tuple[int, ...]:
         return tuple(e for block in x for e in block)
 
-    def _element(self, row):
-        size = self.dimension ** 2
-        return tuple(tuple(row[b * size:(b + 1) * size]) for b in range(len(self.moduli)))
-
     def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
         """Digit rows of x*y for every row x of digits and every digit
         tuple y in ys, x-major, in one batch."""
@@ -238,7 +240,7 @@ class MatrixQuotient(_Coded):
         # per prime, the closure of the elementary generators, checked
         # against the group order; a pair's codes are c0 * p1^(d^2) + c1
         d = self.dimension
-        codes = np.zeros(1, dtype=self._basis[1].dtype)
+        codes = np.zeros(1, dtype=self.dtype)
         for p in self.moduli:
             single = MatrixQuotient(d, (p,))
             gens = [single.digits(single.reduce(g)) for g in elementary_generators(d).support]
@@ -290,9 +292,6 @@ class AbelianQuotient(_Coded):
 
     def digits(self, x) -> Tuple[int, ...]:
         return tuple(x)
-
-    def _element(self, row):
-        return tuple(row)
 
     def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
         ys = np.asarray(ys, dtype=digits.dtype)

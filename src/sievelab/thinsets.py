@@ -8,10 +8,11 @@ squares in a rank-2 multiplicative lattice.
 Every oracle answers three ways:
   * global_verdict(g): exact IN/OUT over the ambient group where
     decidable, with a checkable certificate; UNKNOWN carries a reason.
-  * residual_contains(x, quotient): a mod-p test that contains the
-    reduction of the global set (never excludes a genuine member). The
-    characteristic-polynomial oracles also take a whole digit array
-    (residual_mask) and decide once per class of chi mod p.
+  * residual_mask(digits, quotient): a mod-p test on a whole array of
+    quotient elements, one digit row each, whose residual set contains
+    the reduction of the global set (never excludes a genuine member).
+    The characteristic-polynomial oracles decide once per class of chi
+    mod p.
   * hit_raw(state): the global test on a raw flat state, for the Monte
     Carlo inner loop; None where undecided.
 """
@@ -240,6 +241,14 @@ def _jordan_witnesses(coeffs, n):
     return None
 
 
+def _sl3_ts(f):
+    """(t, s) of chi = X^3 - tX^2 + sX - 1 on SL_3, s the sum of the
+    principal 2x2 minors; f is a flat row or the columns of a digit array."""
+    t = f[0] + f[4] + f[8]
+    s = f[0] * f[4] - f[1] * f[3] + f[0] * f[8] - f[2] * f[6] + f[4] * f[8] - f[5] * f[7]
+    return t, s
+
+
 # ----- oracle classes -----
 
 class _CharpolyOracle:
@@ -270,9 +279,6 @@ class _CharpolyOracle:
         flat = g.flat()
         return self._verdict_from_coeffs(charpoly_coefficients(flat, g.dimension), flat)
 
-    def residual_contains(self, x, quotient) -> bool:
-        return bool(self.residual_mask(np.array([quotient.digits(x)]), quotient)[0])
-
     def residual_mask(self, digits, quotient) -> np.ndarray:
         """Whether each row of digits (quotient elements, block after
         block) passes the test in every block, as the reduction of a
@@ -288,10 +294,7 @@ class _CharpolyOracle:
                 key, inverse = np.unique((m[:, 0] + m[:, 3]) % p, return_inverse=True)
                 polys = [(1, -t, 1) for t in key.tolist()]
             elif d == 3:
-                # chi = X^3 - tX^2 + sX - 1, s the sum of the principal 2x2 minors
-                t = m[:, 0] + m[:, 4] + m[:, 8]
-                s = (m[:, 0] * m[:, 4] - m[:, 1] * m[:, 3] + m[:, 0] * m[:, 8]
-                     - m[:, 2] * m[:, 6] + m[:, 4] * m[:, 8] - m[:, 5] * m[:, 7])
+                t, s = _sl3_ts(m.T)
                 key, inverse = np.unique(t % p * p + s % p, return_inverse=True)
                 polys = [(-1, k % p, -(k // p), 1) for k in key.tolist()]
             else:  # one key per row: its coefficients mod p
@@ -309,11 +312,8 @@ class _CharpolyOracle:
             t = flat[0] + flat[3]
             return t == 2 or t == -2
         if d == 3:
-            # chi = X^3 - tX^2 + sX - 1: chi(1) = s - t, chi(-1) = -s - t - 2
-            t = flat[0] + flat[4] + flat[8]
-            s = (flat[0] * flat[4] - flat[1] * flat[3]
-                 + flat[0] * flat[8] - flat[2] * flat[6]
-                 + flat[4] * flat[8] - flat[5] * flat[7])
+            # chi(1) = s - t, chi(-1) = -s - t - 2
+            t, s = _sl3_ts(flat)
             if s == t or s == -t - 2:
                 return True
             if not self._square_discriminant:
@@ -432,9 +432,12 @@ class NongenericGaloisOracle(_CharpolyOracle):
             UNKNOWN,
             reason=f"no full witness set among primes up to {_WITNESS_PRIMES[-1]}")
 
-    def _block_contains(self, coeffs, p) -> bool:
-        if len(coeffs) > 4:
+    def residual_mask(self, digits, quotient) -> np.ndarray:
+        if quotient.dimension > 3:
             raise DegreeUnsupported("residual test implemented for dimensions 2 and 3")
+        return super().residual_mask(digits, quotient)
+
+    def _block_contains(self, coeffs, p) -> bool:
         if not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p):
             return True
         # squares persist under reduction; Euler criterion, 0 counts
@@ -495,7 +498,7 @@ class ProperPowerOracle:
         self.k = k
         self.generators = generators
         self.schedule = schedule if schedule is not None else prime_schedule(3, 2)
-        self._power_sets: Dict[str, frozenset] = {}
+        self._power_sets: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
 
     @property
     def kind(self) -> str:
@@ -528,25 +531,21 @@ class ProperPowerOracle:
             frontier = nxt
         return seen
 
-    def _quotient_power_set(self, quotient) -> frozenset:
-        key = quotient.label
-        cached = self._power_sets.get(key)
-        if cached is not None:
-            return cached
-        powers = set()
-        for x in quotient.enumerate_elements():
-            y = quotient.identity()
-            base = x
-            e = self.k
+    def _power_codes(self, quotient: MatrixQuotient) -> np.ndarray:
+        """Sorted codes of the k-th powers in a matrix quotient, all taken at
+        once by square-and-multiply; kept per (dimension, moduli), as labels repeat."""
+        key = (quotient.dimension, quotient.moduli)
+        if key not in self._power_sets:
+            d, b = quotient.dimension, len(quotient.moduli)
+            x = quotient.enumerate_elements().reshape(-1, b, d, d)
+            mods = np.array(quotient.moduli, dtype=x.dtype).reshape(b, 1, 1)
+            y, e = np.broadcast_to(np.eye(d, dtype=x.dtype), x.shape), self.k
             while e:
                 if e & 1:
-                    y = quotient.multiply(y, base)
-                base = quotient.multiply(base, base)
-                e >>= 1
-            powers.add(y)
-        out = frozenset(powers)
-        self._power_sets[key] = out
-        return out
+                    y = y @ x % mods
+                x, e = x @ x % mods, e >> 1
+            self._power_sets[key] = np.unique(quotient.encode(y.reshape(len(y), -1)))
+        return self._power_sets[key]
 
     def global_verdict(self, g) -> OracleVerdict:
         k = self.k
@@ -580,8 +579,7 @@ class ProperPowerOracle:
                     })
         for p in self.schedule.primes:
             quotient = MatrixQuotient(g.dimension, (p,))
-            powers = self._quotient_power_set(quotient)
-            if quotient.reduce(g) not in powers:
+            if not self.residual_mask(np.array([quotient.digits(quotient.reduce(g))]), quotient)[0]:
                 return OracleVerdict(OUT, {
                     "non_power_mod": p,
                     "witness": f"reduction mod {p} is not a {k}-th power there",
@@ -591,11 +589,11 @@ class ProperPowerOracle:
             reason=f"no root in the search ball and every scheduled quotient "
                    f"reduction is a {k}-th power")
 
-    def residual_contains(self, x, quotient) -> bool:
+    def residual_mask(self, digits, quotient) -> np.ndarray:
         if isinstance(quotient, AbelianQuotient):
-            d = math.gcd(self.k, quotient.modulus)
-            return all(e % d == 0 for e in x)
-        return x in self._quotient_power_set(quotient)
+            # the k-th multiples in Z/q are the multiples of gcd(k, q)
+            return np.all(digits % math.gcd(self.k, quotient.modulus) == 0, axis=1)
+        return np.isin(quotient.encode(digits), self._power_codes(quotient))
 
     def hit_raw(self, state):
         if self.generators is not None and isinstance(
@@ -775,11 +773,13 @@ class SubvarietyOracle:
             "witness": f"all {len(self.polys)} polynomials vanish on the entries",
         })
 
-    def residual_contains(self, x, quotient) -> bool:
-        if isinstance(quotient, AbelianQuotient):
-            return all(q.evaluate(x, quotient.modulus) == 0 for q in self.polys)
-        return all(q.evaluate(block, p) == 0
-                   for block, p in zip(x, quotient.moduli) for q in self.polys)
+    def residual_mask(self, digits, quotient) -> np.ndarray:
+        moduli = (quotient.modulus,) if isinstance(quotient, AbelianQuotient) else quotient.moduli
+        mask = np.ones(len(digits), dtype=bool)
+        for block, p in zip(np.hsplit(digits, len(moduli)), moduli):
+            for q in self.polys:
+                mask &= q.evaluate_batch(list(block.T)) % p == 0
+        return mask
 
     def hit_raw(self, state):
         return all(q.evaluate(state) == 0 for q in self.polys)
@@ -827,11 +827,9 @@ class TorusSquaresOracle:
             "witness": f"exponent {g.exponents[i]} at coordinate {i} is odd",
         })
 
-    def residual_contains(self, x, quotient: AbelianQuotient) -> bool:
+    def residual_mask(self, digits, quotient: AbelianQuotient) -> np.ndarray:
         # the image of doubling in Z/q is everything for odd q, evens else
-        if quotient.modulus % 2 == 1:
-            return True
-        return all(e % 2 == 0 for e in x)
+        return np.all(digits % math.gcd(2, quotient.modulus) == 0, axis=1)
 
     def hit_raw(self, state):
         return all(e % 2 == 0 for e in state)
@@ -907,8 +905,7 @@ def _sample_matrix_block(p: int, dim: int, seed: int, trial: int) -> Tuple[int, 
         if det == 0:
             continue
         inv = pow(det, p - 2, p)
-        scaled = tuple((x * inv) % p for x in entries[:dim]) + entries[dim:]
-        return scaled
+        return tuple((x * inv) % p for x in entries[:dim]) + entries[dim:]
     raise DomainError(f"could not sample an invertible matrix mod {p}")
 
 
@@ -916,34 +913,27 @@ def sample_element(quotient, seed: int, trial: int):
     """One uniform element of the quotient, deterministic in (seed, trial)."""
     if isinstance(quotient, AbelianQuotient):
         return tuple(prng.draw_indices(seed, trial, quotient.rank, quotient.modulus))
-    blocks = []
-    for bi, p in enumerate(quotient.moduli):
-        # separate counter lanes per block via the trial index
-        blocks.append(_sample_matrix_block(p, quotient.dimension,
-                                           seed + 1000003 * bi, trial))
-    return tuple(blocks)
+    # separate counter lanes per block via the seed
+    return tuple(_sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial)
+                 for bi, p in enumerate(quotient.moduli))
 
 
 def residual(oracle, quotient, mode: str = "enumerate",
              budget: int = 10_000_000, samples: int = 100_000,
              seed: int = 0) -> ResidualReport:
-    """Residual-set size and density, exactly or by uniform sampling; in
-    one batch where the oracle has residual_mask."""
+    """Residual-set size and density, exactly or by uniform sampling, with
+    every element decided in one residual_mask call."""
     if mode not in ("enumerate", "sample"):
         raise DomainError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and samples < 1:
         raise DomainError("samples must be positive")
-    elems = (quotient.enumerate_elements(budget) if mode == "enumerate" else
-             [sample_element(quotient, seed, trial) for trial in range(samples)])
-    batch = getattr(oracle, "residual_mask", None)
-    if batch is not None:
-        # a matrix element's blocks, flattened, are its digits
-        hits = int(np.count_nonzero(batch(np.array(elems).reshape(len(elems), -1), quotient)))
-    else:
-        hits = sum(1 for x in elems if oracle.residual_contains(x, quotient))
+    rows = (quotient.enumerate_elements(budget) if mode == "enumerate" else
+            np.array([quotient.digits(sample_element(quotient, seed, trial))
+                      for trial in range(samples)], dtype=quotient.dtype))
+    hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))
     if mode == "enumerate":
-        return ResidualReport(quotient.label, mode, len(elems), hits,
-                              Fraction(hits, len(elems)), None)
+        return ResidualReport(quotient.label, mode, len(rows), hits,
+                              Fraction(hits, len(rows)), None)
     est = hits / samples
     hw = 1.96 * math.sqrt(est * (1.0 - est) / samples)
     return ResidualReport(quotient.label, mode, samples, hits, est, hw)

@@ -170,6 +170,14 @@ def test_theory_bound_not_configured():
     assert lab.theory_bound(t, 100) is None
 
 
+def test_sl3_galois_reports_no_theory_bound():
+    # its residual set is all of SL_3(F_p), so a single-prime bound is 1
+    s = lab.get_scenario("sl3_galois")
+    assert s.bound_spec is None and lab.theory_bound(s, 80) is None
+    obj = lab.describe("sl3_galois")
+    assert obj["theory_bound"] is None and "no theory bound" in obj["thin_set"]
+
+
 def test_theory_bound_floors_at_density():
     s = lab.get_scenario("sl2_trace")
     # residual density of non-generic traces mod 7 is 5/8

@@ -150,7 +150,7 @@ def test_enumerate_elements_counts():
     q3 = MatrixQuotient(2, (3,))
     els = q3.enumerate_elements()
     assert len(els) == 24
-    assert len(set(els)) == 24
+    assert len(np.unique(els, axis=0)) == 24
     q5 = MatrixQuotient(2, (5,))
     assert len(q5.enumerate_elements()) == 120
     pair = MatrixQuotient(2, (3, 5))
@@ -277,18 +277,19 @@ def test_code_enumeration_equals_bfs_by_multiply(dim, moduli):
     gens = [q.reduce(g) for g in elementary_generators(dim).support]
     want = closure_by_multiply(q, gens)
     els = q.enumerate_elements()
-    assert els == want
+    assert els.tolist() == [list(q.digits(x)) for x in want]
     codes = q.element_codes()
     assert codes.dtype == np.int64 and np.all(codes[1:] > codes[:-1])
-    assert [q._element(r) for r in q.decode(codes).tolist()] == els
-    assert np.array_equal(q.encode([q.digits(x) for x in els]), codes)
+    assert np.array_equal(q.decode(codes), els)
+    assert np.array_equal(q.encode([q.digits(x) for x in want]), codes)
 
 
 def test_abelian_codes_follow_element_order():
     q = AbelianQuotient(3, 4)
     els = q.enumerate_elements()
-    assert els == sorted(product(range(4), repeat=3))
-    assert np.array_equal(q.encode([q.digits(x) for x in els]), np.arange(64))
+    want = sorted(product(range(4), repeat=3))
+    assert els.tolist() == [list(x) for x in want]
+    assert np.array_equal(q.encode([q.digits(x) for x in want]), np.arange(64))
 
 
 def _upper_unipotent_only(n):
@@ -347,8 +348,8 @@ def test_closure_exact_past_int64_codes():
     q = MatrixQuotient(2, (p,))
     x = q.reduce(MatrixElement(((2, 3), (1, 2))))
     codes = q.encode([q.digits(x)])
-    assert codes.dtype == object
-    assert q._element(q.decode(codes).tolist()[0]) == x
+    assert codes.dtype == object and q.dtype == object
+    assert tuple(q.decode(codes)[0].tolist()) == q.digits(x)
 
 
 def test_closure_long_diameter_and_unsymmetric_generators():

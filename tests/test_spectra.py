@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from helpers import element_tuples
 from sievelab import spectra
 from sievelab.errors import DomainError, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
@@ -27,7 +28,7 @@ from sievelab.walker import exact_distribution
 
 def scipy_extremes(A, q):
     """Independent dense route: raw enumeration, explicit P, scipy eigh."""
-    els = q.enumerate_elements()
+    els = element_tuples(q, q.enumerate_elements())
     idx = {e: i for i, e in enumerate(els)}
     ell = len(els)
     P = np.zeros((ell, ell))
@@ -212,7 +213,7 @@ def test_spectrum_csv_format():
     (AbelianQuotient(2, 5), torus_generators()),
 ])
 def test_neighbor_permutations_match_multiply(quotient, A):
-    els = quotient.enumerate_elements()
+    els = element_tuples(quotient, quotient.enumerate_elements())
     ell, perm = spectra._neighbor_maps(quotient, 10 ** 6)
     assert ell == len(els) == quotient.order()
     gens = [quotient.reduce(g) for g in A.support]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -9,6 +10,8 @@ from helpers import (
     brute_disc_is_square,
     brute_nongeneric,
     brute_reducible,
+    element_tuples,
+    residual_contains,
     sl2_walk_elements,
     sl3_walk_elements,
     sl4_walk_elements,
@@ -155,11 +158,11 @@ def test_reducible_quintic_root():
 def test_reducible_residual_contains_blocks():
     oracle = ReducibleCharpolyOracle(2)
     q = MatrixQuotient(2, (3, 5))
-    assert oracle.residual_contains(q.reduce(T), q)
+    assert residual_contains(oracle, q.reduce(T), q)
     # trace 3: X^2-3X+1 is irreducible mod 5 (disc 5 = 0 mod 5 -> root!)
     # use trace 4 instead: disc 12; mod 5 disc = 2, a non-residue
     g = MatrixElement(((3, 1), (2, 1)))
-    assert not oracle.residual_contains(q.reduce(g), q)
+    assert not residual_contains(oracle, q.reduce(g), q)
 
 
 def test_reducible_dimension_validation():
@@ -246,9 +249,12 @@ def test_galois_residual_dimension_cap():
     oracle = NongenericGaloisOracle(4)
     q = MatrixQuotient(4, (3,))
     with pytest.raises(DegreeUnsupported):
-        oracle.residual_contains(((1,) + (0,) * 15,), q)
+        residual_contains(oracle, ((1,) + (0,) * 15,), q)
     with pytest.raises(DegreeUnsupported):
         residual(oracle, q, mode="sample", samples=5)
+    # refused before any element is decided, so also on no elements at all
+    with pytest.raises(DegreeUnsupported):
+        oracle.residual_mask(np.zeros((0, 16), dtype=np.int64), MatrixQuotient(4, (2,)))
 
 
 def test_inseparable_residue_raised():
@@ -381,15 +387,15 @@ def test_proper_power_residual_sets():
     oracle = ProperPowerOracle(2, generators=sl2_st_generators())
     q3 = MatrixQuotient(2, (3,))
     # T = (T^2)^2 mod 3 because T has order 3 there
-    assert oracle.residual_contains(q3.reduce(T), q3)
+    assert residual_contains(oracle, q3.reduce(T), q3)
     q2 = MatrixQuotient(2, (2,))
-    assert not oracle.residual_contains(q2.reduce(T), q2)
+    assert not residual_contains(oracle, q2.reduce(T), q2)
     ab = ProperPowerOracle(2)
     qa3 = AbelianQuotient(2, 3)
-    assert ab.residual_contains((1, 2), qa3)  # gcd(2,3)=1: everything
+    assert residual_contains(ab, (1, 2), qa3)  # gcd(2,3)=1: everything
     qa2 = AbelianQuotient(2, 2)
-    assert ab.residual_contains((0, 0), qa2)
-    assert not ab.residual_contains((1, 0), qa2)
+    assert residual_contains(ab, (0, 0), qa2)
+    assert not residual_contains(ab, (1, 0), qa2)
 
 
 # ----- subvariety of entry polynomials -----
@@ -590,7 +596,7 @@ def per_element_hits(oracle, quotient, elems):
                          ids=["sl2_2", "sl2_13", "sl3_2", "sl3_3", "sl2_3x5"])
 def test_residual_by_class_equals_the_per_element_test(cls, dim, moduli):
     oracle, q = cls(dim), MatrixQuotient(dim, moduli)
-    elems = q.enumerate_elements()
+    elems = element_tuples(q, q.enumerate_elements())
     want = per_element_hits(oracle, q, elems)
     rep = residual(oracle, q)
     assert (rep.checked, rep.hits, rep.density) == (len(elems), want, Fraction(want, len(elems)))
@@ -598,7 +604,7 @@ def test_residual_by_class_equals_the_per_element_test(cls, dim, moduli):
     assert sampled.hits == per_element_hits(
         oracle, q, [sample_element(q, 4, t) for t in range(300)])
     # the one-element test is the same route
-    assert sum(oracle.residual_contains(x, q) for x in elems[:200]) == per_element_hits(
+    assert sum(residual_contains(oracle, x, q) for x in elems[:200]) == per_element_hits(
         oracle, q, elems[:200])
 
 
@@ -628,6 +634,100 @@ def test_residual_class_keys_stay_exact_at_a_large_prime(cls, dim):
     assert rep.hits == per_element_hits(oracle, q, [sample_element(q, 2, t) for t in range(20)])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_sl3_galois_residual_is_the_whole_group(p):
+    # an irreducible cubic over F_p has a cyclic Galois group, so its
+    # discriminant is a square mod p: every element is in the residual set
+    assert residual(NongenericGaloisOracle(3), MatrixQuotient(3, (p,))).density == 1
+
+
+# ----- every oracle kind against a per-element reference -----
+
+def power_set(k, quotient):
+    """The k-th powers of the quotient, one element at a time through
+    the tuple multiply."""
+    powers = set()
+    for x in element_tuples(quotient, quotient.enumerate_elements()):
+        y = quotient.identity()
+        for _ in range(k):
+            y = quotient.multiply(y, x)
+        powers.add(y)
+    return powers
+
+
+def per_element_reference(oracle, quotient):
+    """The residual test of one quotient element, written without residual_mask."""
+    if isinstance(oracle, TorusSquaresOracle):
+        return lambda x: quotient.modulus % 2 == 1 or all(e % 2 == 0 for e in x)
+    if isinstance(oracle, ProperPowerOracle):
+        return power_set(oracle.k, quotient).__contains__
+    if isinstance(oracle, SubvarietyOracle) and isinstance(quotient, AbelianQuotient):
+        return lambda x: all(q.evaluate(x, quotient.modulus) == 0 for q in oracle.polys)
+    if isinstance(oracle, SubvarietyOracle):
+        return lambda x: all(q.evaluate(block, p) == 0 for block, p in zip(x, quotient.moduli)
+                             for q in oracle.polys)
+    d = quotient.dimension
+    return lambda x: all(oracle._block_contains(charpoly_coefficients(block, d), p)
+                         for block, p in zip(x, quotient.moduli))
+
+
+def matrix_oracles(d):
+    return [ReducibleCharpolyOracle(d), NongenericGaloisOracle(d), RationalFixedFlagOracle(d),
+            ProperPowerOracle(2), ProperPowerOracle(3),
+            SubvarietyOracle([trace_polynomial(d, d)])]
+
+
+ABELIAN_ORACLES = [
+    ProperPowerOracle(2), ProperPowerOracle(3), TorusSquaresOracle(2),
+    SubvarietyOracle([EntryPolynomial(2, ((1, (2, 0)), (-1, (0, 1))))], domain="abelian"),
+]
+RESIDUAL_CASES = (
+    [(o, MatrixQuotient(2, (13,))) for o in matrix_oracles(2)]
+    + [(o, MatrixQuotient(3, (3,))) for o in matrix_oracles(3)]
+    + [(o, MatrixQuotient(2, (3, 5))) for o in matrix_oracles(2)]
+    + [(o, AbelianQuotient(2, q)) for q in (2, 3, 4) for o in ABELIAN_ORACLES])
+# residual hits frozen from the per-element route these masks replaced
+FROZEN_RESIDUAL_HITS = {
+    ("PROPER_POWER(2)", 2, "13"): 1002, ("PROPER_POWER(2)", 3, "3"): 3276,
+    ("SUBVARIETY", 2, "13"): 169, ("SUBVARIETY", 3, "3"): 1863,
+}
+
+
+@pytest.mark.parametrize("oracle,q", RESIDUAL_CASES,
+                         ids=[f"{o.kind}-{q.label}-{getattr(q, 'dimension', 'ab')}"
+                              for o, q in RESIDUAL_CASES])
+def test_residual_equals_the_per_element_reference(oracle, q):
+    contains = per_element_reference(oracle, q)
+    elems = element_tuples(q, q.enumerate_elements())
+    want = sum(map(contains, elems))
+    rep = residual(oracle, q)
+    assert (rep.checked, rep.hits, rep.density) == (len(elems), want, Fraction(want, len(elems)))
+    frozen = FROZEN_RESIDUAL_HITS.get((oracle.kind, getattr(q, "dimension", None), q.label))
+    assert frozen in (None, rep.hits)
+    sampled = residual(oracle, q, mode="sample", samples=300, seed=5)
+    assert sampled.hits == sum(contains(sample_element(q, 5, t)) for t in range(300))
+
+
+def test_sampled_digit_rows_stay_exact_past_int64():
+    # draws past 2^63 must reach the mask as exact integers, not as floats
+    q = AbelianQuotient(2, 2 ** 64 + 2)
+    want = sum(all(e % 2 == 0 for e in sample_element(q, 4, t)) for t in range(200))
+    assert 0 < want < 200
+    for oracle in (TorusSquaresOracle(2), ProperPowerOracle(2)):
+        assert residual(oracle, q, mode="sample", samples=200, seed=4).hits == want
+
+
+def test_proper_power_sets_are_kept_per_group_not_per_label():
+    # SL_2(F_p) and SL_3(F_p) share the label "p"; E12(2) = E12(1)^2 in both
+    oracle = ProperPowerOracle(2, schedule=prime_schedule(2, 2))
+    assert oracle.global_verdict(MatrixElement(((1, 2), (0, 1)))).status == UNKNOWN
+    e12 = MatrixElement(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+    assert oracle.global_verdict(e12).status == UNKNOWN
+    other = ProperPowerOracle(2)
+    residual(other, MatrixQuotient(2, (3,)))
+    assert residual(other, MatrixQuotient(3, (3,))).hits == 3276
+
+
 # ----- global/residual compatibility on walk samples -----
 
 def test_residual_compatibility_matrix_oracles():
@@ -645,7 +745,7 @@ def test_residual_compatibility_matrix_oracles():
                 q = oracle.quotient_for_prime(p)
                 for g in elems:
                     if oracle.global_verdict(g).status == IN:
-                        assert oracle.residual_contains(q.reduce(g), q)
+                        assert residual_contains(oracle, q.reduce(g), q)
 
 
 def test_residual_compatibility_abelian_oracles():
@@ -658,9 +758,9 @@ def test_residual_compatibility_abelian_oracles():
             q = AbelianQuotient(2, p)
             red = q.reduce(g)
             if torus.global_verdict(g).status == IN:
-                assert torus.residual_contains(red, q)
+                assert residual_contains(torus, red, q)
             if power.global_verdict(g).status == IN:
-                assert power.residual_contains(red, q)
+                assert residual_contains(power, red, q)
 
 
 def test_triple_coincidence_on_walks():
