@@ -114,7 +114,6 @@ def _cmd_closure(args) -> int:
     report = bfs_closure(scenario.generators, quotient)
     obj = report.to_json_obj()
     obj["schema_version"] = SCHEMA_VERSION
-    obj["surjective"] = report.surjective
     _emit(_json_text(obj), args.out)
     return 0
 

@@ -22,15 +22,6 @@ def from_int_coeffs(coeffs, p):
     return trim([c % p for c in coeffs])
 
 
-def add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
 def sub(f, g, p):
     n = max(len(f), len(g))
     out = [0] * n

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .matgroup import (
     z_generators,
 )
 from .quotients import AbelianQuotient, PrimeSchedule, is_prime, prime_schedule
-from .spectra import second_eigenvalue
+from .spectra import second_eigenvalue, walk_permutations
 from .thinsets import (
     NongenericGaloisOracle,
     RationalFixedFlagOracle,
@@ -273,16 +272,13 @@ def exact_probability(scenario: Scenario, n: int,
                       budget: int = walker.DEFAULT_EXACT_BUDGET) -> Fraction:
     """P(omega_n in Z) exactly, where the scenario admits it."""
     if isinstance(scenario.oracle, TorusSquaresOracle):
-        # squares are detected by the parity image: convolve on (Z/2)^rank
+        # squares are detected by the parity image: convolve on (Z/2)^rank,
+        # whose identity (0, ..., 0) has code and index 0
         q = AbelianQuotient(scenario.oracle.rank, 2)
-        merged: Dict[tuple, int] = {}
-        for g, mult in scenario.generators.pairs:
-            r = q.reduce(g)
-            merged[r] = merged.get(r, 0) + mult
-        counts = walker.convolve_counts(q.identity(), tuple(merged.items()),
-                                        n, cache(q.multiply), budget)
-        total = scenario.generators.size ** n
-        return Fraction(counts.get(q.identity(), 0), total)
+        _, a_size, maps = walk_permutations(scenario.generators, q, budget)
+        counts = walker.convolve_counts(0, [(perm.tolist(), m) for perm, m in maps], n,
+                                        lambda x, perm: perm[x], budget)
+        return Fraction(counts.get(0, 0), a_size ** n)
     return walker.hit_probability_exact(scenario.generators, n,
                                         scenario.oracle, budget)
 

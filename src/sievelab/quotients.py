@@ -1,10 +1,12 @@
 """Finite quotients of the ambient group and closures of generator images.
 
 A matrix quotient is SL_dim(Z/p) for a prime p, or the direct product
-over a pair of distinct primes. Elements are tuples of flat row-major
-entry tuples, one block per prime. Abelian quotients are (Z/q)^rank
-with componentwise addition. Enumeration hands out all elements at once
-as an array of digit rows: an element's entries, block after block.
+over a pair of distinct primes; an abelian quotient is (Z/q)^rank with
+componentwise addition. Either way an element is its digit tuple: for
+a matrix quotient the flat row-major entries of each prime's block,
+block after block, for an abelian one the exponents. Enumeration hands
+out all elements at once as an array of those digit rows, and integer
+codes number them in sorted order.
 """
 
 from __future__ import annotations
@@ -124,11 +126,11 @@ def prime_schedule(t: int, min_norm: int, growth_constant: int = 100) -> PrimeSc
 class _Coded:
     """Integer codes of quotient elements.
 
-    An element's digits are its entries, block after block, each flat
-    row-major; its code reads them in the mixed radix of their moduli,
-    first digit most significant, so sorted codes follow sorted element
-    order. Codes are int64 while the code space stays below 2^62 (so no
-    sum or product of digits reaches 2^63) and Python ints past it.
+    An element's code reads its digit tuple in the mixed radix of the
+    digits' moduli, first digit most significant, so sorted codes follow
+    sorted element order. Codes are int64 while the code space stays
+    below 2^62 (so no sum or product of digits reaches 2^63) and Python
+    ints past it.
     """
 
     @cached_property
@@ -152,6 +154,11 @@ class _Coded:
         radix, place = self._basis
         return codes[:, None] // place % radix
 
+    def contains(self, x) -> bool:
+        """Whether x is a tuple of one reduced digit per modulus."""
+        radix = self._radices()
+        return len(x) == len(radix) and all(0 <= e < r for e, r in zip(x, radix))
+
     def element_codes(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         """Sorted codes of all elements; raises when the order exceeds budget."""
         total = self.order()
@@ -161,8 +168,8 @@ class _Coded:
         return self._codes()
 
     def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """All elements in sorted order, one digit row each (the row of
-        an element x is digits(x)); raises when the order exceeds budget."""
+        """All elements in sorted order, one digit row each; raises when
+        the order exceeds budget."""
         return self.decode(self.element_codes(budget))
 
 
@@ -194,43 +201,39 @@ class MatrixQuotient(_Coded):
             total *= group_order(self.dimension, p)
         return total
 
-    def identity(self) -> Tuple[Tuple[int, ...], ...]:
-        dim = self.dimension
-        block = tuple(1 if i == j else 0 for i in range(dim) for j in range(dim))
-        return tuple(block for _ in self.moduli)
+    def identity(self) -> Tuple[int, ...]:
+        d = self.dimension
+        return tuple(int(i == j) for _ in self.moduli for i in range(d) for j in range(d))
 
-    def reduce(self, g: MatrixElement) -> Tuple[Tuple[int, ...], ...]:
+    def reduce(self, g: MatrixElement) -> Tuple[int, ...]:
         if g.dimension != self.dimension:
             raise DomainError(
                 f"element dimension {g.dimension} != quotient dimension {self.dimension}")
         flat = g.flat()
-        return tuple(tuple(e % p for e in flat) for p in self.moduli)
+        return tuple(e % p for p in self.moduli for e in flat)
 
     def contains(self, x) -> bool:
-        """Whether x is an element: one reduced block of determinant 1 per modulus."""
+        """Whether x is an element: reduced digits, and each block of
+        determinant 1 mod its prime."""
         d = self.dimension
-        return len(x) == len(self.moduli) and all(
-            len(block) == d * d and all(0 <= e < p for e in block)
-            and _det_bareiss([block[i * d:(i + 1) * d] for i in range(d)]) % p == 1
-            for block, p in zip(x, self.moduli))
+        return super().contains(x) and all(
+            _det_bareiss([x[k + i * d:k + (i + 1) * d] for i in range(d)]) % p == 1
+            for k, p in zip(range(0, len(x), d * d), self.moduli))
 
     def multiply(self, x, y):
+        """x*y block by block; the reference the batched routes are tested against."""
         d = self.dimension
         idx = range(d)
         return tuple(
-            tuple(sum(xb[i * d + t] * yb[t * d + j] for t in idx) % p for i in idx for j in idx)
-            for xb, yb, p in zip(x, y, self.moduli)
-        )
+            sum(x[k + i * d + t] * y[k + t * d + j] for t in idx) % p
+            for k, p in zip(range(0, len(x), d * d), self.moduli) for i in idx for j in idx)
 
     def _radices(self) -> Tuple[int, ...]:
         return tuple(p for p in self.moduli for _ in range(self.dimension ** 2))
 
-    def digits(self, x) -> Tuple[int, ...]:
-        return tuple(e for block in x for e in block)
-
     def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
-        """Digit rows of x*y for every row x of digits and every digit
-        tuple y in ys, x-major, in one batch."""
+        """Digit rows of x*y for every row x of digits and every element
+        y in ys, x-major, in one batch."""
         d, b = self.dimension, len(self.moduli)
         g = np.asarray(ys, dtype=digits.dtype).reshape(1, -1, b, d, d)
         mods = np.array(self.moduli, dtype=digits.dtype).reshape(b, 1, 1)
@@ -243,7 +246,7 @@ class MatrixQuotient(_Coded):
         codes = np.zeros(1, dtype=self.dtype)
         for p in self.moduli:
             single = MatrixQuotient(d, (p,))
-            gens = [single.digits(single.reduce(g)) for g in elementary_generators(d).support]
+            gens = [single.reduce(g) for g in elementary_generators(d).support]
             want = group_order(d, p)
             block = _closure_codes(single, gens, want)
             if block.size != want:
@@ -280,18 +283,13 @@ class AbelianQuotient(_Coded):
             raise DomainError(f"element rank {g.rank} != quotient rank {self.rank}")
         return tuple(e % self.modulus for e in g.exponents)
 
-    def contains(self, x) -> bool:
-        return len(x) == self.rank and all(0 <= e < self.modulus for e in x)
-
     def multiply(self, x, y):
+        """x+y componentwise; the reference the batched routes are tested against."""
         m = self.modulus
         return tuple((a + b) % m for a, b in zip(x, y))
 
     def _radices(self) -> Tuple[int, ...]:
         return (self.modulus,) * self.rank
-
-    def digits(self, x) -> Tuple[int, ...]:
-        return tuple(x)
 
     def multiply_digits(self, digits: np.ndarray, ys) -> np.ndarray:
         ys = np.asarray(ys, dtype=digits.dtype)
@@ -303,7 +301,7 @@ class AbelianQuotient(_Coded):
 
 def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     """Sorted codes of the closure of the identity under right
-    multiplication by gens, digit tuples closed under inverses.
+    multiplication by gens, elements closed under inverses.
 
     Level by level: each level is multiplied by every generator in one
     batch. As gens is symmetric, the neighbours of level k lie in levels
@@ -311,7 +309,7 @@ def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     levels only. Raises BudgetExceeded as soon as the closure would pass
     budget elements.
     """
-    frontier = quotient.encode([quotient.digits(quotient.identity())])
+    frontier = quotient.encode([quotient.identity()])
     gens = np.array(gens, dtype=frontier.dtype)
     levels, last, total = [frontier], frontier, 1
     while frontier.size:
@@ -353,7 +351,7 @@ class ClosureReport:
 def bfs_closure(A: GeneratorMultiset, quotient, budget: int = DEFAULT_ENUM_BUDGET) -> ClosureReport:
     """Subgroup generated by the image of A: in a finite quotient the
     reachable set under right multiplication by A and its inverses."""
-    gens = dict.fromkeys(quotient.digits(quotient.reduce(h))
+    gens = dict.fromkeys(quotient.reduce(h)
                          for g in A.support for h in (g, g.inverse()))
     codes = _closure_codes(quotient, list(gens), budget)
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())

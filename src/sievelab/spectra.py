@@ -6,7 +6,7 @@ self-adjoint, so its spectrum is real: 1 = lambda_1 >= lambda_2 >= ...
 pi_1 is lambda_2, pi_min the bottom eigenvalue, pi_star the largest
 modulus away from the top eigenvector.
 
-Small quotients get a dense symmetric eigensolver; past the threshold
+Small quotients get a dense symmetric eigensolver; past DENSE_THRESHOLD
 a deflated power iteration on (I+P)/2 and (I-P)/2 extracts the two
 extremes with a residual: the 2-norm ||Pv - theta v|| of each Rayleigh
 pair, which bounds |lambda - theta| for some eigenvalue lambda of P.
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -61,43 +60,47 @@ class AdjacencySpectrum:
         }
 
 
-def _reduced_pairs(source, quotient) -> List[Tuple[object, int]]:
-    """Reduce a multiset into the quotient, merging collisions."""
-    if isinstance(source, GeneratorMultiset):
-        raw = [(quotient.reduce(g), m) for g, m in source.pairs]
-    else:
-        raw = [(g, int(m)) for g, m in source]
+def walk_permutations(source, quotient, budget: int = 10_000_000):
+    """The steps of a quotient walk as permutations of its element indices.
+
+    source is a GeneratorMultiset (reduced here) or pre-reduced (element,
+    multiplicity) pairs. Repeated elements merge in order of first
+    appearance. Returns (codes, |A|, maps): the sorted element codes, and
+    per distinct step g the index permutation of x -> x g with g's
+    multiplicity. Raises DomainError for a step outside the group,
+    MissingIdentity without the identity, and NotSymmetric unless each
+    step's inverse has its multiplicity.
+    """
+    multiset = isinstance(source, GeneratorMultiset)
     merged: Dict = {}
-    for r, m in raw:
+    for g, m in (source.pairs if multiset else source):
+        r = quotient.reduce(g) if multiset else g
         if not quotient.contains(r):
             raise DomainError(f"multiset element {r} is not in the quotient {quotient.label}")
-        merged[r] = merged.get(r, 0) + m
-    pairs = list(merged.items())
-    ident = quotient.identity()
-    if not any(r == ident for r, _ in pairs):
+        merged[r] = merged.get(r, 0) + int(m)
+    if quotient.identity() not in merged:
         raise MissingIdentity("reduced multiset must contain the identity")
-    # symmetry: every block must pair with an inverse of equal weight
-    for r, m in pairs:
-        inv = None
-        for s, _ in pairs:
-            if quotient.multiply(r, s) == ident:
-                inv = s
-                break
-        if inv is None or merged[inv] != m:
-            raise NotSymmetric("reduced multiset is not symmetric")
-    return pairs
-
-
-def _neighbor_maps(quotient, budget):
-    """Order of the quotient, and g -> the index permutation of x -> x g
-    over its sorted element codes, for g in the quotient group."""
     codes = quotient.element_codes(budget)
-    digits = quotient.decode(codes)
+    translate = _translations(quotient, codes)
+    maps = [(translate(g), m) for g, m in merged.items()]
+    # x -> x g sends the identity e to g, and g^-1 to e
+    e = _index(quotient, codes, quotient.identity())
+    weight = {int(perm[e]): m for perm, m in maps}
+    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in maps):
+        raise NotSymmetric("reduced multiset is not symmetric")
+    return codes, sum(merged.values()), maps
 
-    def perm(g):
-        return np.searchsorted(
-            codes, quotient.encode(quotient.multiply_digits(digits, [quotient.digits(g)])))
-    return len(codes), perm
+
+def _index(quotient, codes, x) -> int:
+    """The index of the element x among the sorted codes."""
+    return int(np.searchsorted(codes, quotient.encode([x]))[0])
+
+
+def _translations(quotient, codes):
+    """g -> the index permutation of x -> x g over the sorted element codes."""
+    digits = quotient.decode(codes)
+    return lambda g: np.searchsorted(
+        codes, quotient.encode(quotient.multiply_digits(digits, [g])))
 
 
 def _minus_identity(quotient):
@@ -107,8 +110,7 @@ def _minus_identity(quotient):
             or not all(p % 2 for p in quotient.moduli)):
         return None
     d = quotient.dimension
-    return tuple(tuple((p - 1) * (i == j) for i in range(d) for j in range(d))
-                 for p in quotient.moduli)
+    return tuple((p - 1) * (i == j) for p in quotient.moduli for i in range(d) for j in range(d))
 
 
 def _dense_spectrum(maps, neg=None) -> np.ndarray:
@@ -166,24 +168,22 @@ def _power_top(matvec, dim: int, deflate: np.ndarray):
         f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
 
 
-def second_eigenvalue(source, quotient, dense_threshold: int = DENSE_THRESHOLD,
-                      budget: int = 10_000_000) -> AdjacencySpectrum:
+def second_eigenvalue(source, quotient, budget: int = 10_000_000) -> AdjacencySpectrum:
     """pi_1, pi_min, pi_star of the walk operator on the quotient.
 
-    source is a GeneratorMultiset (reduced here) or pre-reduced
-    (element, multiplicity) pairs. A dense spectrum is exact up to
+    source is as for walk_permutations. A dense spectrum is exact up to
     rounding (residual 0.0); an iterative one reports a residual that
     bounds the distance of pi_1 and of pi_min to eigenvalues of P.
     """
-    pairs = _reduced_pairs(source, quotient)
-    ell, perm = _neighbor_maps(quotient, budget)
-    a_size = sum(m for _, m in pairs)
-    maps = [(perm(g), m / a_size) for g, m in pairs]
+    codes, a_size, maps = walk_permutations(source, quotient, budget)
+    ell = len(codes)
+    maps = [(perm, m / a_size) for perm, m in maps]
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
-    if ell <= dense_threshold:
+    if ell <= DENSE_THRESHOLD:
         minus = _minus_identity(quotient)
-        eig = _dense_spectrum(maps, None if minus is None else perm(minus))
+        neg = None if minus is None else _translations(quotient, codes)(minus)
+        eig = _dense_spectrum(maps, neg)
         return AdjacencySpectrum(quotient.label, ell, a_size,
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)
@@ -205,12 +205,11 @@ def second_eigenvalue(source, quotient, dense_threshold: int = DENSE_THRESHOLD,
                              method="iterative", residual=residual)
 
 
-def expander_certify(source, quotient, eps: float,
-                     dense_threshold: int = DENSE_THRESHOLD) -> bool:
+def expander_certify(source, quotient, eps: float) -> bool:
     """Whether pi_1 <= 1 - eps, conservatively (residual counts against)."""
     if not 0 < eps < 1:
         raise DomainError("eps must be in (0, 1)")
-    spec = second_eigenvalue(source, quotient, dense_threshold)
+    spec = second_eigenvalue(source, quotient)
     return spec.pi_1 + spec.residual <= 1.0 - eps
 
 
@@ -247,31 +246,31 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int],
                           budget: int = 10_000_000) -> Dict[int, Fraction]:
     """max_g |P(omega_n = g) - 1/|G|| exactly, for each n in the grid.
 
-    Convolves integer path counts on the quotient; requires the walk to
-    reach the whole group eventually but is correct regardless.
+    Convolves integer path counts over the element indices of the
+    quotient, stepping by walk_permutations; requires the walk to reach
+    the whole group eventually but is correct regardless.
     """
-    pairs = _reduced_pairs(source, quotient)
-    a_size = sum(m for _, m in pairs)
-    ell = quotient.order()
     grid = sorted(set(grid))
     if not grid or grid[0] < 0:
         raise DomainError("grid must be non-empty with n >= 0")
+    codes, a_size, maps = walk_permutations(source, quotient, budget)
+    ell = len(codes)
+    out_keys = set(grid)
     out: Dict[int, Fraction] = {}
 
     def snap(k, counts):
         if k in out_keys:
+            # |c/total - 1/ell| = |c ell - total| / (total ell); elements
+            # never reached (count 0) deviate by total / (total ell)
             total = a_size ** k
-            worst = max(
-                abs(Fraction(c, total) - Fraction(1, ell)) for c in counts.values())
-            # elements never reached deviate by exactly 1/ell
+            worst = max(abs(c * ell - total) for c in counts.values())
             if len(counts) < ell:
-                worst = max(worst, Fraction(1, ell))
-            out[k] = worst
+                worst = max(worst, total)
+            out[k] = Fraction(worst, total * ell)
 
-    out_keys = set(grid)
-    # states recur on a finite quotient: each (state, step) product once
-    convolve_counts(quotient.identity(), pairs, grid[-1], cache(quotient.multiply),
-                    budget, on_snapshot=snap)
+    steps = [(perm.tolist(), m) for perm, m in maps]
+    convolve_counts(_index(quotient, codes, quotient.identity()), steps, grid[-1],
+                    lambda x, perm: perm[x], budget, on_snapshot=snap)
     return out
 
 

@@ -42,6 +42,7 @@ from .matgroup import (
     _det_bareiss,
 )
 from .quotients import (
+    DEFAULT_ENUM_BUDGET,
     AbelianQuotient,
     MatrixQuotient,
     PrimeSchedule,
@@ -486,7 +487,8 @@ class ProperPowerOracle:
 
     Exact both ways on abelian elements. On matrices: IN by a bounded
     ball search for an explicit root, OUT by a non-power certificate in
-    some scheduled finite quotient, UNKNOWN otherwise.
+    some scheduled finite quotient, UNKNOWN otherwise. A scheduled
+    quotient whose order exceeds the enumeration budget is skipped.
     """
 
     kind_base = "PROPER_POWER"
@@ -577,13 +579,22 @@ class ProperPowerOracle:
                         "root": h.to_json_obj(),
                         "witness": f"explicit {k}-th root found in a generator ball",
                     })
+        skipped = []
         for p in self.schedule.primes:
             quotient = MatrixQuotient(g.dimension, (p,))
-            if not self.residual_mask(np.array([quotient.digits(quotient.reduce(g))]), quotient)[0]:
+            if quotient.order() > DEFAULT_ENUM_BUDGET:
+                skipped.append(str(p))
+            elif not self.residual_mask(np.array([quotient.reduce(g)]), quotient)[0]:
                 return OracleVerdict(OUT, {
                     "non_power_mod": p,
                     "witness": f"reduction mod {p} is not a {k}-th power there",
                 })
+        if skipped:
+            return OracleVerdict(
+                UNKNOWN,
+                reason=f"no root in the search ball, every other scheduled reduction is a "
+                       f"{k}-th power, and SL_{g.dimension} mod {', '.join(skipped)} exceeds the "
+                       f"enumeration budget")
         return OracleVerdict(
             UNKNOWN,
             reason=f"no root in the search ball and every scheduled quotient "
@@ -914,8 +925,8 @@ def sample_element(quotient, seed: int, trial: int):
     if isinstance(quotient, AbelianQuotient):
         return tuple(prng.draw_indices(seed, trial, quotient.rank, quotient.modulus))
     # separate counter lanes per block via the seed
-    return tuple(_sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial)
-                 for bi, p in enumerate(quotient.moduli))
+    return tuple(e for bi, p in enumerate(quotient.moduli)
+                 for e in _sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial))
 
 
 def residual(oracle, quotient, mode: str = "enumerate",
@@ -928,8 +939,8 @@ def residual(oracle, quotient, mode: str = "enumerate",
     if mode == "sample" and samples < 1:
         raise DomainError("samples must be positive")
     rows = (quotient.enumerate_elements(budget) if mode == "enumerate" else
-            np.array([quotient.digits(sample_element(quotient, seed, trial))
-                      for trial in range(samples)], dtype=quotient.dtype))
+            np.array([sample_element(quotient, seed, trial) for trial in range(samples)],
+                     dtype=quotient.dtype))
     hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))
     if mode == "enumerate":
         return ResidualReport(quotient.label, mode, len(rows), hits,

@@ -115,17 +115,12 @@ def sl4_walk_elements(count, seed, length=12):
     return out
 
 
-def element_tuples(quotient, rows):
-    """The quotient elements of digit rows: tuples of flat blocks for a
-    matrix quotient, plain tuples for an abelian one."""
-    if not hasattr(quotient, "moduli"):
-        return [tuple(row) for row in rows.tolist()]
-    size = quotient.dimension ** 2
-    return [tuple(tuple(row[b * size:(b + 1) * size]) for b in range(len(quotient.moduli)))
-            for row in rows.tolist()]
+def elements(quotient):
+    """Every element of the quotient, as a digit tuple, in sorted order."""
+    return [tuple(row) for row in quotient.enumerate_elements().tolist()]
 
 
 def residual_contains(oracle, x, quotient):
     """Whether the quotient element x lies in the oracle's residual set,
     asked through residual_mask as a one-row digit array."""
-    return bool(oracle.residual_mask(np.array([quotient.digits(x)]), quotient)[0])
+    return bool(oracle.residual_mask(np.array([x]), quotient)[0])

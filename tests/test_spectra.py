@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from helpers import element_tuples
-from sievelab import spectra
+from helpers import elements
+from sievelab import lab, spectra
 from sievelab.errors import DomainError, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
     elementary_generators,
@@ -28,7 +28,7 @@ from sievelab.walker import exact_distribution
 
 def scipy_extremes(A, q):
     """Independent dense route: raw enumeration, explicit P, scipy eigh."""
-    els = element_tuples(q, q.enumerate_elements())
+    els = elements(q)
     idx = {e: i for i, e in enumerate(els)}
     ell = len(els)
     P = np.zeros((ell, ell))
@@ -92,11 +92,12 @@ def test_frozen_elementary_family_values():
         assert abs(s.pi_1 - want) < 1e-5
 
 
-def test_iterative_agrees_with_dense():
+def test_iterative_agrees_with_dense(monkeypatch):
     A = sl2_st_generators()
     q = MatrixQuotient(2, (7,))
     dense = second_eigenvalue(A, q)
-    iterative = second_eigenvalue(A, q, dense_threshold=1)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
+    iterative = second_eigenvalue(A, q)
     assert iterative.method == "iterative"
     assert abs(iterative.pi_1 - dense.pi_1) <= 1e-6 + iterative.residual
     assert abs(iterative.pi_min - dense.pi_min) <= 1e-6 + iterative.residual
@@ -213,13 +214,19 @@ def test_spectrum_csv_format():
     (AbelianQuotient(2, 5), torus_generators()),
 ])
 def test_neighbor_permutations_match_multiply(quotient, A):
-    els = element_tuples(quotient, quotient.enumerate_elements())
-    ell, perm = spectra._neighbor_maps(quotient, 10 ** 6)
+    els = elements(quotient)
+    codes, a_size, maps = spectra.walk_permutations(A, quotient, 10 ** 6)
+    ell = len(codes)
     assert ell == len(els) == quotient.order()
-    gens = [quotient.reduce(g) for g in A.support]
+    merged = {}
+    for g, m in A.pairs:
+        merged[quotient.reduce(g)] = merged.get(quotient.reduce(g), 0) + m
+    assert a_size == A.size and [m for _, m in maps] == list(merged.values())
+    pairs = [(g, perm) for g, (perm, _) in zip(merged, maps)]
     minus = spectra._minus_identity(quotient)
-    for g in gens + ([minus] if minus is not None else []):
-        idx = perm(g)
+    if minus is not None:
+        pairs.append((minus, spectra._translations(quotient, codes)(minus)))
+    for g, idx in pairs:
         assert sorted(idx) == list(range(ell))
         assert all(els[j] == quotient.multiply(x, g) for x, j in zip(els, idx))
 
@@ -228,14 +235,15 @@ def test_neighbor_permutations_match_multiply(quotient, A):
 def test_folded_spectrum_equals_unfolded(moduli):
     q = MatrixQuotient(2, moduli)
     A = sl2_st_generators()
-    ell, perm = spectra._neighbor_maps(q, 10 ** 6)
-    maps = [(perm(q.reduce(g)), m / A.size) for g, m in A.pairs]
+    codes, a_size, maps = spectra.walk_permutations(A, q, 10 ** 6)
+    ell = len(codes)
+    maps = [(perm, m / a_size) for perm, m in maps]
     P = np.zeros((ell, ell))
     for idx, w in maps:
         P[np.arange(ell), idx] += w
     minus = spectra._minus_identity(q)
-    assert minus == tuple((p - 1, 0, 0, p - 1) for p in moduli)
-    folded = spectra._dense_spectrum(maps, perm(minus))
+    assert minus == tuple(e for p in moduli for e in (p - 1, 0, 0, p - 1))
+    folded = spectra._dense_spectrum(maps, spectra._translations(q, codes)(minus))
     assert folded.shape == (ell,)
     assert np.max(np.abs(folded - np.linalg.eigvalsh(P))) <= 1e-12
     assert np.max(np.abs(spectra._dense_spectrum(maps) - folded)) <= 1e-12
@@ -254,8 +262,9 @@ def test_fold_needs_minus_identity_distinct_from_identity():
     (MatrixQuotient(3, (2,)), elementary_generators(3)),
     (AbelianQuotient(1, 9), z_generators()),
 ])
-def test_iterative_residual_is_a_two_norm_bound(quotient, A):
-    it = second_eigenvalue(A, quotient, dense_threshold=1)
+def test_iterative_residual_is_a_two_norm_bound(quotient, A, monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
+    it = second_eigenvalue(A, quotient)
     assert it.method == "iterative"
     P = _walk_matrix(quotient, A)
     eig = np.linalg.eigvalsh(P)
@@ -280,38 +289,62 @@ def test_iterative_residual_is_a_two_norm_bound(quotient, A):
 
 
 def _walk_matrix(quotient, A):
-    ell, perm = spectra._neighbor_maps(quotient, 10 ** 6)
-    P = np.zeros((ell, ell))
-    for g, m in A.pairs:
-        P[np.arange(ell), perm(quotient.reduce(g))] += m / A.size
+    codes, a_size, maps = spectra.walk_permutations(A, quotient, 10 ** 6)
+    P = np.zeros((len(codes), len(codes)))
+    for perm, m in maps:
+        P[np.arange(len(codes)), perm] += m / a_size
     return P
 
 
-def test_deviation_sweep_multiplies_each_pair_once():
-    calls = []
+def brute_force_counts(A, q, n_max):
+    """Path counts after 0..n_max steps, by dict convolution through q.multiply."""
+    steps = {}
+    for g, m in A.pairs:
+        steps[q.reduce(g)] = steps.get(q.reduce(g), 0) + m
+    laws = [{q.identity(): 1}]
+    for _ in range(n_max):
+        nxt = {}
+        for x, c in laws[-1].items():
+            for g, m in steps.items():
+                y = q.multiply(x, g)
+                nxt[y] = nxt.get(y, 0) + c * m
+        laws.append(nxt)
+    return laws
 
-    class Counting(MatrixQuotient):
-        def multiply(self, x, y):
-            calls.append(1)
-            return super().multiply(x, y)
 
-    A = sl2_st_generators()
-    q = Counting(2, (5,))
-    devs = exact_deviation_sweep(A, q, range(25))
-    assert devs == exact_deviation_sweep(A, MatrixQuotient(2, (5,)), range(25))
-    # the symmetry check multiplies at most 5 x 5 pairs; the sweep at most
-    # 120 states x 5 generators
-    assert len(calls) <= 25 + 120 * 5
+@pytest.mark.parametrize("A,q", [
+    (sl2_st_generators(), MatrixQuotient(2, (3,))),
+    (sl2_st_generators(), MatrixQuotient(2, (3, 5))),
+    (elementary_generators(3), MatrixQuotient(3, (2,))),
+    (z_generators(), AbelianQuotient(1, 6)),
+    (torus_generators(), AbelianQuotient(2, 5)),
+], ids=["sl2_3", "sl2_3x5", "sl3_2", "z_6", "torus_5"])
+def test_deviation_sweep_equals_brute_force_convolution(A, q):
+    ell, grid = q.order(), range(11)
+    want = {}
+    for n, counts in enumerate(brute_force_counts(A, q, grid[-1])):
+        devs = [abs(Fraction(c, A.size ** n) - Fraction(1, ell)) for c in counts.values()]
+        want[n] = max(devs + [Fraction(1, ell)] * (len(counts) < ell))
+    assert exact_deviation_sweep(A, q, grid) == want
 
 
-def test_pre_reduced_element_outside_the_group_raises():
+def test_torus_law_equals_brute_force_convolution():
+    scenario = lab.get_scenario("torus_squares")
+    A, q = scenario.generators, AbelianQuotient(scenario.oracle.rank, 2)
+    for n, counts in enumerate(brute_force_counts(A, q, 16)):
+        want = Fraction(counts.get(q.identity(), 0), A.size ** n)
+        assert lab.exact_probability(scenario, n) == want
+
+
+def test_pre_reduced_element_outside_the_group_raises(monkeypatch):
     # {I, 2I, 3I} mod 5 has the identity and is symmetric (2 * 3 = 1),
     # but det 2I = 4: 2I is not in SL_2(F_5)
     q = MatrixQuotient(2, (5,))
-    pairs = [(q.identity(), 1), (((2, 0, 0, 2),), 1), (((3, 0, 0, 3),), 1)]
+    pairs = [(q.identity(), 1), ((2, 0, 0, 2), 1), ((3, 0, 0, 3), 1)]
     with pytest.raises(DomainError):
         second_eigenvalue(pairs, q)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
     with pytest.raises(DomainError):
-        second_eigenvalue(pairs, q, dense_threshold=1)
+        second_eigenvalue(pairs, q)
     with pytest.raises(DomainError):
         exact_deviation_sweep(pairs, q, [1, 2, 5])

@@ -10,7 +10,7 @@ from helpers import (
     brute_disc_is_square,
     brute_nongeneric,
     brute_reducible,
-    element_tuples,
+    elements,
     residual_contains,
     sl2_walk_elements,
     sl3_walk_elements,
@@ -249,7 +249,7 @@ def test_galois_residual_dimension_cap():
     oracle = NongenericGaloisOracle(4)
     q = MatrixQuotient(4, (3,))
     with pytest.raises(DegreeUnsupported):
-        residual_contains(oracle, ((1,) + (0,) * 15,), q)
+        residual_contains(oracle, (1,) + (0,) * 15, q)
     with pytest.raises(DegreeUnsupported):
         residual(oracle, q, mode="sample", samples=5)
     # refused before any element is decided, so also on no elements at all
@@ -352,6 +352,19 @@ def test_proper_power_unknown_without_generators():
     assert v2.status == IN
     root = MatrixElement.from_json_obj(v2.certificate["root"])
     assert root * root == NEG_I
+
+
+def test_proper_power_skips_quotients_past_the_enumeration_budget():
+    # the default schedule is (2, 3, 5); SL_4(F_3) has order 12130560, past
+    # the enumeration budget, so SL_4 elements are decided mod 2 alone
+    oracle = ProperPowerOracle(2)
+    e12 = MatrixElement(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    v = oracle.global_verdict(e12)
+    assert v.status == UNKNOWN
+    assert "SL_4 mod 3, 5" in v.reason
+    jordan = MatrixElement(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
+    w = oracle.global_verdict(jordan)
+    assert w.status == OUT and w.certificate["non_power_mod"] == 2
 
 
 def test_proper_power_abelian_exact():
@@ -582,12 +595,18 @@ def test_residual_report_json():
 CHARPOLY_ORACLES = (ReducibleCharpolyOracle, NongenericGaloisOracle, RationalFixedFlagOracle)
 
 
+def blocks(x, quotient):
+    """(block, prime) for each prime of a matrix quotient element x."""
+    size = quotient.dimension ** 2
+    return [(x[b * size:(b + 1) * size], p) for b, p in enumerate(quotient.moduli)]
+
+
 def per_element_hits(oracle, quotient, elems):
     """The residual test run on every element on its own: chi of each
     block, then the oracle's test on that block."""
     d = quotient.dimension
     return sum(all(oracle._block_contains(charpoly_coefficients(block, d), p)
-                   for block, p in zip(x, quotient.moduli)) for x in elems)
+                   for block, p in blocks(x, quotient)) for x in elems)
 
 
 @pytest.mark.parametrize("cls", CHARPOLY_ORACLES, ids=lambda c: c.kind)
@@ -596,7 +615,7 @@ def per_element_hits(oracle, quotient, elems):
                          ids=["sl2_2", "sl2_13", "sl3_2", "sl3_3", "sl2_3x5"])
 def test_residual_by_class_equals_the_per_element_test(cls, dim, moduli):
     oracle, q = cls(dim), MatrixQuotient(dim, moduli)
-    elems = element_tuples(q, q.enumerate_elements())
+    elems = elements(q)
     want = per_element_hits(oracle, q, elems)
     rep = residual(oracle, q)
     assert (rep.checked, rep.hits, rep.density) == (len(elems), want, Fraction(want, len(elems)))
@@ -647,7 +666,7 @@ def power_set(k, quotient):
     """The k-th powers of the quotient, one element at a time through
     the tuple multiply."""
     powers = set()
-    for x in element_tuples(quotient, quotient.enumerate_elements()):
+    for x in elements(quotient):
         y = quotient.identity()
         for _ in range(k):
             y = quotient.multiply(y, x)
@@ -664,11 +683,11 @@ def per_element_reference(oracle, quotient):
     if isinstance(oracle, SubvarietyOracle) and isinstance(quotient, AbelianQuotient):
         return lambda x: all(q.evaluate(x, quotient.modulus) == 0 for q in oracle.polys)
     if isinstance(oracle, SubvarietyOracle):
-        return lambda x: all(q.evaluate(block, p) == 0 for block, p in zip(x, quotient.moduli)
+        return lambda x: all(q.evaluate(block, p) == 0 for block, p in blocks(x, quotient)
                              for q in oracle.polys)
     d = quotient.dimension
     return lambda x: all(oracle._block_contains(charpoly_coefficients(block, d), p)
-                         for block, p in zip(x, quotient.moduli))
+                         for block, p in blocks(x, quotient))
 
 
 def matrix_oracles(d):
@@ -698,7 +717,7 @@ FROZEN_RESIDUAL_HITS = {
                               for o, q in RESIDUAL_CASES])
 def test_residual_equals_the_per_element_reference(oracle, q):
     contains = per_element_reference(oracle, q)
-    elems = element_tuples(q, q.enumerate_elements())
+    elems = elements(q)
     want = sum(map(contains, elems))
     rep = residual(oracle, q)
     assert (rep.checked, rep.hits, rep.density) == (len(elems), want, Fraction(want, len(elems)))
