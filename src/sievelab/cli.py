@@ -98,12 +98,8 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _emit(spectrum_csv([spec]), args.out)
     else:
-        obj = {"schema_version": SCHEMA_VERSION,
-               "scenario": scenario.name, "quotient": spec.quotient_label,
-               "order": spec.order, "a_size": spec.a_size,
-               "pi_1": spec.pi_1, "pi_min": spec.pi_min,
-               "pi_star": spec.pi_star, "method": spec.method,
-               "residual": spec.residual}
+        obj = spec.to_json_obj()
+        obj.update(schema_version=SCHEMA_VERSION, scenario=scenario.name)
         _emit(_json_text(obj), args.out)
     return 0
 

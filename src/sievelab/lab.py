@@ -39,6 +39,7 @@ from .thinsets import (
 SCHEMA_VERSION = 2
 
 REGIMES = ("exponential", "polynomial", "non-decaying")
+UNKNOWN_CAP = 0.5  # largest share of UNKNOWN verdicts a Monte Carlo row may have
 
 
 def xi_envelope(C: float, n: int, dim_g: int = 3, regime: str = "exponential") -> float:
@@ -196,12 +197,13 @@ def describe(name: str) -> dict:
 
 # ----- theory bounds -----
 
-_BOUND_CACHE: Dict[Tuple[str, int], Tuple[int, float, float]] = {}
+_BOUND_CACHE: Dict[tuple, Tuple[int, float, float]] = {}
 
 
 def _single_prime_inputs(scenario: Scenario, p: int) -> Tuple[int, float, float]:
-    """(order, density, rate) for the single-prime bound, cached."""
-    key = (scenario.name, p)
+    """(order, density, rate) for the single-prime bound, cached by what
+    it reads: the generators, the oracle's JSON form and p."""
+    key = (scenario.generators.pairs, repr(scenario.oracle.to_json_obj()), p)
     hit = _BOUND_CACHE.get(key)
     if hit is not None:
         return hit
@@ -268,24 +270,21 @@ class ExperimentTable:
         return [r.to_json_obj() for r in self.rows]
 
 
-def exact_probability(scenario: Scenario, n: int,
-                      budget: int = walker.DEFAULT_EXACT_BUDGET) -> Fraction:
+def exact_probability(scenario: Scenario, n: int) -> Fraction:
     """P(omega_n in Z) exactly, where the scenario admits it."""
     if isinstance(scenario.oracle, TorusSquaresOracle):
         # squares are detected by the parity image: convolve on (Z/2)^rank,
         # whose identity (0, ..., 0) has code and index 0
         q = AbelianQuotient(scenario.oracle.rank, 2)
-        _, a_size, maps = walk_permutations(scenario.generators, q, budget)
+        _, a_size, maps = walk_permutations(scenario.generators, q)
         counts = walker.convolve_counts(0, [(perm.tolist(), m) for perm, m in maps], n,
-                                        lambda x, perm: perm[x], budget)
+                                        lambda x, perm: perm[x])
         return Fraction(counts.get(0, 0), a_size ** n)
-    return walker.hit_probability_exact(scenario.generators, n,
-                                        scenario.oracle, budget)
+    return walker.hit_probability_exact(scenario.generators, n, scenario.oracle)
 
 
 def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
-                   mode: str = "mc", unknown_cap: float = 0.5,
-                   exact_budget: int = walker.DEFAULT_EXACT_BUDGET) -> ExperimentTable:
+                   mode: str = "mc") -> ExperimentTable:
     """One row per n: estimate, half-width, UNKNOWN count, theory bound.
 
     Deterministic in (scenario, grid, m, seed). P-hat = 0 rows carry the
@@ -299,7 +298,7 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
     rows = []
     if mode == "exact":
         for n in grid:
-            p = exact_probability(scenario, n, budget=exact_budget)
+            p = exact_probability(scenario, n)
             rows.append(ExperimentRow(
                 scenario=scenario.name, n=n, trials=0, hits=0, unknown=0,
                 estimate=float(p), ci_halfwidth=0.0,
@@ -310,7 +309,7 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
     if m < 1:
         raise DomainError("m must be positive")
     estimates = walker.mc_sweep(scenario.generators, scenario.oracle, grid, m,
-                                seed, unknown_cap=unknown_cap)
+                                seed, unknown_cap=UNKNOWN_CAP)
     for est in estimates:
         if est.hits == 0:
             hw = 3.0 / m  # rule-of-three upper bound for an all-miss cell

@@ -33,7 +33,8 @@ from .matgroup import (
     elementary_generators,
 )
 
-DEFAULT_ENUM_BUDGET = 10_000_000
+ENUM_BUDGET = 10_000_000  # most elements an enumeration or closure may hold
+_SLICE_ROWS = 1 << 17  # most products a closure computes in one batch
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -159,18 +160,18 @@ class _Coded:
         radix = self._radices()
         return len(x) == len(radix) and all(0 <= e < r for e, r in zip(x, radix))
 
-    def element_codes(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """Sorted codes of all elements; raises when the order exceeds budget."""
+    def element_codes(self) -> np.ndarray:
+        """Sorted codes of all elements; raises when the order exceeds ENUM_BUDGET."""
         total = self.order()
-        if total > budget:
+        if total > ENUM_BUDGET:
             raise EnumerationUnavailable(
-                f"order {total} of quotient {self.label} exceeds budget {budget}")
+                f"order {total} of quotient {self.label} exceeds budget {ENUM_BUDGET}")
         return self._codes()
 
-    def enumerate_elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    def enumerate_elements(self) -> np.ndarray:
         """All elements in sorted order, one digit row each; raises when
-        the order exceeds budget."""
-        return self.decode(self.element_codes(budget))
+        the order exceeds ENUM_BUDGET."""
+        return self.decode(self.element_codes())
 
 
 @dataclass(frozen=True)
@@ -299,25 +300,38 @@ class AbelianQuotient(_Coded):
         return np.arange(self.order(), dtype=np.int64)
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes, sorted."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     """Sorted codes of the closure of the identity under right
     multiplication by gens, elements closed under inverses.
 
-    Level by level: each level is multiplied by every generator in one
-    batch. As gens is symmetric, the neighbours of level k lie in levels
-    k-1, k and k+1, so new elements are checked against the last two
-    levels only. Raises BudgetExceeded as soon as the closure would pass
-    budget elements.
+    Level by level: each level is multiplied by every generator in
+    batches of at most _SLICE_ROWS products, so the memory a level takes
+    stays in proportion to the codes it finds. As gens is symmetric, the
+    neighbours of level k lie in levels k-1, k and k+1, so new elements
+    are checked against the last two levels only. Raises BudgetExceeded
+    as soon as the closure would pass budget elements.
     """
     frontier = quotient.encode([quotient.identity()])
     gens = np.array(gens, dtype=frontier.dtype)
+    rows = max(1, _SLICE_ROWS // len(gens))
     levels, last, total = [frontier], frontier, 1
     while frontier.size:
-        cand = np.sort(quotient.encode(quotient.multiply_digits(quotient.decode(frontier), gens)))
-        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        for old in (last, frontier):
-            cand = cand[old[np.minimum(np.searchsorted(old, cand), old.size - 1)] != cand]
-        last, frontier = frontier, cand
+        new = []
+        for i in range(0, frontier.size, rows):
+            cand = _distinct(quotient.encode(
+                quotient.multiply_digits(quotient.decode(frontier[i:i + rows]), gens)))
+            for old in (last, frontier):
+                cand = cand[old[np.minimum(np.searchsorted(old, cand), old.size - 1)] != cand]
+            new.append(cand)
+        last, frontier = frontier, new[0] if len(new) == 1 else _distinct(np.concatenate(new))
         total += frontier.size
         if total > budget:
             raise BudgetExceeded(f"closure in {quotient.label} exceeded budget {budget}")
@@ -348,12 +362,12 @@ class ClosureReport:
         }
 
 
-def bfs_closure(A: GeneratorMultiset, quotient, budget: int = DEFAULT_ENUM_BUDGET) -> ClosureReport:
+def bfs_closure(A: GeneratorMultiset, quotient) -> ClosureReport:
     """Subgroup generated by the image of A: in a finite quotient the
     reachable set under right multiplication by A and its inverses."""
     gens = dict.fromkeys(quotient.reduce(h)
                          for g in A.support for h in (g, g.inverse()))
-    codes = _closure_codes(quotient, list(gens), budget)
+    codes = _closure_codes(quotient, list(gens), ENUM_BUDGET)
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 
 
@@ -369,8 +383,6 @@ def quotient_for(A: GeneratorMultiset, moduli: Sequence[int]):
     return AbelianQuotient(first.rank, moduli[0])
 
 
-def find_excluded_primes(A: GeneratorMultiset, primes: Sequence[int],
-                         budget: int = DEFAULT_ENUM_BUDGET) -> List[int]:
+def find_excluded_primes(A: GeneratorMultiset, primes: Sequence[int]) -> List[int]:
     """Primes in the list where the image of A fails to be the whole quotient."""
-    return [p for p in primes
-            if not bfs_closure(A, quotient_for(A, (p,)), budget).surjective]
+    return [p for p in primes if not bfs_closure(A, quotient_for(A, (p,))).surjective]

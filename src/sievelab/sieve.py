@@ -262,8 +262,7 @@ class AlphaEstimate:
 
 
 def estimate_alpha(oracle, schedule: PrimeSchedule, mode: str = "enumerate",
-                   budget: int = 10_000_000, samples: int = 100_000,
-                   seed: int = 0) -> AlphaEstimate:
+                   samples: int = 100_000, seed: int = 0) -> AlphaEstimate:
     """Worst-case residual density over the schedule, turned into alpha.
 
     Sampling mode is widened by the confidence half-width so alpha errs
@@ -273,8 +272,7 @@ def estimate_alpha(oracle, schedule: PrimeSchedule, mode: str = "enumerate",
     worst = None
     for p in schedule.primes:
         q = oracle.quotient_for_prime(p)
-        rep = residual(oracle, q, mode=mode, budget=budget,
-                       samples=samples, seed=seed)
+        rep = residual(oracle, q, mode=mode, samples=samples, seed=seed)
         d = rep.density
         if mode == "sample":
             d = min(1.0, d + rep.halfwidth)

@@ -49,7 +49,7 @@ class AdjacencySpectrum:
 
     def to_json_obj(self):
         return {
-            "modulus": self.quotient_label,
+            "quotient": self.quotient_label,
             "order": self.order,
             "a_size": self.a_size,
             "pi_1": self.pi_1,
@@ -60,7 +60,7 @@ class AdjacencySpectrum:
         }
 
 
-def walk_permutations(source, quotient, budget: int = 10_000_000):
+def walk_permutations(source, quotient):
     """The steps of a quotient walk as permutations of its element indices.
 
     source is a GeneratorMultiset (reduced here) or pre-reduced (element,
@@ -80,7 +80,7 @@ def walk_permutations(source, quotient, budget: int = 10_000_000):
         merged[r] = merged.get(r, 0) + int(m)
     if quotient.identity() not in merged:
         raise MissingIdentity("reduced multiset must contain the identity")
-    codes = quotient.element_codes(budget)
+    codes = quotient.element_codes()
     translate = _translations(quotient, codes)
     maps = [(translate(g), m) for g, m in merged.items()]
     # x -> x g sends the identity e to g, and g^-1 to e
@@ -168,14 +168,14 @@ def _power_top(matvec, dim: int, deflate: np.ndarray):
         f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
 
 
-def second_eigenvalue(source, quotient, budget: int = 10_000_000) -> AdjacencySpectrum:
+def second_eigenvalue(source, quotient) -> AdjacencySpectrum:
     """pi_1, pi_min, pi_star of the walk operator on the quotient.
 
     source is as for walk_permutations. A dense spectrum is exact up to
     rounding (residual 0.0); an iterative one reports a residual that
     bounds the distance of pi_1 and of pi_min to eigenvalues of P.
     """
-    codes, a_size, maps = walk_permutations(source, quotient, budget)
+    codes, a_size, maps = walk_permutations(source, quotient)
     ell = len(codes)
     maps = [(perm, m / a_size) for perm, m in maps]
     if ell < 2:
@@ -242,8 +242,7 @@ def mixing_bound_squared(order: int, a_size: int, n: int) -> Fraction:
     return order * mixing_rate(order, a_size) ** (2 * n)
 
 
-def exact_deviation_sweep(source, quotient, grid: Sequence[int],
-                          budget: int = 10_000_000) -> Dict[int, Fraction]:
+def exact_deviation_sweep(source, quotient, grid: Sequence[int]) -> Dict[int, Fraction]:
     """max_g |P(omega_n = g) - 1/|G|| exactly, for each n in the grid.
 
     Convolves integer path counts over the element indices of the
@@ -253,7 +252,7 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int],
     grid = sorted(set(grid))
     if not grid or grid[0] < 0:
         raise DomainError("grid must be non-empty with n >= 0")
-    codes, a_size, maps = walk_permutations(source, quotient, budget)
+    codes, a_size, maps = walk_permutations(source, quotient)
     ell = len(codes)
     out_keys = set(grid)
     out: Dict[int, Fraction] = {}
@@ -270,7 +269,7 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int],
 
     steps = [(perm.tolist(), m) for perm, m in maps]
     convolve_counts(_index(quotient, codes, quotient.identity()), steps, grid[-1],
-                    lambda x, perm: perm[x], budget, on_snapshot=snap)
+                    lambda x, perm: perm[x], on_snapshot=snap)
     return out
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gfpoly, prng
+from . import gfpoly, prng, quotients
 from .errors import (
     ArityMismatch,
     DegreeUnsupported,
@@ -42,7 +42,6 @@ from .matgroup import (
     _det_bareiss,
 )
 from .quotients import (
-    DEFAULT_ENUM_BUDGET,
     AbelianQuotient,
     MatrixQuotient,
     PrimeSchedule,
@@ -268,10 +267,6 @@ class _CharpolyOracle:
         if dimension < 2:
             raise DomainError("dimension must be at least 2")
         self.dimension = dimension
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind.lower()}(dim={self.dimension})"
 
     def quotient_for_prime(self, p: int) -> MatrixQuotient:
         return MatrixQuotient(self.dimension, (p,))
@@ -506,10 +501,6 @@ class ProperPowerOracle:
     def kind(self) -> str:
         return f"{self.kind_base}({self.k})"
 
-    @property
-    def name(self) -> str:
-        return f"proper_power(k={self.k})"
-
     def quotient_for_prime(self, p: int):
         if self.generators is None:
             raise DomainError("proper_power needs generators to build quotients")
@@ -582,7 +573,7 @@ class ProperPowerOracle:
         skipped = []
         for p in self.schedule.primes:
             quotient = MatrixQuotient(g.dimension, (p,))
-            if quotient.order() > DEFAULT_ENUM_BUDGET:
+            if quotient.order() > quotients.ENUM_BUDGET:
                 skipped.append(str(p))
             elif not self.residual_mask(np.array([quotient.reduce(g)]), quotient)[0]:
                 return OracleVerdict(OUT, {
@@ -748,10 +739,6 @@ class SubvarietyOracle:
         else:
             self.dimension = None
 
-    @property
-    def name(self) -> str:
-        return f"subvariety(arity={self.arity}, polys={len(self.polys)})"
-
     def quotient_for_prime(self, p: int):
         if self.domain == "matrix":
             return MatrixQuotient(self.dimension, (p,))
@@ -816,10 +803,6 @@ class TorusSquaresOracle:
         if rank < 1:
             raise DomainError("rank must be at least 1")
         self.rank = rank
-
-    @property
-    def name(self) -> str:
-        return f"torus_squares(rank={self.rank})"
 
     def quotient_for_prime(self, p: int) -> AbelianQuotient:
         return AbelianQuotient(self.rank, p)
@@ -929,8 +912,7 @@ def sample_element(quotient, seed: int, trial: int):
                  for e in _sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial))
 
 
-def residual(oracle, quotient, mode: str = "enumerate",
-             budget: int = 10_000_000, samples: int = 100_000,
+def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
              seed: int = 0) -> ResidualReport:
     """Residual-set size and density, exactly or by uniform sampling, with
     every element decided in one residual_mask call."""
@@ -938,7 +920,7 @@ def residual(oracle, quotient, mode: str = "enumerate",
         raise DomainError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and samples < 1:
         raise DomainError("samples must be positive")
-    rows = (quotient.enumerate_elements(budget) if mode == "enumerate" else
+    rows = (quotient.enumerate_elements() if mode == "enumerate" else
             np.array([sample_element(quotient, seed, trial) for trial in range(samples)],
                      dtype=quotient.dtype))
     hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))

@@ -20,7 +20,7 @@ from . import prng
 from .errors import BudgetExceeded, DomainError, UndecidedMembership, UnknownRateExceeded
 from .matgroup import AbelianElement, GeneratorMultiset, GroupElement, z_generators
 
-DEFAULT_EXACT_BUDGET = 5_000_000
+EXACT_BUDGET = 5_000_000  # most distinct states an exact convolution step may hold
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,10 @@ class WalkConfig:
     n: int
     m: int = 1
     seed: int = 0
-    exact_budget: int = DEFAULT_EXACT_BUDGET
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1 or self.exact_budget < 1:
-            raise DomainError("need n >= 0, m >= 1, exact_budget >= 1")
+        if self.n < 0 or self.m < 1:
+            raise DomainError("need n >= 0, m >= 1")
 
 
 def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
@@ -57,12 +56,12 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 # ----- exact distributions -----
 
 def convolve_counts(identity, step_pairs, n: int, compose: Callable,
-                    budget: int = DEFAULT_EXACT_BUDGET,
                     on_snapshot: Optional[Callable] = None) -> Dict:
     """Integer path counts of the walk law after each of n steps.
 
     step_pairs is a sequence of (element, multiplicity). on_snapshot(k,
     counts) fires after step k when given (counts must not be mutated).
+    Raises BudgetExceeded as soon as a step passes EXACT_BUDGET states.
     """
     counts = {identity: 1}
     if on_snapshot:
@@ -73,8 +72,8 @@ def convolve_counts(identity, step_pairs, n: int, compose: Callable,
             for g, mult in step_pairs:
                 t = compose(state, g)
                 nxt[t] = nxt.get(t, 0) + c * mult
-        if len(nxt) > budget:
-            raise BudgetExceeded(f"distinct states {len(nxt)} exceed budget {budget}")
+            if len(nxt) > EXACT_BUDGET:
+                raise BudgetExceeded(f"distinct states {len(nxt)} exceed budget {EXACT_BUDGET}")
         counts = nxt
         if on_snapshot:
             on_snapshot(k, counts)
@@ -100,9 +99,6 @@ class WalkDistribution:
         total = self.a_size ** self.n
         return {e: Fraction(c, total) for e, c in self.counts}
 
-    def support(self) -> Tuple[GroupElement, ...]:
-        return tuple(e for e, _ in self.counts)
-
     def to_json_obj(self):
         total = self.a_size ** self.n
         return [
@@ -111,16 +107,14 @@ class WalkDistribution:
         ]
 
 
-def exact_distribution(A: GeneratorMultiset, n: int,
-                       budget: int = DEFAULT_EXACT_BUDGET) -> WalkDistribution:
+def exact_distribution(A: GeneratorMultiset, n: int) -> WalkDistribution:
     """Exact convolution of n uniform steps from A."""
     identity = A.identity_element()
-    counts = convolve_counts(identity, A.pairs, n, lambda a, b: a * b, budget)
+    counts = convolve_counts(identity, A.pairs, n, lambda a, b: a * b)
     return WalkDistribution(tuple(counts.items()), A.size, n)
 
 
-def hit_probability_exact(A: GeneratorMultiset, n: int, oracle,
-                          budget: int = DEFAULT_EXACT_BUDGET) -> Fraction:
+def hit_probability_exact(A: GeneratorMultiset, n: int, oracle) -> Fraction:
     """P(omega_n in Z) as an exact rational; errors on UNKNOWN verdicts.
 
     The walk on the integers with steps {0, +1, -1} takes the dense line
@@ -132,7 +126,7 @@ def hit_probability_exact(A: GeneratorMultiset, n: int, oracle,
             pass  # keep the counts after n steps
         counts = [(AbelianElement((x,)), c) for x, c in enumerate(line, -n)]
     else:
-        counts = exact_distribution(A, n, budget).counts
+        counts = exact_distribution(A, n).counts
     hit = 0
     for e, c in counts:
         v = oracle.global_verdict(e)

@@ -8,7 +8,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p
 
 from sievelab import prng
-from sievelab.matgroup import MatrixElement, elementary_generators, sl2_st_generators
 
 _X = Symbol("x")
 
@@ -75,38 +74,12 @@ def brute_cycle_pattern(coeffs, p):
     return degs
 
 
-def sl2_walk_elements(count, seed, length=14):
-    """Endpoints of independent S/T walks; deterministic in seed."""
-    table = sl2_st_generators().draw_table()
+def walk_elements(generators, count, seed, length):
+    """Endpoints of independent walks of the given length; deterministic in seed."""
+    table = generators.draw_table()
     out = []
     for trial in range(count):
-        g = MatrixElement.identity(2)
-        for idx in prng.draw_indices(seed, trial, length, len(table)):
-            step = table[idx]
-            if not step.is_identity():
-                g = g * step
-        out.append(g)
-    return out
-
-
-def sl3_walk_elements(count, seed, length=14):
-    table = elementary_generators(3).draw_table()
-    out = []
-    for trial in range(count):
-        g = MatrixElement.identity(3)
-        for idx in prng.draw_indices(seed, trial, length, len(table)):
-            step = table[idx]
-            if not step.is_identity():
-                g = g * step
-        out.append(g)
-    return out
-
-
-def sl4_walk_elements(count, seed, length=12):
-    table = elementary_generators(4).draw_table()
-    out = []
-    for trial in range(count):
-        g = MatrixElement.identity(4)
+        g = generators.identity_element()
         for idx in prng.draw_indices(seed, trial, length, len(table)):
             step = table[idx]
             if not step.is_identity():

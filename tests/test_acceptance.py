@@ -23,8 +23,7 @@ from helpers import (
     brute_charpoly,
     brute_irreducible_witness_mod_p,
     brute_nongeneric,
-    sl2_walk_elements,
-    sl3_walk_elements,
+    walk_elements,
 )
 from sievelab import lab, sieve
 from sievelab.matgroup import (
@@ -217,7 +216,7 @@ def test_criterion_07_sieve_formula_exactness(capsys):
 
 def test_criterion_08_galois_oracle_equivalence(capsys):
     oracle = NongenericGaloisOracle(2)
-    els = sl2_walk_elements(10_000, seed=20260816)
+    els = walk_elements(sl2_st_generators(), 10_000, seed=20260816, length=14)
     disagreements = 0
     checks = 0
     for g in els:
@@ -295,8 +294,8 @@ def _has_eigenvalue_pm1(g, dim):
 
 def test_criterion_09_fixed_flag_oracle(capsys):
     disagreements = 0
-    for dim, els in ((2, sl2_walk_elements(6_000, seed=99)),
-                     (3, sl3_walk_elements(4_000, seed=98))):
+    for dim, els in ((2, walk_elements(sl2_st_generators(), 6_000, seed=99, length=14)),
+                     (3, walk_elements(elementary_generators(3), 4_000, seed=98, length=14))):
         oracle = RationalFixedFlagOracle(dim)
         for g in els:
             brute = _has_eigenvalue_pm1(g, dim)

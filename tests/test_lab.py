@@ -1,5 +1,6 @@
 """Scenario registry, experiment driver, decay classification."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from sievelab import lab, walker
 from sievelab.errors import DomainError, InsufficientData
 from sievelab.matgroup import (
     AbelianElement,
+    elementary_generators,
     sl2_st_generators,
     validate_generators,
     z_generators,
@@ -16,6 +18,7 @@ from sievelab.matgroup import (
 from sievelab.thinsets import (
     EntryPolynomial,
     NongenericGaloisOracle,
+    RationalFixedFlagOracle,
     SubvarietyOracle,
     TorusSquaresOracle,
     coordinate_polynomial,
@@ -188,10 +191,33 @@ def test_theory_bound_floors_at_density():
     assert lab.theory_bound(s, 32) >= near
 
 
-def test_theory_bound_is_cached():
+def test_theory_bound_is_cached(monkeypatch):
+    calls = []
+    solve = lab.second_eigenvalue
+    monkeypatch.setattr(lab, "_BOUND_CACHE", {})
+    monkeypatch.setattr(lab, "second_eigenvalue", lambda *a: calls.append(a) or solve(*a))
     s = lab.get_scenario("sl2_trace")
     lab.theory_bound(s, 8)
-    assert ("sl2_trace", 7) in lab._BOUND_CACHE
+    lab.theory_bound(s, 256)
+    # a subclass clone of the oracle, as a tracing proxy is, shares the entry
+    cls = type("Proxy", (type(s.oracle),), {})
+    proxy = cls.__new__(cls)
+    proxy.__dict__.update(s.oracle.__dict__)
+    lab.theory_bound(dataclasses.replace(s, oracle=proxy), 8)
+    assert len(calls) == 1
+
+
+def test_theory_bound_does_not_depend_on_the_scenario_name(monkeypatch):
+    monkeypatch.setattr(lab, "_BOUND_CACHE", {})
+    flag = dict(group="sl2", generators=elementary_generators(2),
+                oracle=RationalFixedFlagOracle(2), regime="exponential",
+                description="fixed flag under the elementary walk",
+                bound_spec=("single_prime", 7))
+    # the built-in's bound is cached first, then a scenario takes its name
+    lab.theory_bound(lab.get_scenario("sl2_trace"), 64)
+    named = lab.theory_bound(lab.Scenario(name="sl2_trace", **flag), 64)
+    fresh = lab.theory_bound(lab.Scenario(name="fresh", **flag), 64)
+    assert named == fresh and abs(fresh - 0.90958) < 1e-5
 
 
 # ----- run_experiment -----

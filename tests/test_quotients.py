@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from itertools import product
 from pathlib import Path
@@ -163,10 +164,11 @@ def test_enumerate_sl3():
     assert len(els) == 5616
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     q = MatrixQuotient(2, (101,))
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 1000)
     try:
-        q.enumerate_elements(budget=1000)
+        q.enumerate_elements()
         assert False
     except EnumerationUnavailable:
         pass
@@ -217,10 +219,11 @@ def test_bfs_closure_abelian():
     assert rep.surjective
 
 
-def test_bfs_closure_budget():
+def test_bfs_closure_budget(monkeypatch):
     A = sl2_st_generators()
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 10)
     try:
-        bfs_closure(A, MatrixQuotient(2, (11,)), budget=10)
+        bfs_closure(A, MatrixQuotient(2, (11,)))
         assert False
     except BudgetExceeded:
         pass
@@ -322,14 +325,18 @@ def test_enumeration_check_survives_optimized_mode():
     assert out.stdout.split() == ["typed", "False"]
 
 
-def test_bfs_closure_budget_boundary():
+def test_bfs_closure_budget_boundary(monkeypatch):
     A = sl2_st_generators()
-    assert bfs_closure(A, MatrixQuotient(2, (5,)), budget=120).size == 120
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 120)
+    assert bfs_closure(A, MatrixQuotient(2, (5,))).size == 120
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 119)
     with pytest.raises(BudgetExceeded):
-        bfs_closure(A, MatrixQuotient(2, (5,)), budget=119)
-    assert bfs_closure(z_generators(), AbelianQuotient(1, 7), budget=7).size == 7
+        bfs_closure(A, MatrixQuotient(2, (5,)))
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 7)
+    assert bfs_closure(z_generators(), AbelianQuotient(1, 7)).size == 7
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 6)
     with pytest.raises(BudgetExceeded):
-        bfs_closure(z_generators(), AbelianQuotient(1, 7), budget=6)
+        bfs_closure(z_generators(), AbelianQuotient(1, 7))
 
 
 def test_closure_exact_past_int64_codes():
@@ -352,7 +359,38 @@ def test_closure_exact_past_int64_codes():
     assert tuple(q.decode(codes)[0].tolist()) == x
 
 
-def test_closure_long_diameter_and_unsymmetric_generators():
+def _closure(A, q):
+    gens = dict.fromkeys(q.reduce(h) for g in A.support for h in (g, g.inverse()))
+    return quotients._closure_codes(q, list(gens), quotients.ENUM_BUDGET)
+
+
+def test_closure_slices_leave_closures_unchanged(monkeypatch):
+    cases = [(sl2_st_generators(), MatrixQuotient(2, (3, 5))),
+             (elementary_generators(3), MatrixQuotient(3, (3,))),
+             (z_generators(), AbelianQuotient(1, 7))]
+    whole = [_closure(A, q) for A, q in cases]
+    # 1 to 6 rows per batch: 13, 5 and 3 generators
+    monkeypatch.setattr(quotients, "_SLICE_ROWS", 20)
+    for (A, q), want in zip(cases, whole):
+        assert np.array_equal(_closure(A, q), want)
+    assert [w.size for w in whole] == [2880, 5616, 7]
+
+
+def test_closure_memory_stays_bounded_past_the_budget(monkeypatch):
+    # multiplying a whole level of SL_3(F_3) x SL_3(F_5) by its 13
+    # generators at once peaked at about 1.2 KiB per budget element
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 400_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            bfs_closure(elementary_generators(3), MatrixQuotient(3, (3, 5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
+
+
+def test_closure_long_diameter_and_unsymmetric_generators(monkeypatch):
     # <T> mod p is the unipotent group of order p; its Cayley graph is a
     # p-cycle, so the level-by-level BFS runs (p + 1) / 2 levels
     I = MatrixElement.identity(2)
@@ -363,5 +401,7 @@ def test_closure_long_diameter_and_unsymmetric_generators():
     assert bfs_closure(z_generators(), AbelianQuotient(1, 10007)).size == 10007
     # without its inverses, T still generates <T> in a finite quotient
     one_way = GeneratorMultiset(((I, 1), (T, 1)))
-    assert bfs_closure(one_way, MatrixQuotient(2, (p,)), budget=p).size == p
-    assert bfs_closure(one_way, MatrixQuotient(2, (3, p)), budget=3 * p).size == 3 * p
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", p)
+    assert bfs_closure(one_way, MatrixQuotient(2, (p,))).size == p
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 3 * p)
+    assert bfs_closure(one_way, MatrixQuotient(2, (3, p))).size == 3 * p

@@ -215,7 +215,7 @@ def test_spectrum_csv_format():
 ])
 def test_neighbor_permutations_match_multiply(quotient, A):
     els = elements(quotient)
-    codes, a_size, maps = spectra.walk_permutations(A, quotient, 10 ** 6)
+    codes, a_size, maps = spectra.walk_permutations(A, quotient)
     ell = len(codes)
     assert ell == len(els) == quotient.order()
     merged = {}
@@ -235,7 +235,7 @@ def test_neighbor_permutations_match_multiply(quotient, A):
 def test_folded_spectrum_equals_unfolded(moduli):
     q = MatrixQuotient(2, moduli)
     A = sl2_st_generators()
-    codes, a_size, maps = spectra.walk_permutations(A, q, 10 ** 6)
+    codes, a_size, maps = spectra.walk_permutations(A, q)
     ell = len(codes)
     maps = [(perm, m / a_size) for perm, m in maps]
     P = np.zeros((ell, ell))
@@ -289,7 +289,7 @@ def test_iterative_residual_is_a_two_norm_bound(quotient, A, monkeypatch):
 
 
 def _walk_matrix(quotient, A):
-    codes, a_size, maps = spectra.walk_permutations(A, quotient, 10 ** 6)
+    codes, a_size, maps = spectra.walk_permutations(A, quotient)
     P = np.zeros((len(codes), len(codes)))
     for perm, m in maps:
         P[np.arange(len(codes)), perm] += m / a_size

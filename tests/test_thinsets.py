@@ -12,10 +12,8 @@ from helpers import (
     brute_reducible,
     elements,
     residual_contains,
-    sl2_walk_elements,
-    sl3_walk_elements,
-    sl4_walk_elements,
     to_poly,
+    walk_elements,
 )
 from sievelab import prng
 from sievelab.errors import ArityMismatch, DegreeUnsupported, DomainError, InseparableResidue
@@ -23,6 +21,7 @@ from sievelab.matgroup import (
     AbelianElement,
     MatrixElement,
     charpoly_coefficients,
+    elementary_generators,
     sl2_st_generators,
     z_generators,
 )
@@ -287,7 +286,8 @@ def test_fixed_flag_negative_identity():
 
 def test_fixed_flag_vector_is_eigenvector():
     seen_in = 0
-    for g in sl2_walk_elements(120, seed=3) + sl3_walk_elements(80, seed=4):
+    for g in (walk_elements(sl2_st_generators(), 120, seed=3, length=14)
+              + walk_elements(elementary_generators(3), 80, seed=4, length=14)):
         v = rational_fixed_flag(g)
         if v.status != IN:
             continue
@@ -304,7 +304,8 @@ def test_fixed_flag_vector_is_eigenvector():
 
 def test_fixed_flag_iff_linear_factor():
     # (X -+ 1) divides the characteristic polynomial exactly on IN
-    for g in sl2_walk_elements(150, seed=5) + sl3_walk_elements(150, seed=6):
+    for g in (walk_elements(sl2_st_generators(), 150, seed=5, length=14)
+              + walk_elements(elementary_generators(3), 150, seed=6, length=14)):
         coeffs = charpoly_coefficients(g.flat(), g.dimension)
         poly = to_poly(coeffs)
         has_flag = poly.eval(1) == 0 or poly.eval(-1) == 0
@@ -425,7 +426,7 @@ def test_subvariety_trace_shift():
 
 def test_subvariety_zero_polynomial_always_in():
     poly = zero_polynomial(4)
-    for g in sl2_walk_elements(25, seed=9):
+    for g in walk_elements(sl2_st_generators(), 25, seed=9, length=14):
         assert subvariety(g, [poly]).status == IN
 
 
@@ -751,8 +752,8 @@ def test_proper_power_sets_are_kept_per_group_not_per_label():
 
 def test_residual_compatibility_matrix_oracles():
     # a global IN lands in the residual set of every prime quotient
-    sl2 = sl2_walk_elements(400, seed=21)
-    sl3 = sl3_walk_elements(200, seed=22, length=10)
+    sl2 = walk_elements(sl2_st_generators(), 400, seed=21, length=14)
+    sl3 = walk_elements(elementary_generators(3), 200, seed=22, length=10)
     oracles2 = (ReducibleCharpolyOracle(2), NongenericGaloisOracle(2),
                 RationalFixedFlagOracle(2),
                 SubvarietyOracle([trace_polynomial(2, shift=2)]))
@@ -788,7 +789,7 @@ def test_triple_coincidence_on_walks():
     red = ReducibleCharpolyOracle(2)
     gal = NongenericGaloisOracle(2)
     flag = RationalFixedFlagOracle(2)
-    elems = sl2_walk_elements(10_000, seed=23)
+    elems = walk_elements(sl2_st_generators(), 10_000, seed=23, length=14)
     for g in elems:
         flat = g.flat()
         hit = g.trace() in (-2, 2)
@@ -804,8 +805,8 @@ def test_triple_coincidence_on_walks():
 
 def test_brute_force_galois_agreement():
     # sympy factorization + discriminant against the exact verdicts
-    for dim, elems in ((2, sl2_walk_elements(300, seed=31)),
-                       (3, sl3_walk_elements(300, seed=32, length=10))):
+    for dim, elems in ((2, walk_elements(sl2_st_generators(), 300, seed=31, length=14)),
+                       (3, walk_elements(elementary_generators(3), 300, seed=32, length=10))):
         red = ReducibleCharpolyOracle(dim)
         gal = NongenericGaloisOracle(dim)
         for g in elems:
@@ -821,7 +822,7 @@ def test_brute_force_galois_agreement():
 def test_quartic_galois_brute_agreement():
     # degree 4: OUT must mean full S4, IN must mean reducible
     seen = {IN: 0, OUT: 0, UNKNOWN: 0}
-    for g in sl4_walk_elements(60, seed=33, length=8):
+    for g in walk_elements(elementary_generators(4), 60, seed=33, length=8):
         v = generic_galois(g)
         seen[v.status] += 1
         coeffs = charpoly_coefficients(g.flat(), 4)
@@ -839,7 +840,7 @@ def test_hit_raw_matches_global_verdict():
     red = ReducibleCharpolyOracle(3)
     gal = NongenericGaloisOracle(3)
     flag = RationalFixedFlagOracle(3)
-    for g in sl3_walk_elements(150, seed=41, length=10):
+    for g in walk_elements(elementary_generators(3), 150, seed=41, length=10):
         flat = g.flat()
         assert red.hit_raw(flat) == (red.global_verdict(g).status == IN)
         assert flag.hit_raw(flat) == (flag.global_verdict(g).status == IN)
@@ -847,7 +848,7 @@ def test_hit_raw_matches_global_verdict():
     # past dimension 3 hit_raw takes the coefficient route of global_verdict
     red, flag = ReducibleCharpolyOracle(4), RationalFixedFlagOracle(4)
     seen = set()
-    for g in sl4_walk_elements(60, seed=42, length=8):
+    for g in walk_elements(elementary_generators(4), 60, seed=42, length=8):
         flat = list(g.flat())
         for oracle in (red, flag):
             status = oracle.global_verdict(g).status

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from sievelab import lab
+from sievelab import lab, walker
 from sievelab.errors import (
     BudgetExceeded,
     DomainError,
@@ -133,9 +134,20 @@ def test_exact_origin_scan_matches_trinomial_and_convolution():
         assert scan[n] == d.probability(AbelianElement((0,)))
 
 
-def test_exact_budget():
+def test_convolution_checks_the_budget_per_source_state(monkeypatch):
+    # every compose makes a new state, so step k holds 3^k states and
+    # step 5 (243 states) is the first past the budget
+    monkeypatch.setattr(walker, "EXACT_BUDGET", 100)
+    calls = itertools.count()
+    with pytest.raises(BudgetExceeded):
+        walker.convolve_counts(0, [(None, 1)] * 3, 8, lambda x, g: next(calls))
+    assert next(calls) - (3 + 9 + 27 + 81) <= 100 + 3
+
+
+def test_exact_budget(monkeypatch):
+    monkeypatch.setattr(walker, "EXACT_BUDGET", 100)
     try:
-        exact_distribution(sl2_st_generators(), 12, budget=100)
+        exact_distribution(sl2_st_generators(), 12)
         assert False
     except BudgetExceeded:
         pass
