@@ -24,9 +24,7 @@ from .errors import (
 from .matgroup import (
     AbelianElement,
     GeneratorMultiset,
-    IntPolynomial,
     MatrixElement,
-    char_poly,
     charpoly_coefficients,
     compose,
     elementary_generators,
@@ -39,9 +37,7 @@ from .quotients import (
     AbelianQuotient,
     ClosureReport,
     MatrixQuotient,
-    PrimeSchedule,
     bfs_closure,
-    find_excluded_primes,
     group_order,
     is_prime,
     prime_schedule,
@@ -53,7 +49,6 @@ from .walker import (
     exact_distribution,
     exact_origin_scan_z,
     hit_probability_exact,
-    hit_probability_mc,
     mc_sweep,
     run_walk,
 )
@@ -78,22 +73,14 @@ from .thinsets import (
     SubvarietyOracle,
     TorusSquaresOracle,
     coordinate_polynomial,
-    generic_galois,
-    proper_power,
-    rational_fixed_flag,
-    reducible_charpoly,
     residual,
-    subvariety,
     trace_polynomial,
-    zero_polynomial,
 )
 from .sieve import (
     AlphaEstimate,
     SieveBound,
-    SievePlan,
     chebyshev_bound,
     estimate_alpha,
-    exponential_bound,
     intersection_bound,
     pairwise_delta,
     plan_for_n,
@@ -107,7 +94,6 @@ from .lab import (
     ExperimentRow,
     ExperimentTable,
     Scenario,
-    describe,
     exact_probability,
     fit_decay,
     get_scenario,

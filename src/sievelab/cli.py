@@ -190,11 +190,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     if args.describe is not None:
-        _emit(_json_text(lab.describe(args.describe)), args.out)
+        _emit(_json_text(lab.get_scenario(args.describe).to_json_obj()), args.out)
         return 0
     if args.format == "json":
         obj = {"schema_version": SCHEMA_VERSION,
-               "scenarios": [lab.describe(name) for name in lab.list_scenarios()]}
+               "scenarios": [lab.get_scenario(name).to_json_obj()
+                             for name in lab.list_scenarios()]}
         _emit(_json_text(obj), args.out)
         return 0
     lines = []
@@ -205,12 +206,16 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
-def _add_common(p, trials_default=10000):
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--trials", type=int, default=trials_default,
-                   help="Monte Carlo trial count")
+def _add_common(p, trials_default=None, formats=False):
+    """--out, plus --seed and --trials when the command draws samples,
+    and --format when it can write CSV as well as JSON."""
+    if trials_default is not None:
+        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+        p.add_argument("--trials", type=int, default=trials_default,
+                       help="Monte Carlo trial count")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _prime_arg(text: str) -> int:
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--prime", type=_prime_arg, required=True)
     p.add_argument("--prime2", type=_prime_arg, default=None)
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("closure", help="subgroup generated in a finite quotient")
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", default="geometric:16:1048576")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("experiment", help="Monte Carlo sweep of a scenario")
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="geometric:4:256",
                    help="comma list or geometric:start:stop")
     p.add_argument("--mode", choices=("mc", "exact"), default="mc")
-    _add_common(p)
+    _add_common(p, trials_default=10000, formats=True)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("fit", help="fit a decay model to an experiment CSV")
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenarios", help="list or describe built-in scenarios")
     p.add_argument("--describe", default=None, metavar="NAME")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_scenarios)
 
     return top

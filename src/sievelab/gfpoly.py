@@ -1,9 +1,8 @@
 """Polynomials over F_p as coefficient lists, constant term first.
 
 The zero polynomial is the empty list; nonzero polynomials carry no
-trailing zeros. Enough arithmetic for squarefreeness, root counting and
-distinct-degree factorization, which is what the Frobenius cycle-type
-sampling needs.
+trailing zeros. Enough arithmetic for squarefreeness and distinct-degree
+factorization, which is what the Frobenius cycle-type sampling needs.
 """
 
 
@@ -102,13 +101,6 @@ def is_squarefree(f, p):
     if not d:
         return degree(f) <= 0
     return degree(gcd(f, d, p)) == 0
-
-
-def count_roots(f, p):
-    """Number of distinct roots in F_p: deg gcd(X^p - X, f)."""
-    x = [0, 1]
-    xp = powmod(x, p, f, p)
-    return degree(gcd(sub(xp, x, p), f, p)) if f else 0
 
 
 def degree_pattern(f, p):

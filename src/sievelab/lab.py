@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sieve, walker
-from .errors import DomainError, InsufficientData
+from .errors import DomainError, InsufficientData, UnknownRateExceeded
 from .matgroup import (
     GeneratorMultiset,
     elementary_generators,
@@ -25,7 +25,7 @@ from .matgroup import (
     torus_generators,
     z_generators,
 )
-from .quotients import AbelianQuotient, PrimeSchedule, is_prime, prime_schedule
+from .quotients import AbelianQuotient, is_prime, prime_schedule
 from .spectra import second_eigenvalue, walk_permutations
 from .thinsets import (
     NongenericGaloisOracle,
@@ -62,7 +62,7 @@ class Scenario:
     oracle: object
     regime: str
     description: str
-    schedule: Optional[PrimeSchedule] = None
+    schedule: Optional[Tuple[int, ...]] = None
     # ("single_prime", p): density by enumeration mod p plus measured
     # spectral tail; None: no theory bound configured.
     bound_spec: Optional[tuple] = None
@@ -101,8 +101,7 @@ class Scenario:
             "oracle": self.oracle.to_json_obj(),
             "thin_set": self.description,
             "regime": self.regime,
-            "schedule": (list(self.schedule.primes)
-                         if self.schedule is not None else None),
+            "schedule": list(self.schedule) if self.schedule is not None else None,
             "theory_bound": (
                 {"kind": self.bound_spec[0], "prime": self.bound_spec[1]}
                 if self.bound_spec is not None else None),
@@ -191,10 +190,6 @@ def get_scenario(name: str) -> Scenario:
     return s
 
 
-def describe(name: str) -> dict:
-    return get_scenario(name).to_json_obj()
-
-
 # ----- theory bounds -----
 
 _BOUND_CACHE: Dict[tuple, Tuple[int, float, float]] = {}
@@ -220,8 +215,7 @@ def theory_bound(scenario: Scenario, n: int) -> Optional[float]:
     if scenario.bound_spec is None:
         return None
     order, density, rate = _single_prime_inputs(scenario, scenario.bound_spec[1])
-    return sieve.single_prime_bound(order, density, scenario.generators.size,
-                                    n, pi_star=rate)
+    return sieve.single_prime_bound(order, density, n, pi_star=rate)
 
 
 # ----- experiment driver -----
@@ -308,9 +302,11 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
         raise DomainError("mode must be 'mc' or 'exact'")
     if m < 1:
         raise DomainError("m must be positive")
-    estimates = walker.mc_sweep(scenario.generators, scenario.oracle, grid, m,
-                                seed, unknown_cap=UNKNOWN_CAP)
+    estimates = walker.mc_sweep(scenario.generators, scenario.oracle, grid, m, seed)
     for est in estimates:
+        if est.unknown_rate > UNKNOWN_CAP:
+            raise UnknownRateExceeded(
+                f"UNKNOWN rate {est.unknown_rate:.3g} at n={est.n} above cap {UNKNOWN_CAP}")
         if est.hits == 0:
             hw = 3.0 / m  # rule-of-three upper bound for an all-miss cell
         else:

@@ -1,9 +1,10 @@
 """Exact arithmetic for the ambient groups.
 
-Three element kinds: integer matrices with determinant 1 (the SL_n walks),
-integer exponent vectors (the additive demo Z and the rank-2 multiplicative
-lattice), and monic integer polynomials (characteristic polynomials).
-Everything is immutable and arbitrary precision; no rounding ever occurs.
+Two element kinds: integer matrices with determinant 1 (the SL_n walks)
+and integer exponent vectors (the additive demo Z and the rank-2
+multiplicative lattice); characteristic polynomials are coefficient
+tuples. Everything is immutable and arbitrary precision; no rounding
+ever occurs.
 """
 
 from __future__ import annotations
@@ -56,37 +57,6 @@ def discriminant(coeffs: Sequence[int]) -> int:
         d, c, b, _ = coeffs
         return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
     raise DegreeUnsupported("discriminant implemented for degrees 2 and 3")
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Monic integer polynomial; coefficients stored constant term first."""
-
-    coefficients: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) < 1 or self.coefficients[-1] != 1:
-            raise DomainError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def discriminant(self) -> int:
-        return discriminant(self.coefficients)
-
-    def to_json_obj(self):
-        return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_json_obj(cls, arr) -> "IntPolynomial":
-        return cls(tuple(int(s) for s in arr))
 
 
 @dataclass(frozen=True)
@@ -146,14 +116,6 @@ class MatrixElement:
     def to_json_obj(self):
         return [str(x) for x in self.flat()]
 
-    @classmethod
-    def from_json_obj(cls, arr) -> "MatrixElement":
-        vals = [int(s) for s in arr]
-        n = round(len(vals) ** 0.5)
-        if n * n != len(vals):
-            raise DimensionMismatch("entry count is not a perfect square")
-        return cls(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class AbelianElement:
@@ -183,10 +145,6 @@ class AbelianElement:
 
     def to_json_obj(self):
         return [str(x) for x in self.exponents]
-
-    @classmethod
-    def from_json_obj(cls, arr) -> "AbelianElement":
-        return cls(tuple(int(s) for s in arr))
 
 
 GroupElement = Union[MatrixElement, AbelianElement]
@@ -237,11 +195,6 @@ def charpoly_coefficients(flat: Sequence[int], dimension: int) -> Tuple[int, ...
         c = q
         coeffs_desc.append(c)
     return tuple(reversed(coeffs_desc))
-
-
-def char_poly(g: MatrixElement) -> IntPolynomial:
-    """det(X*I - g) as a monic integer polynomial."""
-    return IntPolynomial(charpoly_coefficients(g.flat(), g.dimension))
 
 
 @dataclass(frozen=True)

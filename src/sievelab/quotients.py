@@ -12,7 +12,7 @@ codes number them in sorted order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
@@ -29,7 +29,6 @@ from .matgroup import (
     AbelianElement,
     GeneratorMultiset,
     MatrixElement,
-    _det_bareiss,
     elementary_generators,
 )
 
@@ -77,41 +76,7 @@ def group_order(dimension: int, modulus: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class PrimeSchedule:
-    """First t primes of norm >= min_norm, with a growth sanity flag.
-
-    growth_ok[i] checks p_{i+1} <= growth_constant * (i+1)^2, the shape
-    of schedule the sieve analysis expects; a False is reported, not
-    fatal, since small t with a huge min_norm trips it legitimately.
-    """
-
-    primes: Tuple[int, ...]
-    min_norm: int
-    growth_constant: int = 100
-    growth_ok: Tuple[bool, ...] = field(init=False)
-
-    def __post_init__(self):
-        flags = tuple(
-            p <= self.growth_constant * (i + 1) ** 2
-            for i, p in enumerate(self.primes)
-        )
-        object.__setattr__(self, "growth_ok", flags)
-
-    @property
-    def all_growth_ok(self) -> bool:
-        return all(self.growth_ok)
-
-    def to_json_obj(self):
-        return {
-            "primes": list(self.primes),
-            "min_norm": self.min_norm,
-            "growth_constant": self.growth_constant,
-            "growth_ok": list(self.growth_ok),
-        }
-
-
-def prime_schedule(t: int, min_norm: int, growth_constant: int = 100) -> PrimeSchedule:
+def prime_schedule(t: int, min_norm: int) -> Tuple[int, ...]:
     """The t smallest primes >= min_norm, in increasing order."""
     if t < 1 or min_norm < 2:
         raise DomainError("need t >= 1 and min_norm >= 2")
@@ -121,7 +86,7 @@ def prime_schedule(t: int, min_norm: int, growth_constant: int = 100) -> PrimeSc
         if is_prime(p):
             primes.append(p)
         p += 1
-    return PrimeSchedule(tuple(primes), min_norm, growth_constant)
+    return tuple(primes)
 
 
 class _Coded:
@@ -154,11 +119,6 @@ class _Coded:
     def decode(self, codes: np.ndarray) -> np.ndarray:
         radix, place = self._basis
         return codes[:, None] // place % radix
-
-    def contains(self, x) -> bool:
-        """Whether x is a tuple of one reduced digit per modulus."""
-        radix = self._radices()
-        return len(x) == len(radix) and all(0 <= e < r for e, r in zip(x, radix))
 
     def element_codes(self) -> np.ndarray:
         """Sorted codes of all elements; raises when the order exceeds ENUM_BUDGET."""
@@ -212,14 +172,6 @@ class MatrixQuotient(_Coded):
                 f"element dimension {g.dimension} != quotient dimension {self.dimension}")
         flat = g.flat()
         return tuple(e % p for p in self.moduli for e in flat)
-
-    def contains(self, x) -> bool:
-        """Whether x is an element: reduced digits, and each block of
-        determinant 1 mod its prime."""
-        d = self.dimension
-        return super().contains(x) and all(
-            _det_bareiss([x[k + i * d:k + (i + 1) * d] for i in range(d)]) % p == 1
-            for k, p in zip(range(0, len(x), d * d), self.moduli))
 
     def multiply(self, x, y):
         """x*y block by block; the reference the batched routes are tested against."""
@@ -381,8 +333,3 @@ def quotient_for(A: GeneratorMultiset, moduli: Sequence[int]):
     if len(moduli) != 1:
         raise DomainError("pair moduli apply to matrix groups only")
     return AbelianQuotient(first.rank, moduli[0])
-
-
-def find_excluded_primes(A: GeneratorMultiset, primes: Sequence[int]) -> List[int]:
-    """Primes in the list where the image of A fails to be the whole quotient."""
-    return [p for p in primes if not bfs_closure(A, quotient_for(A, (p,))).surjective]

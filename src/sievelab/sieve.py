@@ -8,8 +8,8 @@ gives the polynomial-regime threshold and bound
 
 with delta = 3 C^3 t^{3D} (1 - 1/(|A| C^4 t^{4D}))^n and beta = alpha/2
 inside. Everything here is exact rational arithmetic (Fractions in,
-Fractions out); floats only appear in the single-prime convenience form
-and the exponential envelope, which are reporting surfaces.
+Fractions out); floats only appear in the single-prime convenience form,
+a reporting surface.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .errors import DomainError
-from .quotients import PrimeSchedule
 from .spectra import mixing_rate
 from .thinsets import residual
 
@@ -42,64 +41,14 @@ def _check_int_exponent(D) -> int:
 
 
 @dataclass(frozen=True)
-class SievePlan:
-    """A sieving setup: t quotients of order at most C*t^D each."""
-
-    t: int
-    D: int
-    C: Fraction
-    alpha: Fraction
-    a_size: int
-    schedule: Optional[PrimeSchedule] = None
-    quotient_orders: Optional[Tuple[int, ...]] = None
-    eps: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "C", _frac(self.C, "C"))
-        object.__setattr__(self, "alpha", _frac(self.alpha, "alpha"))
-        object.__setattr__(self, "D", _check_int_exponent(self.D))
-        if self.t < 1:
-            raise DomainError("t must be at least 1")
-        if not 0 < self.alpha < 1:
-            raise DomainError("alpha must lie strictly between 0 and 1")
-        if self.a_size < 1:
-            raise DomainError("a_size must be positive")
-        if self.C <= 0:
-            raise DomainError("C must be positive")
-        if self.quotient_orders is not None:
-            cap = self.C * self.t ** self.D
-            for order in self.quotient_orders:
-                if order > cap:
-                    raise DomainError(
-                        f"quotient order {order} exceeds C*t^D = {cap}")
-
-    def to_json_obj(self):
-        out = {
-            "t": self.t, "D": self.D, "C": str(self.C),
-            "alpha": str(self.alpha), "a_size": self.a_size,
-        }
-        if self.schedule is not None:
-            out["schedule"] = self.schedule.to_json_obj()
-        if self.quotient_orders is not None:
-            out["quotient_orders"] = list(self.quotient_orders)
-        if self.eps is not None:
-            out["eps"] = self.eps
-        return out
-
-
-@dataclass(frozen=True)
 class SieveBound:
     """A threshold n_min and the bound valid for n >= n_min."""
 
     n_min: Fraction
-    bound: object  # Fraction for exact regimes, float for exponential
+    bound: Fraction
     regime: str
     t: int
     inputs: dict = field(default_factory=dict)
-
-    @property
-    def n_min_int(self) -> int:
-        return math.ceil(self.n_min)
 
     @property
     def bound_float(self) -> float:
@@ -202,30 +151,26 @@ def plan_for_n(n: int, a_size: int, C: Rational, D: int,
     return sieve_threshold_and_bound(a_size, C, D, alpha, t)
 
 
-def single_prime_bound(order: int, residual_density, a_size: int, n: int,
-                       pi_star: Optional[float] = None) -> float:
-    """P(omega_n in Z) <= density + count * sqrt(order) * rate^n, with
-    count = density*order and rate the mixing rate (or a measured pi_star).
+def single_prime_bound(order: int, residual_density, n: int, pi_star: float) -> float:
+    """P(omega_n in Z) <= density + count * sqrt(order) * pi_star^n, with
+    count = density*order and pi_star a measured contraction rate.
     Clamped to [0, 1]."""
     d = float(residual_density)
     if not 0 <= d <= 1:
         raise DomainError("residual_density must lie in [0, 1]")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if pi_star is None:
-        rate = float(mixing_rate(order, a_size))
-    else:
-        rate = pi_star
-        if not 0 <= rate <= 1:
-            raise DomainError("pi_star must lie in [0, 1]")
-    val = d + (d * order) * math.sqrt(order) * rate ** n
+    if not 0 <= pi_star <= 1:
+        raise DomainError("pi_star must lie in [0, 1]")
+    val = d + (d * order) * math.sqrt(order) * pi_star ** n
     return min(1.0, max(0.0, val))
 
 
 def single_prime_bound_exact(order: int, residual_density: Rational,
                              a_size: int, n: int) -> Fraction:
-    """Exact rational upper form of single_prime_bound: sqrt(order) is
-    rounded up to an integer, which only weakens (never breaks) the bound."""
+    """Exact rational form of single_prime_bound at the worst-case
+    mixing_rate: sqrt(order) is rounded up to an integer, which only
+    weakens (never breaks) the bound."""
     d = _frac(residual_density, "residual_density")
     if not 0 <= d <= 1:
         raise DomainError("residual_density must lie in [0, 1]")
@@ -234,15 +179,6 @@ def single_prime_bound_exact(order: int, residual_density: Rational,
         s += 1
     val = d + d * order * s * mixing_rate(order, a_size) ** n
     return min(Fraction(1), val)
-
-
-def exponential_bound(n: int, c2: float) -> SieveBound:
-    """Envelope e^{-n/C2} for the expander regime; C2 is fitted, not derived."""
-    if c2 <= 0:
-        raise DomainError("C2 must be positive")
-    val = min(1.0, math.exp(-n / c2))
-    return SieveBound(n_min=Fraction(0), bound=val, regime="exponential",
-                      t=1, inputs={"C2": c2})
 
 
 @dataclass(frozen=True)
@@ -261,7 +197,7 @@ class AlphaEstimate:
         }
 
 
-def estimate_alpha(oracle, schedule: PrimeSchedule, mode: str = "enumerate",
+def estimate_alpha(oracle, schedule: Sequence[int], mode: str = "enumerate",
                    samples: int = 100_000, seed: int = 0) -> AlphaEstimate:
     """Worst-case residual density over the schedule, turned into alpha.
 
@@ -270,7 +206,7 @@ def estimate_alpha(oracle, schedule: PrimeSchedule, mode: str = "enumerate",
     """
     densities = []
     worst = None
-    for p in schedule.primes:
+    for p in schedule:
         q = oracle.quotient_for_prime(p)
         rep = residual(oracle, q, mode=mode, samples=samples, seed=seed)
         d = rep.density

@@ -60,24 +60,20 @@ class AdjacencySpectrum:
         }
 
 
-def walk_permutations(source, quotient):
+def walk_permutations(A: GeneratorMultiset, quotient):
     """The steps of a quotient walk as permutations of its element indices.
 
-    source is a GeneratorMultiset (reduced here) or pre-reduced (element,
-    multiplicity) pairs. Repeated elements merge in order of first
-    appearance. Returns (codes, |A|, maps): the sorted element codes, and
-    per distinct step g the index permutation of x -> x g with g's
-    multiplicity. Raises DomainError for a step outside the group,
-    MissingIdentity without the identity, and NotSymmetric unless each
-    step's inverse has its multiplicity.
+    The elements of A are reduced into the quotient, where repeated
+    images merge in order of first appearance. Returns (codes, |A|,
+    maps): the sorted element codes, and per distinct step g the index
+    permutation of x -> x g with g's multiplicity. Raises MissingIdentity
+    without the identity, and NotSymmetric unless each step's inverse has
+    its multiplicity.
     """
-    multiset = isinstance(source, GeneratorMultiset)
     merged: Dict = {}
-    for g, m in (source.pairs if multiset else source):
-        r = quotient.reduce(g) if multiset else g
-        if not quotient.contains(r):
-            raise DomainError(f"multiset element {r} is not in the quotient {quotient.label}")
-        merged[r] = merged.get(r, 0) + int(m)
+    for g, m in A.pairs:
+        r = quotient.reduce(g)
+        merged[r] = merged.get(r, 0) + m
     if quotient.identity() not in merged:
         raise MissingIdentity("reduced multiset must contain the identity")
     codes = quotient.element_codes()
@@ -168,14 +164,14 @@ def _power_top(matvec, dim: int, deflate: np.ndarray):
         f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
 
 
-def second_eigenvalue(source, quotient) -> AdjacencySpectrum:
-    """pi_1, pi_min, pi_star of the walk operator on the quotient.
+def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
+    """pi_1, pi_min, pi_star of the walk operator of A on the quotient.
 
-    source is as for walk_permutations. A dense spectrum is exact up to
-    rounding (residual 0.0); an iterative one reports a residual that
-    bounds the distance of pi_1 and of pi_min to eigenvalues of P.
+    A dense spectrum is exact up to rounding (residual 0.0); an iterative
+    one reports a residual that bounds the distance of pi_1 and of pi_min
+    to eigenvalues of P.
     """
-    codes, a_size, maps = walk_permutations(source, quotient)
+    codes, a_size, maps = walk_permutations(A, quotient)
     ell = len(codes)
     maps = [(perm, m / a_size) for perm, m in maps]
     if ell < 2:
@@ -205,11 +201,11 @@ def second_eigenvalue(source, quotient) -> AdjacencySpectrum:
                              method="iterative", residual=residual)
 
 
-def expander_certify(source, quotient, eps: float) -> bool:
+def expander_certify(A: GeneratorMultiset, quotient, eps: float) -> bool:
     """Whether pi_1 <= 1 - eps, conservatively (residual counts against)."""
     if not 0 < eps < 1:
         raise DomainError("eps must be in (0, 1)")
-    spec = second_eigenvalue(source, quotient)
+    spec = second_eigenvalue(A, quotient)
     return spec.pi_1 + spec.residual <= 1.0 - eps
 
 
@@ -242,7 +238,8 @@ def mixing_bound_squared(order: int, a_size: int, n: int) -> Fraction:
     return order * mixing_rate(order, a_size) ** (2 * n)
 
 
-def exact_deviation_sweep(source, quotient, grid: Sequence[int]) -> Dict[int, Fraction]:
+def exact_deviation_sweep(A: GeneratorMultiset, quotient,
+                          grid: Sequence[int]) -> Dict[int, Fraction]:
     """max_g |P(omega_n = g) - 1/|G|| exactly, for each n in the grid.
 
     Convolves integer path counts over the element indices of the
@@ -252,7 +249,7 @@ def exact_deviation_sweep(source, quotient, grid: Sequence[int]) -> Dict[int, Fr
     grid = sorted(set(grid))
     if not grid or grid[0] < 0:
         raise DomainError("grid must be non-empty with n >= 0")
-    codes, a_size, maps = walk_permutations(source, quotient)
+    codes, a_size, maps = walk_permutations(A, quotient)
     ell = len(codes)
     out_keys = set(grid)
     out: Dict[int, Fraction] = {}

@@ -44,7 +44,6 @@ from .matgroup import (
 from .quotients import (
     AbelianQuotient,
     MatrixQuotient,
-    PrimeSchedule,
     is_prime,
     prime_schedule,
     quotient_for,
@@ -172,7 +171,7 @@ def _cycle_pattern_mod(coeffs: Sequence[int], p: int):
     return gfpoly.degree_pattern(f, p)
 
 
-_WITNESS_PRIMES = prime_schedule(25, 2).primes
+_WITNESS_PRIMES = prime_schedule(25, 2)
 
 
 def _reducible_quartic_factor(coeffs: Sequence[int]) -> Optional[dict]:
@@ -489,7 +488,7 @@ class ProperPowerOracle:
     kind_base = "PROPER_POWER"
 
     def __init__(self, k: int, generators: Optional[GeneratorMultiset] = None,
-                 schedule: Optional[PrimeSchedule] = None):
+                 schedule: Optional[Tuple[int, ...]] = None):
         if k < 2:
             raise DomainError("k must be at least 2")
         self.k = k
@@ -537,7 +536,7 @@ class ProperPowerOracle:
                 if e & 1:
                     y = y @ x % mods
                 x, e = x @ x % mods, e >> 1
-            self._power_sets[key] = np.unique(quotient.encode(y.reshape(len(y), -1)))
+            self._power_sets[key] = quotients._distinct(quotient.encode(y.reshape(len(y), -1)))
         return self._power_sets[key]
 
     def global_verdict(self, g) -> OracleVerdict:
@@ -571,7 +570,7 @@ class ProperPowerOracle:
                         "witness": f"explicit {k}-th root found in a generator ball",
                     })
         skipped = []
-        for p in self.schedule.primes:
+        for p in self.schedule:
             quotient = MatrixQuotient(g.dimension, (p,))
             if quotient.order() > quotients.ENUM_BUDGET:
                 skipped.append(str(p))
@@ -605,7 +604,7 @@ class ProperPowerOracle:
 
     def to_json_obj(self):
         return {"kind": self.kind, "k": self.k,
-                "schedule": list(self.schedule.primes)}
+                "schedule": list(self.schedule)}
 
 
 @dataclass(frozen=True)
@@ -622,10 +621,6 @@ class EntryPolynomial:
         for _, exps in self.monomials:
             if len(exps) != self.arity:
                 raise ArityMismatch("monomial exponent tuple has wrong length")
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for _, e in self.monomials), default=0)
 
     def evaluate(self, values: Sequence[int], modulus: Optional[int] = None) -> int:
         if len(values) != self.arity:
@@ -677,16 +672,6 @@ class EntryPolynomial:
     def to_json_obj(self):
         return {"arity": self.arity,
                 "monomials": [[c, list(e)] for c, e in self.monomials]}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "EntryPolynomial":
-        return cls(obj["arity"],
-                   tuple((int(c), tuple(int(x) for x in e))
-                         for c, e in obj["monomials"]))
-
-
-def zero_polynomial(arity: int) -> EntryPolynomial:
-    return EntryPolynomial(arity, ())
 
 
 def trace_polynomial(dimension: int, shift: int = 0) -> EntryPolynomial:
@@ -839,31 +824,6 @@ class TorusSquaresOracle:
         return {"kind": self.kind, "rank": self.rank}
 
 
-# ----- one-shot operation wrappers -----
-
-def reducible_charpoly(g: MatrixElement) -> OracleVerdict:
-    return ReducibleCharpolyOracle(g.dimension).global_verdict(g)
-
-
-def generic_galois(g: MatrixElement) -> OracleVerdict:
-    return NongenericGaloisOracle(g.dimension).global_verdict(g)
-
-
-def rational_fixed_flag(g: MatrixElement) -> OracleVerdict:
-    return RationalFixedFlagOracle(g.dimension).global_verdict(g)
-
-
-def proper_power(g, k: int, schedule: Optional[PrimeSchedule] = None,
-                 generators: Optional[GeneratorMultiset] = None) -> OracleVerdict:
-    return ProperPowerOracle(k, generators=generators,
-                             schedule=schedule).global_verdict(g)
-
-
-def subvariety(g, polys: Sequence[EntryPolynomial]) -> OracleVerdict:
-    domain = "matrix" if isinstance(g, MatrixElement) else "abelian"
-    return SubvarietyOracle(polys, domain=domain).global_verdict(g)
-
-
 # ----- residual set measurement -----
 
 @dataclass(frozen=True)
@@ -928,5 +888,6 @@ def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
         return ResidualReport(quotient.label, mode, len(rows), hits,
                               Fraction(hits, len(rows)), None)
     est = hits / samples
-    hw = 1.96 * math.sqrt(est * (1.0 - est) / samples)
+    # rule of three when no sample hits, as for all-miss Monte Carlo rows
+    hw = 1.96 * math.sqrt(est * (1.0 - est) / samples) if hits else 3.0 / samples
     return ResidualReport(quotient.label, mode, samples, hits, est, hw)

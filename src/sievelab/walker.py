@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import prng
-from .errors import BudgetExceeded, DomainError, UndecidedMembership, UnknownRateExceeded
+from .errors import BudgetExceeded, DomainError, UndecidedMembership
 from .matgroup import AbelianElement, GeneratorMultiset, GroupElement, z_generators
 
 EXACT_BUDGET = 5_000_000  # most distinct states an exact convolution step may hold
@@ -63,6 +63,8 @@ def convolve_counts(identity, step_pairs, n: int, compose: Callable,
     counts) fires after step k when given (counts must not be mutated).
     Raises BudgetExceeded as soon as a step passes EXACT_BUDGET states.
     """
+    if n < 0:
+        raise DomainError(f"walk length n = {n} must be nonnegative")
     counts = {identity: 1}
     if on_snapshot:
         on_snapshot(0, counts)
@@ -87,17 +89,6 @@ class WalkDistribution:
     counts: Tuple[Tuple[GroupElement, int], ...]
     a_size: int
     n: int
-
-    def probability(self, g: GroupElement) -> Fraction:
-        total = self.a_size ** self.n
-        for e, c in self.counts:
-            if e == g:
-                return Fraction(c, total)
-        return Fraction(0)
-
-    def masses(self) -> Dict[GroupElement, Fraction]:
-        total = self.a_size ** self.n
-        return {e: Fraction(c, total) for e, c in self.counts}
 
     def to_json_obj(self):
         total = self.a_size ** self.n
@@ -140,6 +131,8 @@ def hit_probability_exact(A: GeneratorMultiset, n: int, oracle) -> Fraction:
 def _z_line_counts(nmax: int):
     """Path counts of the walk on Z with steps {0, +1, -1}: after k steps,
     for k = 0..nmax, the list of counts at positions -k..k."""
+    if nmax < 0:
+        raise DomainError(f"walk length n = {nmax} must be nonnegative")
     counts = [1]
     yield counts
     for _ in range(nmax):
@@ -155,6 +148,8 @@ def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
     Dense line convolution with integer counts; one pass to max(grid).
     """
     grid = set(grid)
+    if min(grid, default=0) < 0:
+        raise DomainError(f"walk length n = {min(grid)} must be nonnegative")
     return {k: Fraction(counts[k], 3 ** k)
             for k, counts in enumerate(_z_line_counts(max(grid, default=0))) if k in grid}
 
@@ -260,34 +255,16 @@ def _advance(st, gens, draws, abelian):
     return st @ gens[draws]
 
 
-def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int, seed: int,
-             unknown_cap: Optional[float] = None) -> List[MCEstimate]:
+def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int,
+             seed: int) -> List[MCEstimate]:
     """Monte Carlo estimates of P(omega_n in Z) at every n in grid.
 
-    One pass over trials with checkpoints: identical to calling
-    hit_probability_mc per n, because draws are counter-based.
+    One pass over trials with checkpoints: identical to a sweep per n,
+    because draws are counter-based.
     """
     if not grid or min(grid) < 1 or m < 1:
         raise DomainError("grid must be non-empty with n >= 1 and m >= 1")
     grid = sorted(set(grid))
     hits, unknown = _sweep_lanes(A, oracle, grid, m, seed)
-    out = []
-    for n in grid:
-        est = MCEstimate(n=n, trials=m, hits=hits[n], unknown=unknown[n])
-        if unknown_cap is not None and est.unknown_rate > unknown_cap:
-            raise UnknownRateExceeded(
-                f"UNKNOWN rate {est.unknown_rate:.3g} at n={n} above cap {unknown_cap}")
-        out.append(est)
-    return out
+    return [MCEstimate(n=n, trials=m, hits=hits[n], unknown=unknown[n]) for n in grid]
 
-
-def hit_probability_mc(A: GeneratorMultiset, n: int, oracle, m: int,
-                       seed: int) -> MCEstimate:
-    """Estimate and 95% half-width for P(omega_n in Z)."""
-    if n == 0:
-        ident = A.identity_element()
-        v = oracle.global_verdict(ident)
-        hits = m if v.status == "IN" else 0
-        unk = m if v.status == "UNKNOWN" else 0
-        return MCEstimate(n=0, trials=m, hits=hits, unknown=unk)
-    return mc_sweep(A, oracle, [n], m, seed)[0]

@@ -8,6 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p
 
 from sievelab import prng
+from sievelab.matgroup import MatrixElement
 
 _X = Symbol("x")
 
@@ -48,6 +49,13 @@ def brute_irreducible_witness_mod_p(coeffs):
 def brute_charpoly(g):
     """Constant-first coefficients of det(x*I - g) by sympy."""
     return tuple(int(c) for c in reversed(Matrix(g.entries).charpoly(_X).all_coeffs()))
+
+
+def from_json_entries(arr):
+    """The matrix whose to_json_obj() is arr: flat row-major entries as strings."""
+    vals = [int(x) for x in arr]
+    n = math.isqrt(len(vals))
+    return MatrixElement(tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def brute_disc_is_square(coeffs):

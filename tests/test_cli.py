@@ -119,6 +119,28 @@ def test_spectrum_json_value(tmp_path):
     assert obj["order"] == 24
 
 
+# each subcommand accepts only the options it reads
+BASE_ARGS = {
+    "walk": ["--scenario", "z_origin", "--n", "2"],
+    "spectrum": ["--scenario", "z_origin", "--prime", "3"],
+    "closure": ["--scenario", "z_origin", "--prime", "3"],
+    "residual": ["--scenario", "z_origin", "--prime", "3"],
+    "bound": ["--a-size", "3", "--C", "1", "--D", "1", "--alpha", "0.5"],
+    "fit": ["--input", "rows.csv"],
+    "scenarios": [],
+}
+UNREAD = ([(c, ["--format", "json"]) for c in ("walk", "closure", "residual", "fit")]
+          + [(c, [opt, "3"]) for c in ("spectrum", "closure", "bound", "fit", "scenarios")
+             for opt in ("--seed", "--trials")])
+
+
+@pytest.mark.parametrize("command,extra", UNREAD, ids=[f"{c}{e[0]}" for c, e in UNREAD])
+def test_unread_options_exit_2(command, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *BASE_ARGS[command], *extra])
+    assert exc.value.code == 2
+
+
 def test_spectrum_rejects_composite_prime(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "--scenario", "sl2_trace", "--prime", "9"])

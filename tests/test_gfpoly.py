@@ -81,15 +81,6 @@ def test_known_irreducibles():
     assert not gfpoly.is_irreducible([4, 4, 0, 1], 5)
 
 
-def test_count_roots():
-    # X^2 - 1 mod 7: roots 1, 6
-    assert gfpoly.count_roots([6, 0, 1], 7) == 2
-    # X^2 + 1 mod 7: no roots
-    assert gfpoly.count_roots([1, 0, 1], 7) == 0
-    # X^2 mod 7: one distinct root
-    assert gfpoly.count_roots([0, 0, 1], 7) == 1
-
-
 def test_degree_pattern_against_sympy_factorization():
     for p in (3, 5, 7, 11):
         for deg in (3, 4, 5):

@@ -71,7 +71,7 @@ def test_get_scenario_unknown():
 
 
 def test_describe_sl2_trace():
-    obj = lab.describe("sl2_trace")
+    obj = lab.get_scenario("sl2_trace").to_json_obj()
     assert obj["schema_version"] == 2
     assert "trace in {-2, 2}" in obj["thin_set"]
     assert obj["regime"] == "exponential"
@@ -80,13 +80,13 @@ def test_describe_sl2_trace():
 
 
 def test_describe_z_origin():
-    obj = lab.describe("z_origin")
+    obj = lab.get_scenario("z_origin").to_json_obj()
     assert obj["regime"] == "polynomial"
     assert obj["theory_bound"] is None
 
 
 def test_describe_torus():
-    obj = lab.describe("torus_squares")
+    obj = lab.get_scenario("torus_squares").to_json_obj()
     assert obj["regime"] == "non-decaying"
     assert "1/4" in obj["thin_set"]
 
@@ -148,8 +148,8 @@ def test_exact_probability_decides_every_reachable_position():
     line = lab.Scenario(name="z_one", group="z_additive", generators=z_generators(),
                         oracle=one, regime="polynomial", description="{x = 1}")
     for n in (1, 2, 5):
-        dist = walker.exact_distribution(z_generators(), n)
-        assert lab.exact_probability(line, n) == dist.probability(AbelianElement((1,)))
+        dist = dict(walker.exact_distribution(z_generators(), n).counts)
+        assert lab.exact_probability(line, n) == Fraction(dist[AbelianElement((1,))], 3 ** n)
     assert lab.exact_probability(line, 5) == Fraction(45, 243)
     # steps {0, +-2} never reach an odd position
     steps = validate_generators([AbelianElement((x,)) for x in (0, 2, -2)])
@@ -177,7 +177,7 @@ def test_sl3_galois_reports_no_theory_bound():
     # its residual set is all of SL_3(F_p), so a single-prime bound is 1
     s = lab.get_scenario("sl3_galois")
     assert s.bound_spec is None and lab.theory_bound(s, 80) is None
-    obj = lab.describe("sl3_galois")
+    obj = lab.get_scenario("sl3_galois").to_json_obj()
     assert obj["theory_bound"] is None and "no theory bound" in obj["thin_set"]
 
 

@@ -1,8 +1,7 @@
 """Budgets and thresholds are module constants, not options.
 
 A value that no caller sets differently is a constant read at call
-time; tests monkeypatch the constant. The one exception is the UNKNOWN
-cap of walker.mc_sweep, which its two callers set differently.
+time; tests monkeypatch the constant.
 """
 
 import dataclasses
@@ -41,4 +40,4 @@ def test_budgets_and_thresholds_are_not_options():
     owners = list(_parameters())
     assert ("quotients._Coded.element_codes", "self") in owners
     assert ("walker.WalkConfig", "seed") in owners
-    assert [o for o in owners if o[1] in CONSTANTS] == [("walker.mc_sweep", "unknown_cap")]
+    assert [o for o in owners if o[1] in CONSTANTS] == []

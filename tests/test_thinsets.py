@@ -11,6 +11,7 @@ from helpers import (
     brute_nongeneric,
     brute_reducible,
     elements,
+    from_json_entries,
     residual_contains,
     to_poly,
     walk_elements,
@@ -39,15 +40,9 @@ from sievelab.thinsets import (
     SubvarietyOracle,
     TorusSquaresOracle,
     coordinate_polynomial,
-    generic_galois,
-    proper_power,
-    rational_fixed_flag,
-    reducible_charpoly,
     residual,
     sample_element,
-    subvariety,
     trace_polynomial,
-    zero_polynomial,
 )
 
 T = MatrixElement(((1, 1), (0, 1)))
@@ -85,20 +80,20 @@ def test_companion_matches_charpoly():
 # ----- reducible characteristic polynomial -----
 
 def test_reducible_trace_three_is_out():
-    v = reducible_charpoly(FIB)
+    v = ReducibleCharpolyOracle(2).global_verdict(FIB)
     assert v.status == OUT
     assert v.certificate["discriminant"] == 5
 
 
 def test_reducible_trace_two_is_in():
-    v = reducible_charpoly(T)
+    v = ReducibleCharpolyOracle(2).global_verdict(T)
     assert v.status == IN
     assert v.certificate["rational_root"] == 1
     assert v.certificate["cofactor"] == [-1, 1]
 
 
 def test_reducible_negative_identity():
-    v = reducible_charpoly(NEG_I)
+    v = ReducibleCharpolyOracle(2).global_verdict(NEG_I)
     assert v.status == IN
     assert v.certificate["rational_root"] == -1
 
@@ -106,14 +101,14 @@ def test_reducible_negative_identity():
 def test_reducible_sl3_companion_root():
     g = companion((-1, 1, -1, 1))  # X^3 - X^2 + X - 1
     assert g.flat() == (0, 0, 1, 1, 0, -1, 0, 1, 1)
-    v = reducible_charpoly(g)
+    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
     assert v.status == IN
     assert v.certificate["rational_root"] == 1
 
 
 def test_irreducible_cubic_is_out():
     g = companion((-1, 1, -3, 1))  # X^3 - 3X^2 + X - 1, no root at +-1
-    v = reducible_charpoly(g)
+    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
     assert v.status == OUT
 
 
@@ -140,7 +135,7 @@ def test_reducible_quartic_certificate_multiplies_back():
 
 def test_reducible_quintic_witness():
     g = companion((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1
-    v = reducible_charpoly(g)
+    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
     assert v.status == OUT
     p = v.certificate["irreducible_mod"]
     assert brute_cycle_pattern((-1, -1, 0, 0, 0, 1), p) == [5]
@@ -149,7 +144,7 @@ def test_reducible_quintic_witness():
 
 def test_reducible_quintic_root():
     g = companion((-1, 0, 0, 0, 0, 1))  # X^5 - 1
-    v = reducible_charpoly(g)
+    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
     assert v.status == IN
     assert v.certificate["rational_root"] == 1
 
@@ -172,14 +167,14 @@ def test_reducible_dimension_validation():
 # ----- non-generic Galois group -----
 
 def test_galois_trace_three_generic():
-    v = generic_galois(FIB)
+    v = NongenericGaloisOracle(2).global_verdict(FIB)
     assert v.status == OUT
     assert v.certificate["galois_group"] == "S2"
     assert v.certificate["discriminant"] == 5
 
 
 def test_galois_trace_two_nongeneric():
-    v = generic_galois(T)
+    v = NongenericGaloisOracle(2).global_verdict(T)
     assert v.status == IN
     assert v.certificate["square_discriminant"] == 0
     assert v.certificate["sqrt"] == 0
@@ -187,7 +182,7 @@ def test_galois_trace_two_nongeneric():
 
 def test_galois_cubic_generic():
     g = companion((-1, 1, -3, 1))  # X^3 - 3X^2 + X - 1
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == OUT
     assert v.certificate["galois_group"] == "S3"
     assert v.certificate["discriminant"] == -76
@@ -196,7 +191,7 @@ def test_galois_cubic_generic():
 
 def test_galois_cubic_reducible_degenerate():
     g = companion((-1, 1, -1, 1))
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == IN
     assert v.certificate["degeneracy"] == "reducible"
     assert v.certificate["rational_root"] == 1
@@ -204,7 +199,7 @@ def test_galois_cubic_reducible_degenerate():
 
 def test_galois_cubic_cyclic_degenerate():
     g = companion((-1, -3, 0, 1))  # X^3 - 3X - 1: disc 81, cyclic cubic
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == IN
     assert v.certificate["degeneracy"] == "square_discriminant"
     assert v.certificate["square_discriminant"] == 81
@@ -214,7 +209,7 @@ def test_galois_cubic_cyclic_degenerate():
 
 def test_galois_quartic_full_group():
     g = companion((1, 1, 0, 0, 1))  # X^4 + X + 1, Galois group S4
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == OUT
     assert v.certificate["galois_group"] == "S4"
     pats = v.certificate["witness_patterns"]
@@ -230,7 +225,7 @@ def test_galois_quartic_full_group():
 
 def test_galois_quartic_cyclic_is_unknown():
     g = companion((1, 1, 1, 1, 1))  # fifth cyclotomic: cyclic C4, not S4
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == UNKNOWN
     assert "witness" in v.reason or v.reason
     grp, _ = to_poly((1, 1, 1, 1, 1)).galois_group()
@@ -239,7 +234,7 @@ def test_galois_quartic_cyclic_is_unknown():
 
 def test_galois_quintic_reducible():
     g = companion((-1, 0, 0, 0, 0, 1))  # X^5 - 1
-    v = generic_galois(g)
+    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
     assert v.status == IN
     assert v.certificate["degeneracy"] == "reducible"
 
@@ -265,21 +260,21 @@ def test_inseparable_residue_raised():
 # ----- rational fixed flag -----
 
 def test_fixed_flag_shear():
-    v = rational_fixed_flag(T)
+    v = RationalFixedFlagOracle(2).global_verdict(T)
     assert v.status == IN
     assert v.certificate["eigenvalue"] == 1
     assert v.certificate["fixed_vector"] == [1, 0]
 
 
 def test_fixed_flag_out_with_determinants():
-    v = rational_fixed_flag(FIB)
+    v = RationalFixedFlagOracle(2).global_verdict(FIB)
     assert v.status == OUT
     assert v.certificate["det_g_minus_identity"] == -1
     assert v.certificate["det_g_plus_identity"] == 5
 
 
 def test_fixed_flag_negative_identity():
-    v = rational_fixed_flag(NEG_I)
+    v = RationalFixedFlagOracle(2).global_verdict(NEG_I)
     assert v.status == IN
     assert v.certificate["eigenvalue"] == -1
 
@@ -288,7 +283,7 @@ def test_fixed_flag_vector_is_eigenvector():
     seen_in = 0
     for g in (walk_elements(sl2_st_generators(), 120, seed=3, length=14)
               + walk_elements(elementary_generators(3), 80, seed=4, length=14)):
-        v = rational_fixed_flag(g)
+        v = RationalFixedFlagOracle(g.dimension).global_verdict(g)
         if v.status != IN:
             continue
         seen_in += 1
@@ -309,49 +304,49 @@ def test_fixed_flag_iff_linear_factor():
         coeffs = charpoly_coefficients(g.flat(), g.dimension)
         poly = to_poly(coeffs)
         has_flag = poly.eval(1) == 0 or poly.eval(-1) == 0
-        assert (rational_fixed_flag(g).status == IN) == has_flag
+        assert (RationalFixedFlagOracle(g.dimension).global_verdict(g).status == IN) == has_flag
 
 
 # ----- proper powers -----
 
 def test_proper_power_square_found_in_ball():
     g = T * T  # [[1,2],[0,1]]
-    v = proper_power(g, 2, generators=sl2_st_generators())
+    v = ProperPowerOracle(2, generators=sl2_st_generators()).global_verdict(g)
     assert v.status == IN
-    root = MatrixElement.from_json_obj(v.certificate["root"])
+    root = from_json_entries(v.certificate["root"])
     assert root * root == g
 
 
 def test_proper_power_identity():
-    v = proper_power(MatrixElement.identity(2), 7)
+    v = ProperPowerOracle(7).global_verdict(MatrixElement.identity(2))
     assert v.status == IN
 
 
 def test_proper_power_shear_not_square():
-    v = proper_power(T, 2)
+    v = ProperPowerOracle(2).global_verdict(T)
     assert v.status == OUT
     assert v.certificate["non_power_mod"] == 2
 
 
 def test_proper_power_s_not_square():
-    v = proper_power(S, 2)
+    v = ProperPowerOracle(2).global_verdict(S)
     assert v.status == OUT
     assert v.certificate["non_power_mod"] == 2
 
 
 def test_proper_power_st_not_cube():
-    v = proper_power(S * T, 3)
+    v = ProperPowerOracle(3).global_verdict(S * T)
     assert v.status == OUT
     assert v.certificate["non_power_mod"] == 2
 
 
 def test_proper_power_unknown_without_generators():
     # -I = S^2 is a square everywhere, but only a ball search can see it
-    v = proper_power(NEG_I, 2)
+    v = ProperPowerOracle(2).global_verdict(NEG_I)
     assert v.status == UNKNOWN
-    v2 = proper_power(NEG_I, 2, generators=sl2_st_generators())
+    v2 = ProperPowerOracle(2, generators=sl2_st_generators()).global_verdict(NEG_I)
     assert v2.status == IN
-    root = MatrixElement.from_json_obj(v2.certificate["root"])
+    root = from_json_entries(v2.certificate["root"])
     assert root * root == NEG_I
 
 
@@ -369,10 +364,10 @@ def test_proper_power_skips_quotients_past_the_enumeration_budget():
 
 
 def test_proper_power_abelian_exact():
-    v = proper_power(AbelianElement((2, -4)), 2)
+    v = ProperPowerOracle(2).global_verdict(AbelianElement((2, -4)))
     assert v.status == IN
     assert v.certificate["root_exponents"] == [1, -2]
-    w = proper_power(AbelianElement((1, 0)), 2)
+    w = ProperPowerOracle(2).global_verdict(AbelianElement((1, 0)))
     assert w.status == OUT
     assert w.certificate["coordinate"] == 0
     assert w.certificate["value"] == 1
@@ -416,32 +411,33 @@ def test_proper_power_residual_sets():
 
 def test_subvariety_trace_shift():
     poly = trace_polynomial(2, shift=2)
-    v = subvariety(T, [poly])
+    v = SubvarietyOracle([poly]).global_verdict(T)
     assert v.status == IN
-    w = subvariety(FIB, [poly])
+    w = SubvarietyOracle([poly]).global_verdict(FIB)
     assert w.status == OUT
     assert w.certificate["poly_index"] == 0
     assert w.certificate["value"] == 1
 
 
 def test_subvariety_zero_polynomial_always_in():
-    poly = zero_polynomial(4)
+    poly = EntryPolynomial(4, ())
     for g in walk_elements(sl2_st_generators(), 25, seed=9, length=14):
-        assert subvariety(g, [poly]).status == IN
+        assert SubvarietyOracle([poly]).global_verdict(g).status == IN
 
 
 def test_subvariety_coordinate_on_abelian():
-    origin = coordinate_polynomial(1, 0)
-    assert subvariety(AbelianElement((0,)), [origin]).status == IN
-    v = subvariety(AbelianElement((3,)), [origin])
+    origin = SubvarietyOracle([coordinate_polynomial(1, 0)], domain="abelian")
+    assert origin.global_verdict(AbelianElement((0,))).status == IN
+    v = origin.global_verdict(AbelianElement((3,)))
     assert v.status == OUT
     assert v.certificate["value"] == 3
 
 
 def test_subvariety_joint_vanishing():
-    polys = [coordinate_polynomial(2, 0), coordinate_polynomial(2, 1, shift=5)]
-    assert subvariety(AbelianElement((0, 5)), polys).status == IN
-    assert subvariety(AbelianElement((0, 4)), polys).status == OUT
+    oracle = SubvarietyOracle([coordinate_polynomial(2, 0), coordinate_polynomial(2, 1, shift=5)],
+                              domain="abelian")
+    assert oracle.global_verdict(AbelianElement((0, 5))).status == IN
+    assert oracle.global_verdict(AbelianElement((0, 4))).status == OUT
 
 
 def test_subvariety_validation():
@@ -454,14 +450,14 @@ def test_subvariety_validation():
     with pytest.raises(DomainError):
         SubvarietyOracle([coordinate_polynomial(4, 0)], domain="affine")
     with pytest.raises(ArityMismatch):
-        subvariety(AbelianElement((1, 2, 3)), [coordinate_polynomial(2, 0)])
+        SubvarietyOracle([coordinate_polynomial(2, 0)], domain="abelian").global_verdict(
+            AbelianElement((1, 2, 3)))
 
 
 def test_entry_polynomial_evaluate():
     poly = EntryPolynomial(2, ((3, (2, 0)), (-1, (0, 1)), (7, (0, 0))))
     assert poly.evaluate((2, 5)) == 3 * 4 - 5 + 7
     assert poly.evaluate((2, 5), modulus=5) == (3 * 4 - 5 + 7) % 5
-    assert poly.total_degree == 2
     with pytest.raises(ArityMismatch):
         poly.evaluate((1, 2, 3))
     with pytest.raises(ArityMismatch):
@@ -470,9 +466,10 @@ def test_entry_polynomial_evaluate():
 
 def test_entry_polynomial_json_round_trip():
     poly = trace_polynomial(3, shift=1)
-    again = EntryPolynomial.from_json_obj(poly.to_json_obj())
+    obj = poly.to_json_obj()
+    again = EntryPolynomial(obj["arity"], tuple((c, tuple(e)) for c, e in obj["monomials"]))
     assert again == poly
-    assert str(zero_polynomial(2)) == "0"
+    assert str(EntryPolynomial(2, ())) == "0"
     assert "x0" in str(coordinate_polynomial(2, 0))
 
 
@@ -552,7 +549,7 @@ def test_residual_trace_subvariety_mod_three():
 
 
 def test_residual_zero_polynomial_is_everything():
-    oracle = SubvarietyOracle([zero_polynomial(4)])
+    oracle = SubvarietyOracle([EntryPolynomial(4, ())])
     rep = residual(oracle, MatrixQuotient(2, (3,)))
     assert rep.density == Fraction(1)
 
@@ -572,6 +569,13 @@ def test_residual_sampling_matches_enumeration():
     assert sampled.checked == 4000
     assert sampled.halfwidth is not None
     assert abs(sampled.density - 2 / 3) <= sampled.halfwidth + 1e-9
+
+
+def test_residual_sample_without_hits_has_the_rule_of_three_halfwidth():
+    # the constant polynomial 1 never vanishes, so no sample hits
+    oracle = SubvarietyOracle([EntryPolynomial(1, ((1, (0,)),))], domain="abelian")
+    rep = residual(oracle, AbelianQuotient(1, 5), mode="sample", samples=1000)
+    assert (rep.hits, rep.density, rep.halfwidth) == (0, 0.0, 3 / 1000)
 
 
 def test_residual_mode_validation():
@@ -823,7 +827,7 @@ def test_quartic_galois_brute_agreement():
     # degree 4: OUT must mean full S4, IN must mean reducible
     seen = {IN: 0, OUT: 0, UNKNOWN: 0}
     for g in walk_elements(elementary_generators(4), 60, seed=33, length=8):
-        v = generic_galois(g)
+        v = NongenericGaloisOracle(g.dimension).global_verdict(g)
         seen[v.status] += 1
         coeffs = charpoly_coefficients(g.flat(), 4)
         if v.status == OUT:
@@ -876,7 +880,7 @@ def test_oracle_kind_strings():
     assert ReducibleCharpolyOracle(2).kind == "REDUCIBLE_CHARPOLY"
     assert NongenericGaloisOracle(2).kind == "NONGENERIC_GALOIS"
     assert RationalFixedFlagOracle(2).kind == "RATIONAL_FIXED_FLAG"
-    assert SubvarietyOracle([zero_polynomial(4)]).kind == "SUBVARIETY"
+    assert SubvarietyOracle([EntryPolynomial(4, ())]).kind == "SUBVARIETY"
     assert TorusSquaresOracle(2).kind == "TORUS_SQUARES"
 
 
@@ -907,4 +911,4 @@ def test_verdict_validation():
 
 def test_proper_power_default_schedule():
     oracle = ProperPowerOracle(2)
-    assert oracle.schedule.primes == prime_schedule(3, 2).primes
+    assert oracle.schedule == prime_schedule(3, 2) == (2, 3, 5)

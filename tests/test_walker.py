@@ -33,10 +33,14 @@ from sievelab.walker import (
     exact_distribution,
     exact_origin_scan_z,
     hit_probability_exact,
-    hit_probability_mc,
     mc_sweep,
     run_walk,
 )
+
+
+def mass(dist, g):
+    """P(omega_n = g), read off the path counts of an exact distribution."""
+    return Fraction(dict(dist.counts).get(g, 0), dist.a_size ** dist.n)
 
 
 class TraceOracle:
@@ -108,21 +112,21 @@ def test_exact_distribution_sums_to_one():
     for A, nmax in ((z_generators(), 12), (sl2_st_generators(), 5)):
         for n in range(nmax + 1):
             d = exact_distribution(A, n)
-            assert sum(d.masses().values()) == 1
+            assert sum(c for _, c in d.counts) == A.size ** n
 
 
 def test_exact_nine_paths():
     # Z walk, n=2: 9 equally likely paths, 3 end at the origin
     d = exact_distribution(z_generators(), 2)
-    assert d.probability(AbelianElement((0,))) == Fraction(1, 3)
-    assert d.probability(AbelianElement((2,))) == Fraction(1, 9)
-    assert d.probability(AbelianElement((5,))) == 0
+    assert mass(d, AbelianElement((0,))) == Fraction(1, 3)
+    assert mass(d, AbelianElement((2,))) == Fraction(1, 9)
+    assert mass(d, AbelianElement((5,))) == 0
 
 
 def test_exact_symmetry_z():
     d = exact_distribution(z_generators(), 9)
     for k in range(10):
-        assert d.probability(AbelianElement((k,))) == d.probability(AbelianElement((-k,)))
+        assert mass(d, AbelianElement((k,))) == mass(d, AbelianElement((-k,)))
 
 
 def test_exact_origin_scan_matches_trinomial_and_convolution():
@@ -131,7 +135,18 @@ def test_exact_origin_scan_matches_trinomial_and_convolution():
     for n in grid:
         assert scan[n] == trinomial_origin(n)
         d = exact_distribution(z_generators(), n)
-        assert scan[n] == d.probability(AbelianElement((0,)))
+        assert scan[n] == mass(d, AbelianElement((0,)))
+
+
+def test_exact_laws_refuse_negative_n():
+    from sievelab import cli
+
+    assert cli.main(["walk", "--scenario", "z_origin", "--n", "-1", "--exact"]) == 2
+    for name in ("z_origin", "torus_squares", "sl2_trace"):
+        with pytest.raises(DomainError):
+            lab.exact_probability(lab.get_scenario(name), -1)
+    with pytest.raises(DomainError):
+        exact_origin_scan_z([-1, 3])
 
 
 def test_convolution_checks_the_budget_per_source_state(monkeypatch):
@@ -188,7 +203,7 @@ def test_mc_estimate_properties():
 
 def test_mc_matches_exact_z():
     # m = 40000: exact 1/3 at n=2; 3 half-widths is a >= 99.7% event
-    est = hit_probability_mc(z_generators(), 2, OriginOracle(), 40000, seed=5)
+    est = mc_sweep(z_generators(), OriginOracle(), [2], 40000, seed=5)[0]
     assert abs(est.estimate - 1 / 3) <= 3 * est.halfwidth
 
 
@@ -196,15 +211,8 @@ def test_mc_matches_exact_sl2():
     A = sl2_st_generators()
     oracle = TraceOracle()
     for n, exact in ((2, Fraction(13, 25)), (6, Fraction(7869, 15625))):
-        est = hit_probability_mc(A, n, oracle, 40000, seed=9)
+        est = mc_sweep(A, oracle, [n], 40000, seed=9)[0]
         assert abs(est.estimate - float(exact)) <= 3 * est.halfwidth
-
-
-def test_mc_n_zero():
-    est = hit_probability_mc(z_generators(), 0, OriginOracle(), 50, seed=0)
-    assert est.estimate == 1.0
-    est2 = hit_probability_mc(sl2_st_generators(), 0, TraceOracle(), 50, seed=0)
-    assert est2.estimate == 1.0  # identity has trace 2
 
 
 def test_sweep_equals_per_n_calls():
@@ -215,7 +223,7 @@ def test_sweep_equals_per_n_calls():
     grid = [2, 5, 9]
     swept = mc_sweep(A, oracle, grid, 500, seed=31)
     for est in swept:
-        single = hit_probability_mc(A, est.n, oracle, 500, seed=31)
+        single = mc_sweep(A, oracle, [est.n], 500, seed=31)[0]
         assert est.hits == single.hits
         assert est.unknown == single.unknown
 
@@ -261,8 +269,10 @@ def test_abelian_batch_matches_scalar():
         assert (x.n, x.hits) == (y.n, y.hits)
 
 
-def test_unknown_counting_and_cap():
+def test_unknown_counting_and_cap(monkeypatch):
     class Flaky:
+        kind = "FLAKY"
+
         def hit_raw(self, state):
             if state[0] % 3 == 0 and state[0] != 0:
                 return None
@@ -273,11 +283,13 @@ def test_unknown_counting_and_cap():
 
     ests = mc_sweep(z_generators(), Flaky(), [6], 500, seed=2)
     assert ests[0].unknown > 0
-    try:
-        mc_sweep(z_generators(), Flaky(), [6], 500, seed=2, unknown_cap=0.0)
-        assert False
-    except UnknownRateExceeded:
-        pass
+    # run_experiment refuses a row whose UNKNOWN share passes lab.UNKNOWN_CAP
+    flaky = lab.Scenario(name="flaky", group="z_additive", generators=z_generators(),
+                         oracle=Flaky(), regime="polynomial", description="")
+    assert lab.run_experiment(flaky, [6], 500, 2).rows[0].unknown == ests[0].unknown
+    monkeypatch.setattr(lab, "UNKNOWN_CAP", 0.0)
+    with pytest.raises(UnknownRateExceeded, match="at n=6 above cap 0.0"):
+        lab.run_experiment(flaky, [6], 500, 2)
 
 
 def test_mc_grid_validation():
@@ -300,7 +312,7 @@ def test_identity_multiplicity_lazy_walk():
         [AbelianElement((0,)), AbelianElement((0,)),
          AbelianElement((1,)), AbelianElement((-1,))])
     d = exact_distribution(A, 1)
-    assert d.probability(AbelianElement((0,))) == Fraction(1, 2)
+    assert mass(d, AbelianElement((0,))) == Fraction(1, 2)
 
 
 # ----- the lane kernel against the exact path -----
