@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     EnumerationIncomplete,
     EnumerationUnavailable,
-    InseparableResidue,
     InsufficientData,
     MissingIdentity,
     NotSymmetric,
@@ -66,7 +65,6 @@ from .thinsets import (
     EntryPolynomial,
     NongenericGaloisOracle,
     OracleVerdict,
-    ProperPowerOracle,
     RationalFixedFlagOracle,
     ReducibleCharpolyOracle,
     ResidualReport,

@@ -46,10 +46,6 @@ class InsufficientData(ConfigError):
     """Not enough usable points to fit."""
 
 
-class InseparableResidue(SievelabError):
-    """A char poly was not squarefree mod p; the prime gives no witness."""
-
-
 class ResourceError(SievelabError):
     """Budget or convergence failures."""
 

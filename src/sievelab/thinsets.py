@@ -1,9 +1,10 @@
 """Membership oracles for the concrete thin sets the walks are sieved against.
 
-Six kinds: reducible characteristic polynomial, non-generic Galois group,
-rational fixed flag (eigenvalue +-1 with a rational eigenvector), proper
-k-th powers, closed subvarieties cut out by entry polynomials, and the
-squares in a rank-2 multiplicative lattice.
+Five kinds: reducible characteristic polynomial, non-generic Galois
+group, rational fixed flag (eigenvalue +-1 with a rational eigenvector),
+closed subvarieties cut out by entry polynomials, and the squares in a
+rank-2 multiplicative lattice. The three characteristic-polynomial kinds
+cover SL_2 and SL_3.
 
 Every oracle answers three ways:
   * global_verdict(g): exact IN/OUT over the ambient group where
@@ -22,32 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gfpoly, prng, quotients
-from .errors import (
-    ArityMismatch,
-    DegreeUnsupported,
-    DomainError,
-    InseparableResidue,
-)
+from . import gfpoly, prng
+from .errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from .matgroup import (
     AbelianElement,
-    GeneratorMultiset,
     MatrixElement,
     charpoly_coefficients,
     discriminant,
     _det_bareiss,
 )
-from .quotients import (
-    AbelianQuotient,
-    MatrixQuotient,
-    is_prime,
-    prime_schedule,
-    quotient_for,
-)
+from .quotients import AbelianQuotient, MatrixQuotient
 
 IN = "IN"
 OUT = "OUT"
@@ -162,81 +151,17 @@ def _at_pm1(coeffs: Sequence[int]) -> Tuple[int, int]:
     return sum(coeffs), sum(coeffs[::2]) - sum(coeffs[1::2])
 
 
-def _cycle_pattern_mod(coeffs: Sequence[int], p: int):
-    """Factor degrees of a monic integer polynomial mod p; the pattern is
-    the cycle type of Frobenius when the reduction is squarefree."""
-    f = gfpoly.from_int_coeffs(coeffs, p)
-    if not gfpoly.is_squarefree(f, p):
-        raise InseparableResidue(f"not squarefree mod {p}")
-    return gfpoly.degree_pattern(f, p)
-
-
-_WITNESS_PRIMES = prime_schedule(25, 2)
-
-
-def _reducible_quartic_factor(coeffs: Sequence[int]) -> Optional[dict]:
-    """Certificate of a monic quadratic factor pair of a rootless monic
-    quartic with constant term 1, or None.
-
-    X^4+aX^3+bX^2+cX+1 = (X^2+pX+q)(X^2+rX+s) forces qs = 1, so
-    q = s = 1 (needs c = a) or q = s = -1 (needs c = -a); in either case
-    p and r are the integer roots of y^2 - ay + (b -+ 2). Linear factors
-    are excluded beforehand, so this search is complete over Z.
-    """
-    one, c, b, a, lead = coeffs
-    assert lead == 1 and one == 1
-    for q, need in ((1, c == a), (-1, c == -a)):
-        if not need:
-            continue
-        disc = a * a - 4 * (b - 2 * q)
-        if not is_perfect_square(disc):
-            continue
-        r = math.isqrt(disc)
-        if (a + r) % 2 != 0:
-            continue
-        return {"quadratic_factor": [q, (a + r) // 2, 1],
-                "cofactor": [q, (a - r) // 2, 1],
-                "witness": "product of two monic integer quadratics"}
-    return None
-
-
 def _rational_factor(coeffs: Sequence[int]) -> Optional[dict]:
-    """Certificate of a factor over Z that a complete search finds, or None.
+    """Certificate of a linear factor over Z, or None.
 
     The rational roots of a monic integer polynomial with constant term
-    +-1 are +-1; a quartic without them may split into two quadratics.
+    +-1 are +-1, and a quadratic or cubic without one is irreducible.
     """
     for r, value in zip((1, -1), _at_pm1(coeffs)):
         if value == 0:
             return {"rational_root": r,
                     "cofactor": list(_synthetic_division(coeffs, r)),
                     "witness": f"(X - ({r})) divides the characteristic polynomial"}
-    if len(coeffs) == 5:
-        return _reducible_quartic_factor(coeffs)
-    return None
-
-
-def _jordan_witnesses(coeffs, n):
-    half_primes = [q for q in range(n // 2 + 1, n) if is_prime(q)]
-    need_odd = n % 2 == 1  # an n-cycle is an even permutation then
-    found: Dict[str, list] = {}
-    for p in _WITNESS_PRIMES:
-        try:
-            pat = _cycle_pattern_mod(coeffs, p)
-        except InseparableResidue:
-            continue
-        if "n_cycle" not in found and pat == [n]:
-            found["n_cycle"] = [p, pat]
-        if "p_cycle" not in found:
-            big = [c for c in pat if c > 1]
-            if len(big) == 1 and big[0] in half_primes:
-                found["p_cycle"] = [p, pat]
-        if need_odd and "odd_pattern" not in found:
-            if (n - len(pat)) % 2 == 1:
-                found["odd_pattern"] = [p, pat]
-        if "n_cycle" in found and "p_cycle" in found and (
-                not need_odd or "odd_pattern" in found):
-            return found
     return None
 
 
@@ -251,7 +176,8 @@ def _sl3_ts(f):
 # ----- oracle classes -----
 
 class _CharpolyOracle:
-    """A thin set of SL_dim(Z) read off the characteristic polynomial chi.
+    """A thin set of SL_dim(Z), dim 2 or 3, read off the characteristic
+    polynomial chi.
 
     The base computes chi once per element and holds everything the sets
     share; a subclass gives only its decision over Z with certificates
@@ -265,21 +191,33 @@ class _CharpolyOracle:
     def __init__(self, dimension: int):
         if dimension < 2:
             raise DomainError("dimension must be at least 2")
+        if dimension > 3:
+            raise DegreeUnsupported(
+                f"characteristic-polynomial oracles cover dimensions 2 and 3, not {dimension}")
         self.dimension = dimension
+
+    def _same_dimension(self, x):
+        """Refuse an element or quotient of another dimension."""
+        if getattr(x, "dimension", None) != self.dimension:
+            raise DimensionMismatch(
+                f"{type(x).__name__} of dimension {getattr(x, 'dimension', None)} "
+                f"given to an oracle of dimension {self.dimension}")
 
     def quotient_for_prime(self, p: int) -> MatrixQuotient:
         return MatrixQuotient(self.dimension, (p,))
 
     def global_verdict(self, g: MatrixElement) -> OracleVerdict:
+        self._same_dimension(g)
         flat = g.flat()
-        return self._verdict_from_coeffs(charpoly_coefficients(flat, g.dimension), flat)
+        return self._verdict_from_coeffs(charpoly_coefficients(flat, self.dimension), flat)
 
     def residual_mask(self, digits, quotient) -> np.ndarray:
         """Whether each row of digits (quotient elements, block after
         block) passes the test in every block, as the reduction of a
         member does. The test reads only chi mod p, so each block sorts
         its rows into classes of chi mod p and decides once per class."""
-        d = quotient.dimension
+        self._same_dimension(quotient)
+        d = self.dimension
         mask = np.ones(len(digits), dtype=bool)
         for b, p in enumerate(quotient.moduli):
             m = digits[:, b * d * d:(b + 1) * d * d] % p
@@ -288,38 +226,29 @@ class _CharpolyOracle:
             if d == 2:
                 key, inverse = np.unique((m[:, 0] + m[:, 3]) % p, return_inverse=True)
                 polys = [(1, -t, 1) for t in key.tolist()]
-            elif d == 3:
+            else:
                 t, s = _sl3_ts(m.T)
                 key, inverse = np.unique(t % p * p + s % p, return_inverse=True)
                 polys = [(-1, k % p, -(k // p), 1) for k in key.tolist()]
-            else:  # one key per row: its coefficients mod p
-                key, inverse = np.unique(np.fromiter(
-                    (tuple(c % p for c in charpoly_coefficients(row, d)) for row in m.tolist()),
-                    dtype=object, count=len(m)), return_inverse=True)
-                polys = key.tolist()
             mask &= np.array([self._block_contains(c, p) for c in polys], dtype=bool)[inverse]
         return mask
 
     def hit_raw(self, flat):
-        d = self.dimension
-        if d == 2:
+        if self.dimension == 2:
             # over SL_2(Z) each of the three sets is {trace = +-2}
             t = flat[0] + flat[3]
             return t == 2 or t == -2
-        if d == 3:
-            # chi(1) = s - t, chi(-1) = -s - t - 2
-            t, s = _sl3_ts(flat)
-            if s == t or s == -t - 2:
-                return True
-            if not self._square_discriminant:
-                return False
-            # the discriminant of chi and is_perfect_square, inlined: this
-            # runs once per Monte Carlo lane and checkpoint
-            ts = t * s
-            disc = 18 * ts - 4 * t * t * t + ts * ts - 4 * s * s * s - 27
-            return disc >= 0 and math.isqrt(disc) ** 2 == disc
-        v = self._verdict_from_coeffs(charpoly_coefficients(flat, d), flat)
-        return None if v.status == UNKNOWN else v.status == IN
+        # chi(1) = s - t, chi(-1) = -s - t - 2
+        t, s = _sl3_ts(flat)
+        if s == t or s == -t - 2:
+            return True
+        if not self._square_discriminant:
+            return False
+        # the discriminant of chi and is_perfect_square, inlined: this
+        # runs once per Monte Carlo lane and checkpoint
+        ts = t * s
+        disc = 18 * ts - 4 * t * t * t + ts * ts - 4 * s * s * s - 27
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
 
     def to_json_obj(self):
         return {"kind": self.kind, "dimension": self.dimension}
@@ -331,33 +260,18 @@ class ReducibleCharpolyOracle(_CharpolyOracle):
     kind = "REDUCIBLE_CHARPOLY"
 
     def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
-        deg = len(coeffs) - 1
         factor = _rational_factor(coeffs)
         if factor is not None:
             return OracleVerdict(IN, factor)
-        if deg == 2:
+        if len(coeffs) == 3:
             disc = discriminant(coeffs)
             return OracleVerdict(OUT, {
                 "discriminant": disc,
                 "witness": f"no rational root; discriminant {disc} is not a square",
             })
-        if deg == 3:
-            return OracleVerdict(OUT, {
-                "witness": "monic cubic with constant term -1 and no root at +-1",
-            })
-        if deg == 4:
-            return OracleVerdict(OUT, {
-                "witness": "no root at +-1 and no monic quadratic factor pair",
-            })
-        for p in _WITNESS_PRIMES:
-            f = gfpoly.from_int_coeffs(coeffs, p)
-            if gfpoly.is_irreducible(f, p):
-                return OracleVerdict(OUT, {
-                    "irreducible_mod": p,
-                    "witness": f"irreducible mod {p}, hence irreducible over Q",
-                })
-        return OracleVerdict(
-            UNKNOWN, reason=f"degree {deg} > 4 and no mod-p irreducibility witness")
+        return OracleVerdict(OUT, {
+            "witness": "monic cubic with constant term -1 and no root at +-1",
+        })
 
     def _block_contains(self, coeffs, p) -> bool:
         return not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p)
@@ -367,18 +281,14 @@ class NongenericGaloisOracle(_CharpolyOracle):
     """Thin set {g : Galois group of char poly is not the full S_dim}.
 
     IN means NON-generic. Degree 2: discriminant a perfect square.
-    Degree 3: reducible or square discriminant. Degree 4 and up:
-    reducibility gives IN; genericity is certified by factor patterns
-    mod sampled primes (an n-cycle, a p-cycle for a prime p > n/2
-    fixing the rest, and for odd n an odd pattern), else UNKNOWN.
+    Degree 3: reducible or square discriminant.
     """
 
     kind = "NONGENERIC_GALOIS"
     _square_discriminant = True
 
     def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
-        deg = len(coeffs) - 1
-        if deg == 2:
+        if len(coeffs) == 3:
             disc = discriminant(coeffs)
             if is_perfect_square(disc):
                 return OracleVerdict(IN, {
@@ -392,45 +302,24 @@ class NongenericGaloisOracle(_CharpolyOracle):
                 "witness": f"discriminant {disc} is not a perfect square",
             })
         factor = _rational_factor(coeffs)
-        if deg == 3:
-            if factor is not None:
-                return OracleVerdict(IN, {
-                    "degeneracy": "reducible",
-                    "rational_root": factor["rational_root"],
-                    "witness": "characteristic polynomial has a rational root",
-                })
-            disc = discriminant(coeffs)
-            if is_perfect_square(disc):
-                return OracleVerdict(IN, {
-                    "degeneracy": "square_discriminant",
-                    "square_discriminant": disc,
-                    "witness": f"irreducible with square discriminant {disc}: group A3",
-                })
-            return OracleVerdict(OUT, {
-                "galois_group": "S3",
-                "discriminant": disc,
-                "witness": "irreducible cubic with non-square discriminant",
-            })
         if factor is not None:
             return OracleVerdict(IN, {
                 "degeneracy": "reducible",
-                "witness": "reducible characteristic polynomial: group not transitive",
+                "rational_root": factor["rational_root"],
+                "witness": "characteristic polynomial has a rational root",
             })
-        witnesses = _jordan_witnesses(coeffs, deg)
-        if witnesses is not None:
-            return OracleVerdict(OUT, {
-                "galois_group": f"S{deg}",
-                "witness_patterns": witnesses,
-                "witness": "factor patterns mod witnessing primes generate S_n",
+        disc = discriminant(coeffs)
+        if is_perfect_square(disc):
+            return OracleVerdict(IN, {
+                "degeneracy": "square_discriminant",
+                "square_discriminant": disc,
+                "witness": f"irreducible with square discriminant {disc}: group A3",
             })
-        return OracleVerdict(
-            UNKNOWN,
-            reason=f"no full witness set among primes up to {_WITNESS_PRIMES[-1]}")
-
-    def residual_mask(self, digits, quotient) -> np.ndarray:
-        if quotient.dimension > 3:
-            raise DegreeUnsupported("residual test implemented for dimensions 2 and 3")
-        return super().residual_mask(digits, quotient)
+        return OracleVerdict(OUT, {
+            "galois_group": "S3",
+            "discriminant": disc,
+            "witness": "irreducible cubic with non-square discriminant",
+        })
 
     def _block_contains(self, coeffs, p) -> bool:
         if not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p):
@@ -442,8 +331,7 @@ class NongenericGaloisOracle(_CharpolyOracle):
 class RationalFixedFlagOracle(_CharpolyOracle):
     """Thin set {g : g fixes a rational line}, i.e. g has an eigenvector
     over Q. The eigenvalue is an integer dividing det(g) = 1, so the test
-    is chi(1) = 0 or chi(-1) = 0, any dimension; det(g -+ I) is
-    (-1)^dim chi(+-1)."""
+    is chi(1) = 0 or chi(-1) = 0; det(g -+ I) is (-1)^dim chi(+-1)."""
 
     kind = "RATIONAL_FIXED_FLAG"
 
@@ -469,142 +357,6 @@ class RationalFixedFlagOracle(_CharpolyOracle):
     def _block_contains(self, coeffs, p) -> bool:
         at_one, at_minus_one = _at_pm1(coeffs)
         return at_one % p == 0 or at_minus_one % p == 0
-
-
-# explicit roots are searched in the ball of this radius, up to this size
-_BALL_DEPTH = 3
-_BALL_BUDGET = 20_000
-
-
-class ProperPowerOracle:
-    """Thin set {g : g = h^k for some h in the ambient group}.
-
-    Exact both ways on abelian elements. On matrices: IN by a bounded
-    ball search for an explicit root, OUT by a non-power certificate in
-    some scheduled finite quotient, UNKNOWN otherwise. A scheduled
-    quotient whose order exceeds the enumeration budget is skipped.
-    """
-
-    kind_base = "PROPER_POWER"
-
-    def __init__(self, k: int, generators: Optional[GeneratorMultiset] = None,
-                 schedule: Optional[Tuple[int, ...]] = None):
-        if k < 2:
-            raise DomainError("k must be at least 2")
-        self.k = k
-        self.generators = generators
-        self.schedule = schedule if schedule is not None else prime_schedule(3, 2)
-        self._power_sets: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
-
-    @property
-    def kind(self) -> str:
-        return f"{self.kind_base}({self.k})"
-
-    def quotient_for_prime(self, p: int):
-        if self.generators is None:
-            raise DomainError("proper_power needs generators to build quotients")
-        return quotient_for(self.generators, (p,))
-
-    def _ball(self):
-        assert self.generators is not None
-        ident = self.generators.identity_element()
-        seen = {ident}
-        frontier = [ident]
-        for _ in range(_BALL_DEPTH):
-            nxt = []
-            for x in frontier:
-                for h in self.generators.support:
-                    y = x * h
-                    if y not in seen:
-                        if len(seen) >= _BALL_BUDGET:
-                            return seen
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    def _power_codes(self, quotient: MatrixQuotient) -> np.ndarray:
-        """Sorted codes of the k-th powers in a matrix quotient, all taken at
-        once by square-and-multiply; kept per (dimension, moduli), as labels repeat."""
-        key = (quotient.dimension, quotient.moduli)
-        if key not in self._power_sets:
-            d, b = quotient.dimension, len(quotient.moduli)
-            x = quotient.enumerate_elements().reshape(-1, b, d, d)
-            mods = np.array(quotient.moduli, dtype=x.dtype).reshape(b, 1, 1)
-            y, e = np.broadcast_to(np.eye(d, dtype=x.dtype), x.shape), self.k
-            while e:
-                if e & 1:
-                    y = y @ x % mods
-                x, e = x @ x % mods, e >> 1
-            self._power_sets[key] = quotients._distinct(quotient.encode(y.reshape(len(y), -1)))
-        return self._power_sets[key]
-
-    def global_verdict(self, g) -> OracleVerdict:
-        k = self.k
-        if isinstance(g, AbelianElement):
-            if all(e % k == 0 for e in g.exponents):
-                root = tuple(e // k for e in g.exponents)
-                return OracleVerdict(IN, {
-                    "root_exponents": list(root),
-                    "witness": f"exponents are all multiples of {k}",
-                })
-            i = next(i for i, e in enumerate(g.exponents) if e % k != 0)
-            return OracleVerdict(OUT, {
-                "coordinate": i,
-                "value": g.exponents[i],
-                "witness": f"exponent {g.exponents[i]} is not a multiple of {k}",
-            })
-        if g.is_identity():
-            return OracleVerdict(IN, {
-                "root": g.to_json_obj(),
-                "witness": "identity is its own k-th root",
-            })
-        if self.generators is not None:
-            for h in self._ball():
-                acc = h
-                for _ in range(k - 1):
-                    acc = acc * h
-                if acc == g:
-                    return OracleVerdict(IN, {
-                        "root": h.to_json_obj(),
-                        "witness": f"explicit {k}-th root found in a generator ball",
-                    })
-        skipped = []
-        for p in self.schedule:
-            quotient = MatrixQuotient(g.dimension, (p,))
-            if quotient.order() > quotients.ENUM_BUDGET:
-                skipped.append(str(p))
-            elif not self.residual_mask(np.array([quotient.reduce(g)]), quotient)[0]:
-                return OracleVerdict(OUT, {
-                    "non_power_mod": p,
-                    "witness": f"reduction mod {p} is not a {k}-th power there",
-                })
-        if skipped:
-            return OracleVerdict(
-                UNKNOWN,
-                reason=f"no root in the search ball, every other scheduled reduction is a "
-                       f"{k}-th power, and SL_{g.dimension} mod {', '.join(skipped)} exceeds the "
-                       f"enumeration budget")
-        return OracleVerdict(
-            UNKNOWN,
-            reason=f"no root in the search ball and every scheduled quotient "
-                   f"reduction is a {k}-th power")
-
-    def residual_mask(self, digits, quotient) -> np.ndarray:
-        if isinstance(quotient, AbelianQuotient):
-            # the k-th multiples in Z/q are the multiples of gcd(k, q)
-            return np.all(digits % math.gcd(self.k, quotient.modulus) == 0, axis=1)
-        return np.isin(quotient.encode(digits), self._power_codes(quotient))
-
-    def hit_raw(self, state):
-        if self.generators is not None and isinstance(
-                self.generators.support[0], AbelianElement):
-            return all(e % self.k == 0 for e in state)
-        return None  # matrix state: no cheap global decision
-
-    def to_json_obj(self):
-        return {"kind": self.kind, "k": self.k,
-                "schedule": list(self.schedule)}
 
 
 @dataclass(frozen=True)
@@ -807,6 +559,9 @@ class TorusSquaresOracle:
         })
 
     def residual_mask(self, digits, quotient: AbelianQuotient) -> np.ndarray:
+        if getattr(quotient, "rank", None) != self.rank:
+            raise ArityMismatch(f"quotient of rank {getattr(quotient, 'rank', None)} "
+                                f"given to an oracle of rank {self.rank}")
         # the image of doubling in Z/q is everything for odd q, evens else
         return np.all(digits % math.gcd(2, quotient.modulus) == 0, axis=1)
 

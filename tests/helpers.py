@@ -5,7 +5,7 @@ import math
 import numpy as np
 from sympy import Matrix, Poly, Symbol
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p
+from sympy.polys.galoistools import gf_irreducible_p
 
 from sievelab import prng
 from sievelab.matgroup import MatrixElement
@@ -70,16 +70,6 @@ def brute_nongeneric(coeffs):
     if brute_reducible(coeffs):
         return True
     return brute_disc_is_square(coeffs)
-
-
-def brute_cycle_pattern(coeffs, p):
-    """Sorted factor-degree multiset mod p; None when not squarefree."""
-    rev = [ZZ(c % p) for c in reversed(coeffs)]
-    _, factors = gf_factor_sqf(rev, p, ZZ)
-    degs = sorted(len(f) - 1 for f in factors)
-    if sum(degs) != len(coeffs) - 1:
-        return None  # a repeated factor was dropped: not squarefree
-    return degs
 
 
 def walk_elements(generators, count, seed, length):

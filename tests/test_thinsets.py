@@ -6,27 +6,24 @@ import numpy as np
 import pytest
 
 from helpers import (
-    brute_cycle_pattern,
     brute_disc_is_square,
     brute_nongeneric,
     brute_reducible,
     elements,
-    from_json_entries,
     residual_contains,
     to_poly,
     walk_elements,
 )
 from sievelab import prng
-from sievelab.errors import ArityMismatch, DegreeUnsupported, DomainError, InseparableResidue
+from sievelab.errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from sievelab.matgroup import (
     AbelianElement,
     MatrixElement,
     charpoly_coefficients,
     elementary_generators,
     sl2_st_generators,
-    z_generators,
 )
-from sievelab.quotients import AbelianQuotient, MatrixQuotient, prime_schedule
+from sievelab.quotients import AbelianQuotient, MatrixQuotient
 from sievelab.thinsets import (
     IN,
     OUT,
@@ -34,7 +31,6 @@ from sievelab.thinsets import (
     EntryPolynomial,
     NongenericGaloisOracle,
     OracleVerdict,
-    ProperPowerOracle,
     RationalFixedFlagOracle,
     ReducibleCharpolyOracle,
     SubvarietyOracle,
@@ -49,6 +45,7 @@ T = MatrixElement(((1, 1), (0, 1)))
 S = MatrixElement(((0, 1), (-1, 0)))
 FIB = MatrixElement(((2, 1), (1, 1)))
 NEG_I = MatrixElement(((-1, 0), (0, -1)))
+CHARPOLY_ORACLES = (ReducibleCharpolyOracle, NongenericGaloisOracle, RationalFixedFlagOracle)
 
 
 def companion(coeffs):
@@ -112,43 +109,6 @@ def test_irreducible_cubic_is_out():
     assert v.status == OUT
 
 
-def test_reducible_quartic_sweep_matches_sympy():
-    # every SL_4 characteristic polynomial shape X^4+aX^3+bX^2+cX+1
-    oracle = ReducibleCharpolyOracle(4)
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            for c in range(-4, 5):
-                coeffs = (1, c, b, a, 1)
-                v = oracle._verdict_from_coeffs(coeffs)
-                assert v.status in (IN, OUT)
-                assert (v.status == IN) == brute_reducible(coeffs)
-
-
-def test_reducible_quartic_certificate_multiplies_back():
-    coeffs = (1, 0, 3, 0, 1)  # (X^2+1)(X^2+... ) check via the oracle
-    v = ReducibleCharpolyOracle(4)._verdict_from_coeffs(coeffs)
-    if v.status == IN and "quadratic_factor" in v.certificate:
-        f = to_poly(v.certificate["quadratic_factor"])
-        g = to_poly(v.certificate["cofactor"])
-        assert (f * g - to_poly(coeffs)).is_zero
-
-
-def test_reducible_quintic_witness():
-    g = companion((-1, -1, 0, 0, 0, 1))  # X^5 - X - 1
-    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
-    assert v.status == OUT
-    p = v.certificate["irreducible_mod"]
-    assert brute_cycle_pattern((-1, -1, 0, 0, 0, 1), p) == [5]
-    assert not brute_reducible((-1, -1, 0, 0, 0, 1))
-
-
-def test_reducible_quintic_root():
-    g = companion((-1, 0, 0, 0, 0, 1))  # X^5 - 1
-    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
-    assert v.status == IN
-    assert v.certificate["rational_root"] == 1
-
-
 def test_reducible_residual_contains_blocks():
     oracle = ReducibleCharpolyOracle(2)
     q = MatrixQuotient(2, (3, 5))
@@ -159,9 +119,24 @@ def test_reducible_residual_contains_blocks():
     assert not residual_contains(oracle, q.reduce(g), q)
 
 
-def test_reducible_dimension_validation():
+@pytest.mark.parametrize("cls", CHARPOLY_ORACLES, ids=lambda c: c.kind)
+def test_charpoly_oracle_dimension_validation(cls):
+    # chi has degree 2 or 3: SL_1 is trivial, and SL_4 and up are refused
     with pytest.raises(DomainError):
-        ReducibleCharpolyOracle(1)
+        cls(1)
+    for dim in (4, 12):
+        with pytest.raises(DegreeUnsupported):
+            cls(dim)
+
+
+def test_oracles_refuse_elements_and_quotients_of_another_dimension():
+    # the oracle's dimension or rank decides, not the input's
+    with pytest.raises(DimensionMismatch):
+        RationalFixedFlagOracle(2).global_verdict(MatrixElement.identity(3))
+    with pytest.raises(DimensionMismatch):
+        residual(RationalFixedFlagOracle(2), MatrixQuotient(3, (3,)))
+    with pytest.raises(ArityMismatch):
+        residual(TorusSquaresOracle(2), AbelianQuotient(3, 4))
 
 
 # ----- non-generic Galois group -----
@@ -205,56 +180,6 @@ def test_galois_cubic_cyclic_degenerate():
     assert v.certificate["square_discriminant"] == 81
     assert not brute_reducible((-1, -3, 0, 1))
     assert brute_disc_is_square((-1, -3, 0, 1))
-
-
-def test_galois_quartic_full_group():
-    g = companion((1, 1, 0, 0, 1))  # X^4 + X + 1, Galois group S4
-    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
-    assert v.status == OUT
-    assert v.certificate["galois_group"] == "S4"
-    pats = v.certificate["witness_patterns"]
-    assert "n_cycle" in pats and "p_cycle" in pats
-    p, pat = pats["n_cycle"]
-    assert brute_cycle_pattern((1, 1, 0, 0, 1), p) == pat == [4]
-    p, pat = pats["p_cycle"]
-    assert brute_cycle_pattern((1, 1, 0, 0, 1), p) == pat
-    assert sorted(c for c in pat if c > 1) == [3]
-    grp, _ = to_poly((1, 1, 0, 0, 1)).galois_group()
-    assert grp.order() == 24
-
-
-def test_galois_quartic_cyclic_is_unknown():
-    g = companion((1, 1, 1, 1, 1))  # fifth cyclotomic: cyclic C4, not S4
-    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
-    assert v.status == UNKNOWN
-    assert "witness" in v.reason or v.reason
-    grp, _ = to_poly((1, 1, 1, 1, 1)).galois_group()
-    assert grp.order() == 4
-
-
-def test_galois_quintic_reducible():
-    g = companion((-1, 0, 0, 0, 0, 1))  # X^5 - 1
-    v = NongenericGaloisOracle(g.dimension).global_verdict(g)
-    assert v.status == IN
-    assert v.certificate["degeneracy"] == "reducible"
-
-
-def test_galois_residual_dimension_cap():
-    oracle = NongenericGaloisOracle(4)
-    q = MatrixQuotient(4, (3,))
-    with pytest.raises(DegreeUnsupported):
-        residual_contains(oracle, (1,) + (0,) * 15, q)
-    with pytest.raises(DegreeUnsupported):
-        residual(oracle, q, mode="sample", samples=5)
-    # refused before any element is decided, so also on no elements at all
-    with pytest.raises(DegreeUnsupported):
-        oracle.residual_mask(np.zeros((0, 16), dtype=np.int64), MatrixQuotient(4, (2,)))
-
-
-def test_inseparable_residue_raised():
-    from sievelab.thinsets import _cycle_pattern_mod
-    with pytest.raises(InseparableResidue):
-        _cycle_pattern_mod((1, -2, 1), 5)  # (X-1)^2 mod any p
 
 
 # ----- rational fixed flag -----
@@ -305,106 +230,6 @@ def test_fixed_flag_iff_linear_factor():
         poly = to_poly(coeffs)
         has_flag = poly.eval(1) == 0 or poly.eval(-1) == 0
         assert (RationalFixedFlagOracle(g.dimension).global_verdict(g).status == IN) == has_flag
-
-
-# ----- proper powers -----
-
-def test_proper_power_square_found_in_ball():
-    g = T * T  # [[1,2],[0,1]]
-    v = ProperPowerOracle(2, generators=sl2_st_generators()).global_verdict(g)
-    assert v.status == IN
-    root = from_json_entries(v.certificate["root"])
-    assert root * root == g
-
-
-def test_proper_power_identity():
-    v = ProperPowerOracle(7).global_verdict(MatrixElement.identity(2))
-    assert v.status == IN
-
-
-def test_proper_power_shear_not_square():
-    v = ProperPowerOracle(2).global_verdict(T)
-    assert v.status == OUT
-    assert v.certificate["non_power_mod"] == 2
-
-
-def test_proper_power_s_not_square():
-    v = ProperPowerOracle(2).global_verdict(S)
-    assert v.status == OUT
-    assert v.certificate["non_power_mod"] == 2
-
-
-def test_proper_power_st_not_cube():
-    v = ProperPowerOracle(3).global_verdict(S * T)
-    assert v.status == OUT
-    assert v.certificate["non_power_mod"] == 2
-
-
-def test_proper_power_unknown_without_generators():
-    # -I = S^2 is a square everywhere, but only a ball search can see it
-    v = ProperPowerOracle(2).global_verdict(NEG_I)
-    assert v.status == UNKNOWN
-    v2 = ProperPowerOracle(2, generators=sl2_st_generators()).global_verdict(NEG_I)
-    assert v2.status == IN
-    root = from_json_entries(v2.certificate["root"])
-    assert root * root == NEG_I
-
-
-def test_proper_power_skips_quotients_past_the_enumeration_budget():
-    # the default schedule is (2, 3, 5); SL_4(F_3) has order 12130560, past
-    # the enumeration budget, so SL_4 elements are decided mod 2 alone
-    oracle = ProperPowerOracle(2)
-    e12 = MatrixElement(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    v = oracle.global_verdict(e12)
-    assert v.status == UNKNOWN
-    assert "SL_4 mod 3, 5" in v.reason
-    jordan = MatrixElement(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
-    w = oracle.global_verdict(jordan)
-    assert w.status == OUT and w.certificate["non_power_mod"] == 2
-
-
-def test_proper_power_abelian_exact():
-    v = ProperPowerOracle(2).global_verdict(AbelianElement((2, -4)))
-    assert v.status == IN
-    assert v.certificate["root_exponents"] == [1, -2]
-    w = ProperPowerOracle(2).global_verdict(AbelianElement((1, 0)))
-    assert w.status == OUT
-    assert w.certificate["coordinate"] == 0
-    assert w.certificate["value"] == 1
-
-
-def test_proper_power_k_validation():
-    with pytest.raises(DomainError):
-        ProperPowerOracle(1)
-
-
-def test_proper_power_quotients():
-    oracle = ProperPowerOracle(2)
-    with pytest.raises(DomainError):
-        oracle.quotient_for_prime(3)
-    om = ProperPowerOracle(2, generators=sl2_st_generators())
-    assert isinstance(om.quotient_for_prime(3), MatrixQuotient)
-    oa = ProperPowerOracle(2, generators=z_generators())
-    assert isinstance(oa.quotient_for_prime(3), AbelianQuotient)
-
-
-def test_proper_power_kind_label():
-    assert ProperPowerOracle(3).kind == "PROPER_POWER(3)"
-
-
-def test_proper_power_residual_sets():
-    oracle = ProperPowerOracle(2, generators=sl2_st_generators())
-    q3 = MatrixQuotient(2, (3,))
-    # T = (T^2)^2 mod 3 because T has order 3 there
-    assert residual_contains(oracle, q3.reduce(T), q3)
-    q2 = MatrixQuotient(2, (2,))
-    assert not residual_contains(oracle, q2.reduce(T), q2)
-    ab = ProperPowerOracle(2)
-    qa3 = AbelianQuotient(2, 3)
-    assert residual_contains(ab, (1, 2), qa3)  # gcd(2,3)=1: everything
-    qa2 = AbelianQuotient(2, 2)
-    assert residual_contains(ab, (0, 0), qa2)
-    assert not residual_contains(ab, (1, 0), qa2)
 
 
 # ----- subvariety of entry polynomials -----
@@ -597,9 +422,6 @@ def test_residual_report_json():
 
 # ----- residual sets decided once per class of chi mod p -----
 
-CHARPOLY_ORACLES = (ReducibleCharpolyOracle, NongenericGaloisOracle, RationalFixedFlagOracle)
-
-
 def blocks(x, quotient):
     """(block, prime) for each prime of a matrix quotient element x."""
     size = quotient.dimension ** 2
@@ -632,16 +454,6 @@ def test_residual_by_class_equals_the_per_element_test(cls, dim, moduli):
         oracle, q, elems[:200])
 
 
-@pytest.mark.parametrize("cls", [ReducibleCharpolyOracle, RationalFixedFlagOracle],
-                         ids=lambda c: c.kind)
-def test_residual_past_dimension_three_keys_rows_by_their_coefficients(cls):
-    oracle, q = cls(4), MatrixQuotient(4, (2,))
-    elems = [sample_element(q, 8, t) for t in range(300)]
-    hits = per_element_hits(oracle, q, elems)
-    assert 0 < hits < 300
-    assert residual(oracle, q, mode="sample", samples=300, seed=8).hits == hits
-
-
 def test_residual_fixed_flag_sl3_mod_five():
     rep = residual(RationalFixedFlagOracle(3), MatrixQuotient(3, (5,)))
     assert rep.checked == 372000
@@ -667,24 +479,10 @@ def test_sl3_galois_residual_is_the_whole_group(p):
 
 # ----- every oracle kind against a per-element reference -----
 
-def power_set(k, quotient):
-    """The k-th powers of the quotient, one element at a time through
-    the tuple multiply."""
-    powers = set()
-    for x in elements(quotient):
-        y = quotient.identity()
-        for _ in range(k):
-            y = quotient.multiply(y, x)
-        powers.add(y)
-    return powers
-
-
 def per_element_reference(oracle, quotient):
     """The residual test of one quotient element, written without residual_mask."""
     if isinstance(oracle, TorusSquaresOracle):
         return lambda x: quotient.modulus % 2 == 1 or all(e % 2 == 0 for e in x)
-    if isinstance(oracle, ProperPowerOracle):
-        return power_set(oracle.k, quotient).__contains__
     if isinstance(oracle, SubvarietyOracle) and isinstance(quotient, AbelianQuotient):
         return lambda x: all(q.evaluate(x, quotient.modulus) == 0 for q in oracle.polys)
     if isinstance(oracle, SubvarietyOracle):
@@ -697,12 +495,11 @@ def per_element_reference(oracle, quotient):
 
 def matrix_oracles(d):
     return [ReducibleCharpolyOracle(d), NongenericGaloisOracle(d), RationalFixedFlagOracle(d),
-            ProperPowerOracle(2), ProperPowerOracle(3),
             SubvarietyOracle([trace_polynomial(d, d)])]
 
 
 ABELIAN_ORACLES = [
-    ProperPowerOracle(2), ProperPowerOracle(3), TorusSquaresOracle(2),
+    TorusSquaresOracle(2),
     SubvarietyOracle([EntryPolynomial(2, ((1, (2, 0)), (-1, (0, 1))))], domain="abelian"),
 ]
 RESIDUAL_CASES = (
@@ -711,10 +508,7 @@ RESIDUAL_CASES = (
     + [(o, MatrixQuotient(2, (3, 5))) for o in matrix_oracles(2)]
     + [(o, AbelianQuotient(2, q)) for q in (2, 3, 4) for o in ABELIAN_ORACLES])
 # residual hits frozen from the per-element route these masks replaced
-FROZEN_RESIDUAL_HITS = {
-    ("PROPER_POWER(2)", 2, "13"): 1002, ("PROPER_POWER(2)", 3, "3"): 3276,
-    ("SUBVARIETY", 2, "13"): 169, ("SUBVARIETY", 3, "3"): 1863,
-}
+FROZEN_RESIDUAL_HITS = {("SUBVARIETY", 2, "13"): 169, ("SUBVARIETY", 3, "3"): 1863}
 
 
 @pytest.mark.parametrize("oracle,q", RESIDUAL_CASES,
@@ -737,19 +531,7 @@ def test_sampled_digit_rows_stay_exact_past_int64():
     q = AbelianQuotient(2, 2 ** 64 + 2)
     want = sum(all(e % 2 == 0 for e in sample_element(q, 4, t)) for t in range(200))
     assert 0 < want < 200
-    for oracle in (TorusSquaresOracle(2), ProperPowerOracle(2)):
-        assert residual(oracle, q, mode="sample", samples=200, seed=4).hits == want
-
-
-def test_proper_power_sets_are_kept_per_group_not_per_label():
-    # SL_2(F_p) and SL_3(F_p) share the label "p"; E12(2) = E12(1)^2 in both
-    oracle = ProperPowerOracle(2, schedule=prime_schedule(2, 2))
-    assert oracle.global_verdict(MatrixElement(((1, 2), (0, 1)))).status == UNKNOWN
-    e12 = MatrixElement(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
-    assert oracle.global_verdict(e12).status == UNKNOWN
-    other = ProperPowerOracle(2)
-    residual(other, MatrixQuotient(2, (3,)))
-    assert residual(other, MatrixQuotient(3, (3,))).hits == 3276
+    assert residual(TorusSquaresOracle(2), q, mode="sample", samples=200, seed=4).hits == want
 
 
 # ----- global/residual compatibility on walk samples -----
@@ -774,7 +556,6 @@ def test_residual_compatibility_matrix_oracles():
 
 def test_residual_compatibility_abelian_oracles():
     torus = TorusSquaresOracle(2)
-    power = ProperPowerOracle(3)
     for trial in range(400):
         a, b = prng.draw_indices(77, trial, 2, 41)
         g = AbelianElement((a - 20, b - 20))
@@ -783,8 +564,6 @@ def test_residual_compatibility_abelian_oracles():
             red = q.reduce(g)
             if torus.global_verdict(g).status == IN:
                 assert residual_contains(torus, red, q)
-            if power.global_verdict(g).status == IN:
-                assert residual_contains(power, red, q)
 
 
 def test_triple_coincidence_on_walks():
@@ -823,21 +602,6 @@ def test_brute_force_galois_agreement():
             assert (gv.status == IN) == brute_nongeneric(coeffs)
 
 
-def test_quartic_galois_brute_agreement():
-    # degree 4: OUT must mean full S4, IN must mean reducible
-    seen = {IN: 0, OUT: 0, UNKNOWN: 0}
-    for g in walk_elements(elementary_generators(4), 60, seed=33, length=8):
-        v = NongenericGaloisOracle(g.dimension).global_verdict(g)
-        seen[v.status] += 1
-        coeffs = charpoly_coefficients(g.flat(), 4)
-        if v.status == OUT:
-            grp, _ = to_poly(coeffs).galois_group()
-            assert grp.order() == 24
-        elif v.status == IN:
-            assert brute_reducible(coeffs)
-    assert seen[IN] > 0 and seen[OUT] > 0
-
-
 # ----- hit_raw consistency and metadata -----
 
 def test_hit_raw_matches_global_verdict():
@@ -849,16 +613,9 @@ def test_hit_raw_matches_global_verdict():
         assert red.hit_raw(flat) == (red.global_verdict(g).status == IN)
         assert flag.hit_raw(flat) == (flag.global_verdict(g).status == IN)
         assert gal.hit_raw(flat) == (gal.global_verdict(g).status == IN)
-    # past dimension 3 hit_raw takes the coefficient route of global_verdict
-    red, flag = ReducibleCharpolyOracle(4), RationalFixedFlagOracle(4)
-    seen = set()
-    for g in walk_elements(elementary_generators(4), 60, seed=42, length=8):
-        flat = list(g.flat())
-        for oracle in (red, flag):
-            status = oracle.global_verdict(g).status
-            seen.add(status)
-            assert oracle.hit_raw(flat) == (status == IN)
-    assert seen == {IN, OUT}
+        # a monic cubic with constant term -1 is reducible exactly when +-1
+        # is a root, so the two sets agree over Z
+        assert red.global_verdict(g).status == flag.global_verdict(g).status
 
 
 @pytest.mark.parametrize("oracle", [
@@ -889,7 +646,6 @@ def test_oracle_json_objects():
         ReducibleCharpolyOracle(2).to_json_obj(),
         NongenericGaloisOracle(3).to_json_obj(),
         RationalFixedFlagOracle(2).to_json_obj(),
-        ProperPowerOracle(2, generators=sl2_st_generators()).to_json_obj(),
         SubvarietyOracle([trace_polynomial(2, shift=2)]).to_json_obj(),
         TorusSquaresOracle(2).to_json_obj(),
     ]
@@ -908,7 +664,3 @@ def test_verdict_validation():
     v = OracleVerdict(UNKNOWN, reason="undecided")
     assert v.to_json_obj() == {"status": "UNKNOWN", "reason": "undecided"}
 
-
-def test_proper_power_default_schedule():
-    oracle = ProperPowerOracle(2)
-    assert oracle.schedule == prime_schedule(3, 2) == (2, 3, 5)
