@@ -120,13 +120,20 @@ class _Coded:
         radix, place = self._basis
         return codes[:, None] // place % radix
 
+    @cached_property
+    def _kept_codes(self) -> np.ndarray:
+        codes = self._codes()
+        codes.flags.writeable = False
+        return codes
+
     def element_codes(self) -> np.ndarray:
-        """Sorted codes of all elements; raises when the order exceeds ENUM_BUDGET."""
+        """Sorted codes of all elements, read-only and computed once per
+        quotient; raises when the order exceeds ENUM_BUDGET."""
         total = self.order()
         if total > ENUM_BUDGET:
             raise EnumerationUnavailable(
                 f"order {total} of quotient {self.label} exceeds budget {ENUM_BUDGET}")
-        return self._codes()
+        return self._kept_codes
 
     def enumerate_elements(self) -> np.ndarray:
         """All elements in sorted order, one digit row each; raises when

@@ -6,10 +6,13 @@ self-adjoint, so its spectrum is real: 1 = lambda_1 >= lambda_2 >= ...
 pi_1 is lambda_2, pi_min the bottom eigenvalue, pi_star the largest
 modulus away from the top eigenvector.
 
-Small quotients get a dense symmetric eigensolver; past DENSE_THRESHOLD
-a deflated power iteration on (I+P)/2 and (I-P)/2 extracts the two
-extremes with a residual: the 2-norm ||Pv - theta v|| of each Rayleigh
-pair, which bounds |lambda - theta| for some eigenvalue lambda of P.
+Small quotients get a dense route: P commutes with left translations,
+so it splits over the characters of a cyclic subgroup <h> into Hermitian
+blocks of order |G|/ord(h), each solved by a dense eigensolver. Past
+DENSE_THRESHOLD a deflated power iteration on (I+P)/2 and (I-P)/2
+extracts the two extremes with a residual: the 2-norm ||Pv - theta v||
+of each Rayleigh pair, which bounds |lambda - theta| for some eigenvalue
+lambda of P.
 Consumers add the residual before comparing against thresholds.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
 from .matgroup import GeneratorMultiset
-from .quotients import MatrixQuotient
+from .quotients import AbelianQuotient
 from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
@@ -99,39 +102,57 @@ def _translations(quotient, codes):
         codes, quotient.encode(quotient.multiply_digits(digits, [g])))
 
 
-def _minus_identity(quotient):
-    """-I reduced into a matrix quotient where it is not I (even dimension,
-    every modulus odd); None otherwise."""
-    if (not isinstance(quotient, MatrixQuotient) or quotient.dimension % 2
-            or not all(p % 2 for p in quotient.moduli)):
-        return None
-    d = quotient.dimension
-    return tuple((p - 1) * (i == j) for p in quotient.moduli for i in range(d) for j in range(d))
+def _cyclic_translation(quotient, codes):
+    """(h, L): the element h whose left translations split the dense
+    route, and the index permutation L of x -> h x over the sorted codes.
+
+    h is c E_1d(1) in each prime's block of a matrix quotient, with c = -1
+    when d is even and p odd (so <h> holds -I) and c = 1 otherwise; it is
+    e_1 in an abelian quotient, where left and right translation agree.
+    """
+    if isinstance(quotient, AbelianQuotient):
+        h = (1,) + (0,) * (quotient.rank - 1)
+        return h, _translations(quotient, codes)(h)
+    digits = quotient.decode(codes)
+    d, b = quotient.dimension, len(quotient.moduli)
+    h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
+              for p in quotient.moduli for i in range(d) for j in range(d))
+    g = np.array(h, dtype=digits.dtype).reshape(b, d, d)
+    mods = np.array(quotient.moduli, dtype=digits.dtype).reshape(b, 1, 1)
+    hx = (g @ digits.reshape(-1, b, d, d) % mods).reshape(digits.shape)
+    return h, np.searchsorted(codes, quotient.encode(hx))
 
 
-def _dense_spectrum(maps, neg=None) -> np.ndarray:
+def _dense_spectrum(maps, left) -> np.ndarray:
     """All eigenvalues of P = sum of its (permutation, weight) maps, ascending.
 
-    neg, when given, permutes x -> -x; -I is central, so P commutes with
-    it and splits on even and odd functions into P+- [x, y] = P[x, y] +-
-    P[x, -y] over one x of each pair {x, -x}: two blocks of order |G|/2
-    whose spectra together are P's. Without neg the one block is P.
+    left permutes x -> h x for an h of order r. P moves by right
+    multiplication, so it commutes with left translations and splits over
+    the characters of <h>. Write x = h^a(x) r_c(x), with r_c the least
+    index of the coset <h>x; with omega = e^(2 pi i/r), block k is the
+    Hermitian B_k[i, c(r_i g)] += w_g omega^(k a(r_i g)) of order |G|/r.
+    B_(r-k) = conj(B_k) has the same spectrum, so blocks 0..r//2 are
+    solved and the others counted twice.
     """
-    ell = maps[0][0].size
-    neg = np.arange(ell) if neg is None else neg
-    rep = np.arange(ell) <= neg
-    rows = np.flatnonzero(rep)
-    slot = np.empty(ell, dtype=np.int64)
-    slot[rows] = slot[neg[rows]] = np.arange(rows.size)
-    signs = [np.ones(ell)] + ([] if rep.all() else [np.where(rep, 1.0, -1.0)])
-    eig = []
-    for sign in signs:
-        block = np.zeros((rows.size, rows.size))
-        for perm, w in maps:
-            t = perm[rows]
-            block[np.arange(rows.size), slot[t]] += w * sign[t]
-        eig.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(eig))
+    ell = left.size
+    best, shift = np.arange(ell), np.zeros(ell, dtype=np.int64)
+    # cur is x -> h^r x; h acts freely, so every orbit has ord(h) elements
+    cur, r = left, 1
+    while cur[0] != 0:
+        lower = cur < best
+        best[lower], shift[lower] = cur[lower], r
+        cur, r = left[cur], r + 1
+    rows = np.flatnonzero(best == np.arange(ell))
+    coset = np.searchsorted(rows, best)
+    ks = np.arange(r // 2 + 1)
+    # x = h^(-shift(x)) r_c(x), so a(x) = -shift(x) mod r
+    phase = np.exp(-2j * np.pi * np.arange(r) / r)
+    blocks = np.zeros((ks.size, rows.size, rows.size), dtype=complex)
+    for perm, w in maps:
+        t = perm[rows]
+        blocks[:, np.arange(rows.size), coset[t]] += w * phase[np.outer(ks, shift[t]) % r]
+    copies = np.where((ks == 0) | (2 * ks == r), 1, 2)
+    return np.sort(np.repeat(np.linalg.eigvalsh(blocks), copies, axis=0).ravel())
 
 
 def _power_top(matvec, dim: int, deflate: np.ndarray):
@@ -177,9 +198,7 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
     if ell <= DENSE_THRESHOLD:
-        minus = _minus_identity(quotient)
-        neg = None if minus is None else _translations(quotient, codes)(minus)
-        eig = _dense_spectrum(maps, neg)
+        eig = _dense_spectrum(maps, _cyclic_translation(quotient, codes)[1])
         return AdjacencySpectrum(quotient.label, ell, a_size,
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)

@@ -481,20 +481,21 @@ class SubvarietyOracle:
             return MatrixQuotient(self.dimension, (p,))
         return AbelianQuotient(self.arity, p)
 
-    def _values(self, g):
-        if isinstance(g, MatrixElement):
-            values = g.flat()
-        elif isinstance(g, AbelianElement):
-            values = g.exponents
-        else:
-            values = tuple(g)
-        if len(values) != self.arity:
-            raise ArityMismatch(
-                f"element has {len(values)} coordinates, oracle wants {self.arity}")
-        return values
+    def _same_domain(self, x):
+        """Refuse an element or quotient of the other kind or size, with
+        the errors the characteristic-polynomial and torus oracles raise."""
+        if self.domain == "matrix":
+            if getattr(x, "dimension", None) != self.dimension:
+                raise DimensionMismatch(
+                    f"{type(x).__name__} of dimension {getattr(x, 'dimension', None)} "
+                    f"given to an oracle of dimension {self.dimension}")
+        elif getattr(x, "rank", None) != self.arity:
+            raise ArityMismatch(f"{type(x).__name__} of rank {getattr(x, 'rank', None)} "
+                                f"given to an oracle of arity {self.arity}")
 
     def global_verdict(self, g) -> OracleVerdict:
-        values = self._values(g)
+        self._same_domain(g)
+        values = g.flat() if self.domain == "matrix" else g.exponents
         for i, q in enumerate(self.polys):
             v = q.evaluate(values)
             if v != 0:
@@ -509,7 +510,8 @@ class SubvarietyOracle:
         })
 
     def residual_mask(self, digits, quotient) -> np.ndarray:
-        moduli = (quotient.modulus,) if isinstance(quotient, AbelianQuotient) else quotient.moduli
+        self._same_domain(quotient)
+        moduli = quotient.moduli if self.domain == "matrix" else (quotient.modulus,)
         mask = np.ones(len(digits), dtype=bool)
         for block, p in zip(np.hsplit(digits, len(moduli)), moduli):
             for q in self.polys:

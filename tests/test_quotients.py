@@ -37,6 +37,7 @@ from sievelab.quotients import (
     prime_schedule,
     quotient_for,
 )
+from sievelab.spectra import walk_permutations
 
 
 def det_laplace(rows):
@@ -261,6 +262,23 @@ def test_code_enumeration_equals_bfs_by_multiply(dim, moduli):
     assert codes.dtype == np.int64 and np.all(codes[1:] > codes[:-1])
     assert np.array_equal(q.decode(codes), els)
     assert np.array_equal(q.encode(want), codes)
+
+
+def test_element_codes_are_closed_once_and_read_only(monkeypatch):
+    calls = []
+    closure = quotients._closure_codes
+    monkeypatch.setattr(quotients, "_closure_codes", lambda *a: calls.append(a) or closure(*a))
+    q = MatrixQuotient(2, (7,))
+    q.enumerate_elements()
+    walk_permutations(sl2_st_generators(), q)
+    assert len(calls) == 1
+    codes = q.element_codes()
+    with pytest.raises(ValueError):
+        codes[0] = 0
+    # the budget is still checked on every call
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 335)
+    with pytest.raises(EnumerationUnavailable):
+        q.element_codes()
 
 
 def test_abelian_codes_follow_element_order():

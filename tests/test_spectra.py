@@ -228,37 +228,52 @@ def test_neighbor_permutations_match_multiply(quotient, A):
         merged[quotient.reduce(g)] = merged.get(quotient.reduce(g), 0) + m
     assert a_size == A.size and [m for _, m in maps] == list(merged.values())
     pairs = [(g, perm) for g, (perm, _) in zip(merged, maps)]
-    minus = spectra._minus_identity(quotient)
-    if minus is not None:
-        pairs.append((minus, spectra._translations(quotient, codes)(minus)))
     for g, idx in pairs:
         assert sorted(idx) == list(range(ell))
         assert all(els[j] == quotient.multiply(x, g) for x, j in zip(els, idx))
+    h, left = spectra._cyclic_translation(quotient, codes)
+    assert sorted(left) == list(range(ell))
+    assert all(els[j] == quotient.multiply(h, x) for x, j in zip(els, left))
 
 
-@pytest.mark.parametrize("moduli", [(5,), (7,), (11,), (13,), (3, 5)])
-def test_folded_spectrum_equals_unfolded(moduli):
-    q = MatrixQuotient(2, moduli)
-    A = sl2_st_generators()
-    codes, a_size, maps = spectra.walk_permutations(A, q)
-    ell = len(codes)
+BLOCK_CASES = (
+    [(MatrixQuotient(2, m), A) for m in ((2,), (3,), (5,), (7,), (11,), (13,), (2, 3), (3, 5))
+     for A in (sl2_st_generators(), elementary_generators(2))]
+    + [(MatrixQuotient(3, (2,)), elementary_generators(3)),
+       (AbelianQuotient(1, 6), z_generators()),
+       (AbelianQuotient(2, 5), torus_generators())])
+
+
+@pytest.mark.parametrize("quotient,A", BLOCK_CASES,
+                         ids=[f"{q.label}-{A.tag}" for q, A in BLOCK_CASES])
+def test_block_spectrum_equals_dense_eigvalsh(quotient, A):
+    codes, a_size, maps = spectra.walk_permutations(A, quotient)
     maps = [(perm, m / a_size) for perm, m in maps]
-    P = np.zeros((ell, ell))
-    for idx, w in maps:
-        P[np.arange(ell), idx] += w
-    minus = spectra._minus_identity(q)
-    assert minus == tuple(e for p in moduli for e in (p - 1, 0, 0, p - 1))
-    folded = spectra._dense_spectrum(maps, spectra._translations(q, codes)(minus))
-    assert folded.shape == (ell,)
-    assert np.max(np.abs(folded - np.linalg.eigvalsh(P))) <= 1e-12
-    assert np.max(np.abs(spectra._dense_spectrum(maps) - folded)) <= 1e-12
+    blocks = spectra._dense_spectrum(maps, spectra._cyclic_translation(quotient, codes)[1])
+    want = np.linalg.eigvalsh(_walk_matrix(quotient, A))
+    assert blocks.shape == want.shape
+    assert np.max(np.abs(blocks - want)) <= 1e-12
 
 
-def test_fold_needs_minus_identity_distinct_from_identity():
-    assert spectra._minus_identity(MatrixQuotient(2, (2,))) is None
-    assert spectra._minus_identity(MatrixQuotient(2, (2, 3))) is None
-    assert spectra._minus_identity(MatrixQuotient(3, (5,))) is None
-    assert spectra._minus_identity(AbelianQuotient(1, 5)) is None
+@pytest.mark.parametrize("moduli,r,order", [((13,), 26, 84), ((3, 5), 30, 96),
+                                            ((2,), 2, 3), ((2, 3), 6, 24)])
+def test_dense_route_splits_by_the_order_of_h(moduli, r, order, monkeypatch):
+    # h = -E12(1) has order 2p for odd p, E12(1) order 2 for p = 2, and a
+    # pair takes the lcm; blocks 0..r//2 of order |G|/r reach eigvalsh
+    q = MatrixQuotient(2, moduli)
+    codes = q.element_codes()
+    h, left = spectra._cyclic_translation(q, codes)
+    assert h == tuple(e for p in moduli
+                      for e in ((1, 1, 0, 1) if p == 2 else (p - 1, p - 1, 0, p - 1)))
+    cur, steps = left, 1
+    while not np.array_equal(cur, np.arange(codes.size)):
+        cur, steps = left[cur], steps + 1
+    assert steps == r and codes.size == r * order
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    assert second_eigenvalue(sl2_st_generators(), q).method == "dense"
+    assert shapes == [(r // 2 + 1, order, order)]
 
 
 @pytest.mark.parametrize("quotient,A", [

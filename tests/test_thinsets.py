@@ -279,6 +279,21 @@ def test_subvariety_validation():
             AbelianElement((1, 2, 3)))
 
 
+def test_subvariety_refuses_the_other_domain():
+    matrix = SubvarietyOracle([trace_polynomial(2, shift=2)])
+    abelian = SubvarietyOracle([coordinate_polynomial(4, 0)], domain="abelian")
+    with pytest.raises(DimensionMismatch):
+        residual(matrix, AbelianQuotient(4, 3))
+    with pytest.raises(DimensionMismatch):
+        residual(matrix, MatrixQuotient(3, (2,)))
+    with pytest.raises(DimensionMismatch):
+        matrix.global_verdict(AbelianElement((1, 0, 0, 1)))
+    with pytest.raises(ArityMismatch):
+        residual(abelian, MatrixQuotient(2, (3,)))
+    with pytest.raises(ArityMismatch):
+        abelian.global_verdict(T)
+
+
 def test_entry_polynomial_evaluate():
     poly = EntryPolynomial(2, ((3, (2, 0)), (-1, (0, 1)), (7, (0, 0))))
     assert poly.evaluate((2, 5)) == 3 * 4 - 5 + 7
