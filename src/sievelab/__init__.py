@@ -66,7 +66,6 @@ from .thinsets import (
     NongenericGaloisOracle,
     OracleVerdict,
     RationalFixedFlagOracle,
-    ReducibleCharpolyOracle,
     ResidualReport,
     SubvarietyOracle,
     TorusSquaresOracle,

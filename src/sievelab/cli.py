@@ -162,18 +162,31 @@ def _cmd_experiment(args) -> int:
 
 
 def _read_rows_csv(path: str) -> List[lab.ExperimentRow]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            tb = rec.get("theory_bound", "")
-            rows.append(lab.ExperimentRow(
-                scenario=rec["scenario"], n=int(rec["n"]),
-                trials=int(rec["trials"]), hits=int(rec["hits"]),
-                unknown=int(rec["unknown"]), estimate=float(rec["estimate"]),
-                ci_halfwidth=float(rec["ci_halfwidth"]),
-                theory_bound=(None if tb in ("", None) else float(tb)),
-                regime=rec["regime"]))
+    """The rows of an experiment CSV; a file that cannot be read, or a
+    row that is not an experiment row, raises DomainError naming it."""
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                tb = rec.get("theory_bound", "")
+                row = lab.ExperimentRow(
+                    scenario=rec["scenario"], n=int(rec["n"]),
+                    trials=int(rec["trials"]), hits=int(rec["hits"]),
+                    unknown=int(rec["unknown"]), estimate=float(rec["estimate"]),
+                    ci_halfwidth=float(rec["ci_halfwidth"]),
+                    theory_bound=(None if tb in ("", None) else float(tb)),
+                    regime=rec["regime"])
+                if row.n < 1 or not 0 <= row.estimate <= 1:
+                    raise ValueError(f"need n >= 1 and 0 <= estimate <= 1, "
+                                     f"got n = {row.n}, estimate = {row.estimate}")
+                rows.append(row)
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise DomainError(f"{path} line {reader.line_num}: no column {exc}") from None
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DomainError(f"no rows in {path}")
     return rows

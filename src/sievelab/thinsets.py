@@ -1,10 +1,10 @@
 """Membership oracles for the concrete thin sets the walks are sieved against.
 
-Five kinds: reducible characteristic polynomial, non-generic Galois
-group, rational fixed flag (eigenvalue +-1 with a rational eigenvector),
-closed subvarieties cut out by entry polynomials, and the squares in a
-rank-2 multiplicative lattice. The three characteristic-polynomial kinds
-cover SL_2 and SL_3.
+Four kinds: non-generic Galois group, rational fixed flag (eigenvalue
++-1 with a rational eigenvector; on SL_2 and SL_3 also the set of
+reducible characteristic polynomials), closed subvarieties cut out by
+entry polynomials, and the squares in a rank-2 multiplicative lattice.
+The two characteristic-polynomial kinds cover SL_2 and SL_3.
 
 Every oracle answers three ways:
   * global_verdict(g): exact IN/OUT over the ambient group where
@@ -14,8 +14,9 @@ Every oracle answers three ways:
     the reduction of the global set (never excludes a genuine member).
     The characteristic-polynomial oracles decide once per class of chi
     mod p.
-  * hit_raw(state): the global test on a raw flat state, for the Monte
-    Carlo inner loop; None where undecided.
+  * exactly one Monte Carlo test: hit_raw(state), the global test on one
+    raw flat state (None where undecided), or hit_raw_batch(coords),
+    the same test on one array per coordinate, int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ class OracleVerdict:
 
 
 # ----- small exact linear algebra helpers -----
-
-def _synthetic_division(coeffs: Sequence[int], root: int) -> Tuple[int, ...]:
-    """Divide a monic polynomial (constant first) by (X - root) exactly."""
-    desc = list(reversed(coeffs))
-    out = [desc[0]]
-    for c in desc[1:-1]:
-        out.append(c + root * out[-1])
-    rem = desc[-1] + root * out[-1]
-    assert rem == 0, "root did not divide"
-    return tuple(reversed(out))
-
 
 def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int, ...]:
     """Primitive integer vector v with (g - eigenvalue*I) v = 0.
@@ -149,20 +139,6 @@ def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int,
 def _at_pm1(coeffs: Sequence[int]) -> Tuple[int, int]:
     """(chi(1), chi(-1)) for chi given constant term first."""
     return sum(coeffs), sum(coeffs[::2]) - sum(coeffs[1::2])
-
-
-def _rational_factor(coeffs: Sequence[int]) -> Optional[dict]:
-    """Certificate of a linear factor over Z, or None.
-
-    The rational roots of a monic integer polynomial with constant term
-    +-1 are +-1, and a quadratic or cubic without one is irreducible.
-    """
-    for r, value in zip((1, -1), _at_pm1(coeffs)):
-        if value == 0:
-            return {"rational_root": r,
-                    "cofactor": list(_synthetic_division(coeffs, r)),
-                    "witness": f"(X - ({r})) divides the characteristic polynomial"}
-    return None
 
 
 def _sl3_ts(f):
@@ -235,7 +211,7 @@ class _CharpolyOracle:
 
     def hit_raw(self, flat):
         if self.dimension == 2:
-            # over SL_2(Z) each of the three sets is {trace = +-2}
+            # over SL_2(Z) both sets are {trace = +-2}
             t = flat[0] + flat[3]
             return t == 2 or t == -2
         # chi(1) = s - t, chi(-1) = -s - t - 2
@@ -254,29 +230,6 @@ class _CharpolyOracle:
         return {"kind": self.kind, "dimension": self.dimension}
 
 
-class ReducibleCharpolyOracle(_CharpolyOracle):
-    """Thin set {g : char poly of g factors nontrivially over Q}."""
-
-    kind = "REDUCIBLE_CHARPOLY"
-
-    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
-        factor = _rational_factor(coeffs)
-        if factor is not None:
-            return OracleVerdict(IN, factor)
-        if len(coeffs) == 3:
-            disc = discriminant(coeffs)
-            return OracleVerdict(OUT, {
-                "discriminant": disc,
-                "witness": f"no rational root; discriminant {disc} is not a square",
-            })
-        return OracleVerdict(OUT, {
-            "witness": "monic cubic with constant term -1 and no root at +-1",
-        })
-
-    def _block_contains(self, coeffs, p) -> bool:
-        return not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p)
-
-
 class NongenericGaloisOracle(_CharpolyOracle):
     """Thin set {g : Galois group of char poly is not the full S_dim}.
 
@@ -287,7 +240,7 @@ class NongenericGaloisOracle(_CharpolyOracle):
     kind = "NONGENERIC_GALOIS"
     _square_discriminant = True
 
-    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
+    def _verdict_from_coeffs(self, coeffs, flat) -> OracleVerdict:
         if len(coeffs) == 3:
             disc = discriminant(coeffs)
             if is_perfect_square(disc):
@@ -301,13 +254,14 @@ class NongenericGaloisOracle(_CharpolyOracle):
                 "discriminant": disc,
                 "witness": f"discriminant {disc} is not a perfect square",
             })
-        factor = _rational_factor(coeffs)
-        if factor is not None:
-            return OracleVerdict(IN, {
-                "degeneracy": "reducible",
-                "rational_root": factor["rational_root"],
-                "witness": "characteristic polynomial has a rational root",
-            })
+        # a root of a monic integer cubic with constant term -1 is +-1
+        for root, value in zip((1, -1), _at_pm1(coeffs)):
+            if value == 0:
+                return OracleVerdict(IN, {
+                    "degeneracy": "reducible",
+                    "rational_root": root,
+                    "witness": "characteristic polynomial has a rational root",
+                })
         disc = discriminant(coeffs)
         if is_perfect_square(disc):
             return OracleVerdict(IN, {
@@ -331,11 +285,12 @@ class NongenericGaloisOracle(_CharpolyOracle):
 class RationalFixedFlagOracle(_CharpolyOracle):
     """Thin set {g : g fixes a rational line}, i.e. g has an eigenvector
     over Q. The eigenvalue is an integer dividing det(g) = 1, so the test
-    is chi(1) = 0 or chi(-1) = 0; det(g -+ I) is (-1)^dim chi(+-1)."""
+    is chi(1) = 0 or chi(-1) = 0; det(g -+ I) is (-1)^dim chi(+-1). In
+    degree 2 or 3 that is also the set where chi is reducible over Q."""
 
     kind = "RATIONAL_FIXED_FLAG"
 
-    def _verdict_from_coeffs(self, coeffs, flat=None) -> OracleVerdict:
+    def _verdict_from_coeffs(self, coeffs, flat) -> OracleVerdict:
         dim = len(coeffs) - 1
         at_one, at_minus_one = _at_pm1(coeffs)
         for lam, value in ((1, at_one), (-1, at_minus_one)):
@@ -374,7 +329,7 @@ class EntryPolynomial:
             if len(exps) != self.arity:
                 raise ArityMismatch("monomial exponent tuple has wrong length")
 
-    def evaluate(self, values: Sequence[int], modulus: Optional[int] = None) -> int:
+    def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} coordinates, got {len(values)}")
@@ -385,7 +340,7 @@ class EntryPolynomial:
                 if e:
                     term *= v ** e
             total += term
-        return total % modulus if modulus is not None else total
+        return total
 
     def evaluate_batch(self, coords):
         """Values at many points, one array per coordinate. Exact: the
@@ -518,15 +473,8 @@ class SubvarietyOracle:
                 mask &= q.evaluate_batch(list(block.T)) % p == 0
         return mask
 
-    def hit_raw(self, state):
-        return all(q.evaluate(state) == 0 for q in self.polys)
-
     def hit_raw_batch(self, coords):
-        out = None
-        for q in self.polys:
-            z = q.evaluate_batch(coords) == 0
-            out = z if out is None else (out & z)
-        return out
+        return np.logical_and.reduce([q.evaluate_batch(coords) == 0 for q in self.polys])
 
     def to_json_obj(self):
         return {"kind": self.kind, "domain": self.domain,
@@ -567,15 +515,8 @@ class TorusSquaresOracle:
         # the image of doubling in Z/q is everything for odd q, evens else
         return np.all(digits % math.gcd(2, quotient.modulus) == 0, axis=1)
 
-    def hit_raw(self, state):
-        return all(e % 2 == 0 for e in state)
-
     def hit_raw_batch(self, coords):
-        out = None
-        for arr in coords:
-            z = arr % 2 == 0
-            out = z if out is None else (out & z)
-        return out
+        return np.logical_and.reduce([arr % 2 == 0 for arr in coords])
 
     def to_json_obj(self):
         return {"kind": self.kind, "rank": self.rank}

@@ -192,7 +192,9 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     int64 while max|entry| x (largest column abs-sum of a generator), or
     max|coord| + segment x max|increment|, stays below 2^62, which bounds
     every partial sum of the step; past that it continues in Python ints
-    and the other lanes stay in int64.
+    and the other lanes stay in int64. At each checkpoint an oracle with
+    hit_raw_batch decides each non-empty group of lanes, int64 or Python
+    ints, in one call; any other oracle gets one hit_raw call per lane.
     """
     table = A.draw_table()
     gens = np.array([g.flat() for g in table], dtype=object)
@@ -237,12 +239,12 @@ def _sweep_lanes(A, oracle, grid, m, seed):
             k = cp
             for ids, st in lanes:
                 flat = st.reshape(-1, start.size)
-                if batch is not None and flat.dtype != object and len(flat):
+                if batch is None:
+                    verdicts = list(map(oracle.hit_raw, flat.tolist()))
+                    unknown[cp] += verdicts.count(None)
+                    hits[cp] += sum(map(bool, verdicts))
+                elif len(flat):
                     hits[cp] += int(np.count_nonzero(batch(tuple(flat.T))))
-                    continue
-                verdicts = list(map(oracle.hit_raw, flat.tolist()))
-                unknown[cp] += verdicts.count(None)
-                hits[cp] += sum(map(bool, verdicts))
     return hits, unknown
 
 

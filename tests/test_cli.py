@@ -303,6 +303,31 @@ def test_fit_too_few_rows_exits_2(tmp_path):
     assert rc == 2
 
 
+BAD_CSV = {
+    "columns": "a,b\n1,2\n",
+    "number": ("scenario,n,trials,hits,unknown,estimate,ci_halfwidth,theory_bound,regime\n"
+               "z_origin,4,100,20,0,abc,0.1,,polynomial\n"),
+    "missing": None,
+    # log n and log estimate would fail or give NaN in the fit
+    "n_zero": ("scenario,n,trials,hits,unknown,estimate,ci_halfwidth,theory_bound,regime\n"
+               "z_origin,0,100,20,0,0.2,0.1,,polynomial\n"),
+    "estimate_inf": ("scenario,n,trials,hits,unknown,estimate,ci_halfwidth,theory_bound,regime\n"
+                     "z_origin,4,100,20,0,inf,0.1,,polynomial\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSV))
+def test_fit_bad_input_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "rows.csv"
+    if BAD_CSV[case] is not None:
+        path.write_text(BAD_CSV[case])
+    rc = cli.main(["fit", "--input", str(path), "--out", str(tmp_path / "fit.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("line 2" in err) == (case != "missing")
+
+
 def test_stdout_fallback(capsys):
     rc = cli.main(["scenarios"])
     assert rc == 0

@@ -11,7 +11,7 @@ from sievelab.matgroup import z_generators
 from sievelab.quotients import prime_schedule
 from sievelab.thinsets import (
     EntryPolynomial,
-    ReducibleCharpolyOracle,
+    RationalFixedFlagOracle,
     SubvarietyOracle,
 )
 from sievelab.walker import exact_distribution
@@ -237,22 +237,24 @@ def test_estimate_alpha_full_thin_set():
 
 
 def test_estimate_alpha_reducible_sl2():
-    est = sieve.estimate_alpha(ReducibleCharpolyOracle(2), prime_schedule(3, 5))
+    # the fixed-flag oracle decides the reducible set; its residual set
+    # mod p is {chi(1) = 0 or chi(-1) = 0}
+    est = sieve.estimate_alpha(RationalFixedFlagOracle(2), prime_schedule(3, 5))
     dens = dict(est.densities)
-    assert dens[5] == Fraction(2, 3)
-    assert dens[7] == Fraction(5, 8)
-    assert dens[11] == Fraction(7, 12)
-    assert est.alpha == Fraction(1, 3)
+    assert dens[5] == Fraction(5, 12)
+    assert dens[7] == Fraction(7, 24)
+    assert dens[11] == Fraction(11, 60)
+    assert est.alpha == Fraction(7, 12)
     obj = est.to_json_obj()
-    assert obj["alpha"] == "1/3"
-    assert obj["densities"]["5"] == "2/3"
+    assert obj["alpha"] == "7/12"
+    assert obj["densities"]["5"] == "5/12"
 
 
 def test_estimate_alpha_sample_mode_widens_down():
-    est = sieve.estimate_alpha(ReducibleCharpolyOracle(2), prime_schedule(1, 5),
+    est = sieve.estimate_alpha(RationalFixedFlagOracle(2), prime_schedule(1, 5),
                                mode="sample", samples=2000, seed=3)
     assert est.mode == "sample"
-    assert est.alpha <= 1 - 2 / 3 + 0.05  # widened by the half-width
+    assert est.alpha <= 1 - 5 / 12 + 0.05  # widened by the half-width
 
 
 def test_estimate_alpha_sample_mode_never_sampled_set_is_widened():

@@ -14,6 +14,7 @@ from helpers import (
     to_poly,
     walk_elements,
 )
+import sievelab
 from sievelab import prng
 from sievelab.errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from sievelab.matgroup import (
@@ -32,7 +33,6 @@ from sievelab.thinsets import (
     NongenericGaloisOracle,
     OracleVerdict,
     RationalFixedFlagOracle,
-    ReducibleCharpolyOracle,
     SubvarietyOracle,
     TorusSquaresOracle,
     coordinate_polynomial,
@@ -45,7 +45,7 @@ T = MatrixElement(((1, 1), (0, 1)))
 S = MatrixElement(((0, 1), (-1, 0)))
 FIB = MatrixElement(((2, 1), (1, 1)))
 NEG_I = MatrixElement(((-1, 0), (0, -1)))
-CHARPOLY_ORACLES = (ReducibleCharpolyOracle, NongenericGaloisOracle, RationalFixedFlagOracle)
+CHARPOLY_ORACLES = (NongenericGaloisOracle, RationalFixedFlagOracle)
 
 
 def companion(coeffs):
@@ -74,48 +74,48 @@ def test_companion_matches_charpoly():
         assert charpoly_coefficients(g.flat(), g.dimension) == coeffs
 
 
-# ----- reducible characteristic polynomial -----
+# ----- reducible characteristic polynomial: the fixed-flag set over Z -----
+# chi is monic of degree 2 or 3 with constant term +-1, so it is reducible
+# exactly when +-1 is a root; sympy's factorization is the reference
 
 def test_reducible_trace_three_is_out():
-    v = ReducibleCharpolyOracle(2).global_verdict(FIB)
+    v = RationalFixedFlagOracle(2).global_verdict(FIB)
     assert v.status == OUT
-    assert v.certificate["discriminant"] == 5
-
-
-def test_reducible_trace_two_is_in():
-    v = ReducibleCharpolyOracle(2).global_verdict(T)
-    assert v.status == IN
-    assert v.certificate["rational_root"] == 1
-    assert v.certificate["cofactor"] == [-1, 1]
+    assert not brute_reducible(charpoly_coefficients(FIB.flat(), 2))
 
 
 def test_reducible_negative_identity():
-    v = ReducibleCharpolyOracle(2).global_verdict(NEG_I)
+    v = RationalFixedFlagOracle(2).global_verdict(NEG_I)
     assert v.status == IN
-    assert v.certificate["rational_root"] == -1
+    assert v.certificate["eigenvalue"] == -1
+    assert brute_reducible(charpoly_coefficients(NEG_I.flat(), 2))
 
 
 def test_reducible_sl3_companion_root():
     g = companion((-1, 1, -1, 1))  # X^3 - X^2 + X - 1
     assert g.flat() == (0, 0, 1, 1, 0, -1, 0, 1, 1)
-    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
+    v = RationalFixedFlagOracle(g.dimension).global_verdict(g)
     assert v.status == IN
-    assert v.certificate["rational_root"] == 1
+    assert v.certificate["eigenvalue"] == 1
+    assert brute_reducible((-1, 1, -1, 1))
 
 
 def test_irreducible_cubic_is_out():
     g = companion((-1, 1, -3, 1))  # X^3 - 3X^2 + X - 1, no root at +-1
-    v = ReducibleCharpolyOracle(g.dimension).global_verdict(g)
+    v = RationalFixedFlagOracle(g.dimension).global_verdict(g)
     assert v.status == OUT
+    assert not brute_reducible((-1, 1, -3, 1))
 
 
 def test_reducible_residual_contains_blocks():
-    oracle = ReducibleCharpolyOracle(2)
+    oracle = RationalFixedFlagOracle(2)
     q = MatrixQuotient(2, (3, 5))
     assert residual_contains(oracle, q.reduce(T), q)
-    # trace 3: X^2-3X+1 is irreducible mod 5 (disc 5 = 0 mod 5 -> root!)
-    # use trace 4 instead: disc 12; mod 5 disc = 2, a non-residue
+    # trace 4: chi(1) = -2 and chi(-1) = 6, so the block mod 3 passes
+    # and the block mod 5 does not
     g = MatrixElement(((3, 1), (2, 1)))
+    q3 = MatrixQuotient(2, (3,))
+    assert residual_contains(oracle, q3.reduce(g), q3)
     assert not residual_contains(oracle, q.reduce(g), q)
 
 
@@ -297,7 +297,6 @@ def test_subvariety_refuses_the_other_domain():
 def test_entry_polynomial_evaluate():
     poly = EntryPolynomial(2, ((3, (2, 0)), (-1, (0, 1)), (7, (0, 0))))
     assert poly.evaluate((2, 5)) == 3 * 4 - 5 + 7
-    assert poly.evaluate((2, 5), modulus=5) == (3 * 4 - 5 + 7) % 5
     with pytest.raises(ArityMismatch):
         poly.evaluate((1, 2, 3))
     with pytest.raises(ArityMismatch):
@@ -365,7 +364,8 @@ def test_torus_squares_residual_odd_modulus_is_everything():
 # ----- residual densities, enumerated exactly -----
 
 def test_residual_reducible_mod_three():
-    rep = residual(ReducibleCharpolyOracle(2), MatrixQuotient(2, (3,)))
+    # mod 3 the fixed-flag test keeps as many elements as "chi reducible mod 3"
+    rep = residual(RationalFixedFlagOracle(2), MatrixQuotient(2, (3,)))
     assert rep.checked == 24
     assert rep.density == Fraction(18, 24)
     assert rep.mode == "enumerate" and rep.halfwidth is None
@@ -400,15 +400,15 @@ def test_residual_fixed_flag_mod_three():
 
 
 def test_residual_sampling_matches_enumeration():
-    oracle = ReducibleCharpolyOracle(2)
+    oracle = RationalFixedFlagOracle(2)
     q = MatrixQuotient(2, (5,))
     exact = residual(oracle, q)
-    assert exact.density == Fraction(2, 3)
+    assert exact.density == Fraction(5, 12)
     sampled = residual(oracle, q, mode="sample", samples=4000, seed=1)
     assert sampled.mode == "sample"
     assert sampled.checked == 4000
     assert sampled.halfwidth is not None
-    assert abs(sampled.density - 2 / 3) <= sampled.halfwidth + 1e-9
+    assert abs(sampled.density - 5 / 12) <= sampled.halfwidth + 1e-9
 
 
 def test_residual_sample_without_hits_has_the_rule_of_three_halfwidth():
@@ -419,7 +419,7 @@ def test_residual_sample_without_hits_has_the_rule_of_three_halfwidth():
 
 
 def test_residual_mode_validation():
-    oracle = ReducibleCharpolyOracle(2)
+    oracle = RationalFixedFlagOracle(2)
     q = MatrixQuotient(2, (3,))
     with pytest.raises(DomainError):
         residual(oracle, q, mode="guess")
@@ -428,7 +428,7 @@ def test_residual_mode_validation():
 
 
 def test_residual_report_json():
-    rep = residual(ReducibleCharpolyOracle(2), MatrixQuotient(2, (3,)))
+    rep = residual(RationalFixedFlagOracle(2), MatrixQuotient(2, (3,)))
     obj = rep.to_json_obj()
     assert obj["quotient"] == "3"
     assert obj["density"] == "3/4"
@@ -499,9 +499,9 @@ def per_element_reference(oracle, quotient):
     if isinstance(oracle, TorusSquaresOracle):
         return lambda x: quotient.modulus % 2 == 1 or all(e % 2 == 0 for e in x)
     if isinstance(oracle, SubvarietyOracle) and isinstance(quotient, AbelianQuotient):
-        return lambda x: all(q.evaluate(x, quotient.modulus) == 0 for q in oracle.polys)
+        return lambda x: all(q.evaluate(x) % quotient.modulus == 0 for q in oracle.polys)
     if isinstance(oracle, SubvarietyOracle):
-        return lambda x: all(q.evaluate(block, p) == 0 for block, p in blocks(x, quotient)
+        return lambda x: all(q.evaluate(block) % p == 0 for block, p in blocks(x, quotient)
                              for q in oracle.polys)
     d = quotient.dimension
     return lambda x: all(oracle._block_contains(charpoly_coefficients(block, d), p)
@@ -509,7 +509,7 @@ def per_element_reference(oracle, quotient):
 
 
 def matrix_oracles(d):
-    return [ReducibleCharpolyOracle(d), NongenericGaloisOracle(d), RationalFixedFlagOracle(d),
+    return [NongenericGaloisOracle(d), RationalFixedFlagOracle(d),
             SubvarietyOracle([trace_polynomial(d, d)])]
 
 
@@ -555,11 +555,9 @@ def test_residual_compatibility_matrix_oracles():
     # a global IN lands in the residual set of every prime quotient
     sl2 = walk_elements(sl2_st_generators(), 400, seed=21, length=14)
     sl3 = walk_elements(elementary_generators(3), 200, seed=22, length=10)
-    oracles2 = (ReducibleCharpolyOracle(2), NongenericGaloisOracle(2),
-                RationalFixedFlagOracle(2),
+    oracles2 = (NongenericGaloisOracle(2), RationalFixedFlagOracle(2),
                 SubvarietyOracle([trace_polynomial(2, shift=2)]))
-    oracles3 = (ReducibleCharpolyOracle(3), NongenericGaloisOracle(3),
-                RationalFixedFlagOracle(3))
+    oracles3 = (NongenericGaloisOracle(3), RationalFixedFlagOracle(3))
     for elems, oracles in ((sl2, oracles2), (sl3, oracles3)):
         for oracle in oracles:
             for p in (3, 5, 7):
@@ -582,34 +580,31 @@ def test_residual_compatibility_abelian_oracles():
 
 
 def test_triple_coincidence_on_walks():
-    # in SL_2(Z): reducible charpoly == non-generic Galois == trace +-2,
-    # and the rational fixed flag picks out the same set
-    red = ReducibleCharpolyOracle(2)
+    # in SL_2(Z): non-generic Galois == rational fixed flag == trace +-2
     gal = NongenericGaloisOracle(2)
     flag = RationalFixedFlagOracle(2)
     elems = walk_elements(sl2_st_generators(), 10_000, seed=23, length=14)
     for g in elems:
         flat = g.flat()
         hit = g.trace() in (-2, 2)
-        assert red.hit_raw(flat) == hit
         assert gal.hit_raw(flat) == hit
         assert flag.hit_raw(flat) == hit
     for g in elems[:300]:
         hit = g.trace() in (-2, 2)
-        assert (red.global_verdict(g).status == IN) == hit
         assert (gal.global_verdict(g).status == IN) == hit
         assert (flag.global_verdict(g).status == IN) == hit
 
 
 def test_brute_force_galois_agreement():
-    # sympy factorization + discriminant against the exact verdicts
+    # sympy factorization + discriminant against the exact verdicts; the
+    # fixed-flag oracle decides the reducible set
     for dim, elems in ((2, walk_elements(sl2_st_generators(), 300, seed=31, length=14)),
                        (3, walk_elements(elementary_generators(3), 300, seed=32, length=10))):
-        red = ReducibleCharpolyOracle(dim)
+        flag = RationalFixedFlagOracle(dim)
         gal = NongenericGaloisOracle(dim)
         for g in elems:
             coeffs = charpoly_coefficients(g.flat(), dim)
-            rv = red.global_verdict(g)
+            rv = flag.global_verdict(g)
             gv = gal.global_verdict(g)
             assert rv.status in (IN, OUT)
             assert gv.status in (IN, OUT)
@@ -620,21 +615,24 @@ def test_brute_force_galois_agreement():
 # ----- hit_raw consistency and metadata -----
 
 def test_hit_raw_matches_global_verdict():
-    red = ReducibleCharpolyOracle(3)
     gal = NongenericGaloisOracle(3)
     flag = RationalFixedFlagOracle(3)
     for g in walk_elements(elementary_generators(3), 150, seed=41, length=10):
         flat = g.flat()
-        assert red.hit_raw(flat) == (red.global_verdict(g).status == IN)
         assert flag.hit_raw(flat) == (flag.global_verdict(g).status == IN)
         assert gal.hit_raw(flat) == (gal.global_verdict(g).status == IN)
-        # a monic cubic with constant term -1 is reducible exactly when +-1
-        # is a root, so the two sets agree over Z
-        assert red.global_verdict(g).status == flag.global_verdict(g).status
+
+
+def test_every_oracle_has_exactly_one_monte_carlo_test():
+    # the lane kernel calls hit_raw_batch where an oracle has one and
+    # hit_raw otherwise, so a second test would never run
+    oracles = [cls for name, cls in vars(sievelab).items() if name.endswith("Oracle")]
+    assert len(oracles) == 4
+    for cls in oracles:
+        assert hasattr(cls, "hit_raw") != hasattr(cls, "hit_raw_batch"), cls.__name__
 
 
 @pytest.mark.parametrize("oracle", [
-    ReducibleCharpolyOracle(2),
     NongenericGaloisOracle(2),
     RationalFixedFlagOracle(2),
     SubvarietyOracle([trace_polynomial(2, shift=2)]),
@@ -649,7 +647,6 @@ def test_pair_residual_density_is_the_crt_product(oracle):
 
 
 def test_oracle_kind_strings():
-    assert ReducibleCharpolyOracle(2).kind == "REDUCIBLE_CHARPOLY"
     assert NongenericGaloisOracle(2).kind == "NONGENERIC_GALOIS"
     assert RationalFixedFlagOracle(2).kind == "RATIONAL_FIXED_FLAG"
     assert SubvarietyOracle([EntryPolynomial(4, ())]).kind == "SUBVARIETY"
@@ -658,7 +655,6 @@ def test_oracle_kind_strings():
 
 def test_oracle_json_objects():
     objs = [
-        ReducibleCharpolyOracle(2).to_json_obj(),
         NongenericGaloisOracle(3).to_json_obj(),
         RationalFixedFlagOracle(2).to_json_obj(),
         SubvarietyOracle([trace_polynomial(2, shift=2)]).to_json_obj(),

@@ -24,6 +24,7 @@ from sievelab.matgroup import (
 from sievelab.thinsets import (
     NongenericGaloisOracle,
     SubvarietyOracle,
+    TorusSquaresOracle,
     coordinate_polynomial,
 )
 from sievelab.walker import (
@@ -519,8 +520,9 @@ def test_lanes_exact_with_generators_beyond_int64():
     ])
     B = validate_generators([AbelianElement((0, 0)), AbelianElement((c, 1)),
                              AbelianElement((-c, -1))])
+    # the torus oracle's batch test runs on the Python-int lanes of B
     for gens, oracle in ((A, CornerSignOracle()), (A, NongenericGaloisOracle(2)),
-                         (B, OriginOracle())):
+                         (B, OriginOracle()), (B, TorusSquaresOracle(2))):
         grid = [1, 2, 5]
         assert swept_counts(gens, oracle, grid, 60, 3) == reference_counts(gens, oracle, grid, 60, 3)
 
