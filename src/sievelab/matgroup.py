@@ -172,7 +172,8 @@ def charpoly_coefficients(flat: Sequence[int], dimension: int) -> Tuple[int, ...
     """Coefficients of det(X*I - a), constant term first, for any square
     integer matrix given as a flat row-major tuple.
 
-    Exact trace recursion; every division by k comes out even.
+    Exact trace recursion; every division by k comes out even for integer
+    entries, and DomainError is raised where one does not.
     """
     n = dimension
     if len(flat) != n * n:
@@ -191,7 +192,8 @@ def charpoly_coefficients(flat: Sequence[int], dimension: int) -> Tuple[int, ...
         ]
         tr = sum(m[i][i] for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0
+        if r:
+            raise DomainError(f"trace {-tr} not divisible by {k}: entries must be integers")
         c = q
         coeffs_desc.append(c)
     return tuple(reversed(coeffs_desc))

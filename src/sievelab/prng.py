@@ -50,16 +50,40 @@ def _mix64_np(z):
     return z ^ (z >> np.uint64(31))
 
 
+_TILE = 1 << 15  # uint64 values per scratch tile: 256 KiB, inside a 2 MiB L2
+_ROUNDS = ((np.uint64(30), np.uint64(_MUL1)), (np.uint64(27), np.uint64(_MUL2)))
+
+
 def draw_block(seed: int, trial0: int, ntrials: int, nsteps: int, bound: int):
     """(ntrials, nsteps) array of draws in [0, bound), trials trial0...
 
     Row t equals draw_indices(seed, trial0+t, nsteps, bound). The dtype is
-    uint8 for bound <= 256 and uint16 up to 65536.
+    uint8 for bound <= 256 and uint16 up to 65536. The block is mixed a
+    tile of at most _TILE draws at a time, in place in two uint64 scratch
+    tiles, so no uint64 array of the whole block is ever made; x % bound is
+    taken as x - (x // bound) * bound, since numpy divides a uint64 array
+    by a scalar without a hardware divide per element.
     """
     if not 1 <= bound <= 1 << 16:
         raise DomainError(f"draw bound {bound} outside [1, 65536]")
+    out = np.empty((ntrials, nsteps), dtype=np.uint8 if bound <= 256 else np.uint16)
     trials = np.arange(trial0, trial0 + ntrials, dtype=np.uint64)
     keys = _mix64_np(np.uint64(seed & _MASK) + (trials + np.uint64(1)) * np.uint64(_GAMMA))
     steps = (np.arange(nsteps, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-    vals = _mix64_np(keys[:, None] + steps[None, :])
-    return (vals % np.uint64(bound)).astype(np.uint8 if bound <= 256 else np.uint16)
+    width = max(1, min(nsteps, _TILE))
+    height = _TILE // width
+    zbuf, ybuf = np.empty(height * width, np.uint64), np.empty(height * width, np.uint64)
+    b = np.uint64(bound)
+    for r0 in range(0, ntrials, height):
+        for c0 in range(0, nsteps, width):
+            dst = out[r0:r0 + height, c0:c0 + width]
+            z = zbuf[:dst.size].reshape(dst.shape)
+            y = ybuf[:dst.size].reshape(dst.shape)
+            np.add(keys[r0:r0 + height, None], steps[None, c0:c0 + width], out=z)
+            for shift, mul in _ROUNDS:  # _mix64_np, in place
+                np.bitwise_xor(z, np.right_shift(z, shift, out=y), out=z)
+                np.multiply(z, mul, out=z)
+            np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=y), out=z)
+            np.subtract(z, np.multiply(np.floor_divide(z, b, out=y), b, out=y), out=z)
+            np.copyto(dst, z, casting="unsafe")
+    return out

@@ -140,14 +140,14 @@ def _floor_root(x: Fraction, k: int) -> int:
 def plan_for_n(n: int, a_size: int, C: Rational, D: int,
                alpha: Rational) -> SieveBound:
     """Pick t ~ n^{1/(5D)} so the threshold holds at this n, and return
-    the resulting bound. For n below the t = 2 threshold, t = 1."""
-    C = _frac(C, "C")
-    alpha = _frac(alpha, "alpha")
-    D = _check_int_exponent(D)
+    the resulting bound. For n below the t = 2 threshold, t = 1.
+
+    n_min(t) = n_min(1) t^{5D}, so t is the floor of (n / n_min(1))^{1/(5D)};
+    the t = 1 plan also checks every input before anything divides by it."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    x = n * alpha / (10 * a_size * C ** 5)
-    t = max(1, _floor_root(x, 5 * D))
+    base = sieve_threshold_and_bound(a_size, C, D, alpha, 1)
+    t = max(1, _floor_root(n / base.n_min, 5 * base.inputs["D"]))
     return sieve_threshold_and_bound(a_size, C, D, alpha, t)
 
 

@@ -29,7 +29,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import gfpoly, prng
-from .errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
+from .errors import (ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError,
+                     SievelabError)
 from .matgroup import (
     AbelianElement,
     MatrixElement,
@@ -80,8 +81,8 @@ class OracleVerdict:
 def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int, ...]:
     """Primitive integer vector v with (g - eigenvalue*I) v = 0.
 
-    Gaussian elimination over exact rationals; the caller guarantees the
-    kernel is nontrivial (the shifted determinant vanishes).
+    Gaussian elimination over exact rationals. Raises DomainError when the
+    kernel is trivial, i.e. eigenvalue is not an eigenvalue of g.
     """
     rows = [
         [Fraction(flat[i * dim + j] - (eigenvalue if i == j else 0))
@@ -108,7 +109,8 @@ def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int,
         piv_cols.append(c)
         r += 1
     free = [c for c in range(dim) if c not in piv_cols]
-    assert free, "kernel is trivial"
+    if not free:
+        raise DomainError(f"{eigenvalue} is not an eigenvalue of g: the kernel is trivial")
     fc = free[0]
     v = [Fraction(0)] * dim
     v[fc] = Fraction(1)
@@ -132,7 +134,8 @@ def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int,
             for j in range(dim))
         for i in range(dim)
     ]
-    assert all(x == 0 for x in check)
+    if any(check):
+        raise SievelabError(f"{ints} is not in the kernel of g - {eigenvalue} I")
     return tuple(ints)
 
 

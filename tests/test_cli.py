@@ -240,6 +240,13 @@ def test_bound_json(tmp_path):
     assert obj["plans"][1]["t"] > obj["plans"][0]["t"]
 
 
+@pytest.mark.parametrize("a_size", ["0", "-2"])
+def test_bound_nonpositive_a_size_exits_2(tmp_path, a_size):
+    rc, _ = run(tmp_path, "bound", "--a-size", a_size, "--C", "1", "--D", "1",
+                "--alpha", "0.5")
+    assert rc == 2
+
+
 # ----- experiment and fit round trip -----
 
 def test_experiment_csv_and_fit(tmp_path):

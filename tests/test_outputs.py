@@ -27,6 +27,10 @@ GOLDEN = {
         "7595461215e4aeda8e96f3a59aa24da937e19723727342d364d02669618c983b",
     ("experiment", "--scenario", "sl3_galois", *MC, "--format", "json"):
         "a9e67872d4a4180b65753b9272936da14231bb0c7d49b710d8fd2ff8d016e700",
+    # five walker chunks of at most 1024 lanes, each drawn in eight-row tiles
+    ("experiment", "--scenario", "z_origin", "--trials", "5000", "--seed", "11",
+     "--grid", "64,4096"):
+        "2b96321ac7205b1fafaf7471b311960dd7710c306a137cd24beada6598e01686",
     ("experiment", "--scenario", "z_origin", "--mode", "exact"):
         "aa92108bbb58ca557aff1f14876dec629c9ed04af56f3b62733db05622615737",
     ("experiment", "--scenario", "torus_squares", "--mode", "exact"):

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from sievelab import prng
 from sievelab.errors import DomainError
@@ -64,6 +67,40 @@ def test_block_matches_scalar_rows():
         for t in range(8):
             row = prng.draw_indices(seed, trial0 + t, 33, bound)
             assert list(block[t]) == row
+
+
+# (seed, trial0, ntrials, nsteps, bound): blocks of several tiles with a
+# ragged last tile, rows longer than a tile, empty blocks, every dtype edge
+# of the bound, the largest seed and a far-out trial
+BLOCKS = [
+    (2024, 5, 70, 1000, 3),
+    (2024, 5, 3, 70000, 257),
+    (2024, 5, 0, 10, 5),
+    (2024, 5, 10, 0, 5),
+    *((7, 1, 40, 50, bound) for bound in (1, 3, 255, 256, 257, 65536)),
+    (2**64 - 1, 3, 40, 50, 256),
+    (11, 2**40 + 3, 40, 50, 65536),
+]
+
+
+@pytest.mark.parametrize("seed,trial0,ntrials,nsteps,bound", BLOCKS)
+def test_tiled_block_matches_scalar_rows(seed, trial0, ntrials, nsteps, bound):
+    block = prng.draw_block(seed, trial0, ntrials, nsteps, bound)
+    assert block.shape == (ntrials, nsteps)
+    assert block.dtype == (np.uint8 if bound <= 256 else np.uint16)
+    for t in range(ntrials):
+        assert block[t].tolist() == prng.draw_indices(seed, trial0 + t, nsteps, bound)
+
+
+def test_block_peak_memory_is_near_its_output():
+    # one 4096 x 1024 chunk of a walk to n = 1024 is 4 MiB of uint8
+    tracemalloc.start()
+    try:
+        block = prng.draw_block(3, 0, 4096, 1024, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block.nbytes
 
 
 def test_block_bound_validation():

@@ -35,6 +35,7 @@ from sievelab.thinsets import (
     RationalFixedFlagOracle,
     SubvarietyOracle,
     TorusSquaresOracle,
+    _kernel_vector,
     coordinate_polynomial,
     residual,
     sample_element,
@@ -230,6 +231,13 @@ def test_fixed_flag_iff_linear_factor():
         poly = to_poly(coeffs)
         has_flag = poly.eval(1) == 0 or poly.eval(-1) == 0
         assert (RationalFixedFlagOracle(g.dimension).global_verdict(g).status == IN) == has_flag
+
+
+def test_kernel_vector_without_the_eigenvalue_raises_domain_error():
+    # T has eigenvalue 1 only: g + I has a trivial kernel
+    assert _kernel_vector(T.flat(), 2, 1) == (1, 0)
+    with pytest.raises(DomainError, match="not an eigenvalue"):
+        _kernel_vector(T.flat(), 2, -1)
 
 
 # ----- subvariety of entry polynomials -----
