@@ -9,6 +9,7 @@ ever occurs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -18,33 +19,74 @@ from .errors import (
     DomainError,
     MissingIdentity,
     NotSymmetric,
+    SievelabError,
 )
 
 Entries = Tuple[Tuple[int, ...], ...]
 
 
-def _det_bareiss(rows) -> int:
-    # fraction-free elimination; every intermediate division is exact
+def echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (m, pivots, sign): the echelon rows, the column of each pivot
+    (zero columns are skipped) and (-1)^(row swaps). Every division is
+    exact: after the swaps, row k right of its pivot holds minors on rows
+    0..k and the first k+1 pivot columns, the pivot itself among them.
+    """
     m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if m[r][c] == 0:
+            for i in range(r + 1, nrows):
+                if m[i][c] != 0:
+                    m[r], m[i], sign = m[i], m[r], -sign
                     break
             else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+                continue
+        pivot, row_r = m[r][c], m[r]
+        for row in m[r + 1:]:
+            f, row[c] = row[c], 0
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * pivot - f * row_r[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        pivots.append(c)
+    return m, pivots, sign
+
+
+def det(rows) -> int:
+    """Exact determinant of a nonempty square integer matrix given by its rows."""
+    m, pivots, sign = echelon(rows)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
+
+
+def kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int, ...]:
+    """Primitive integer vector v with (g - eigenvalue*I) v = 0, g given
+    flat and row-major, its first nonzero entry positive. Raises
+    DomainError when eigenvalue is not an eigenvalue of g.
+
+    Back-substitution on the echelon form of g - eigenvalue*I: the first
+    free column is set to the pivot left of it (1 at column 0), which
+    keeps each division exact by Cramer's rule, and the others to 0.
+    """
+    a = [[flat[i * dim + j] - eigenvalue * (i == j) for j in range(dim)] for i in range(dim)]
+    m, pivots, _ = echelon(a)
+    if len(pivots) == dim:
+        raise DomainError(f"{eigenvalue} is not an eigenvalue of g: the kernel is trivial")
+    # columns before the first free one are all pivot columns
+    free = next(c for c in range(dim) if c not in pivots)
+    v = [0] * dim
+    v[free] = m[free - 1][free - 1] if free else 1
+    for k in reversed(range(free)):
+        v[k] = -sum(m[k][j] * v[j] for j in range(k + 1, free + 1)) // m[k][k]
+    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+    v = tuple(x // g for x in v)
+    if any(sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)):
+        raise SievelabError(f"{list(v)} is not in the kernel of g - {eigenvalue} I")
+    return v
 
 
 def discriminant(coeffs: Sequence[int]) -> int:
@@ -69,7 +111,7 @@ class MatrixElement:
         n = len(self.entries)
         if n == 0 or any(len(r) != n for r in self.entries):
             raise DimensionMismatch("entries must form a square matrix")
-        if _det_bareiss(self.entries) != 1:
+        if det(self.entries) != 1:
             raise DomainError("determinant must equal 1")
 
     @property
@@ -87,25 +129,17 @@ class MatrixElement:
         return compose(self, other)
 
     def inverse(self) -> "MatrixElement":
-        """Exact inverse by fraction-free Gauss-Jordan elimination on [g | I].
-
-        Every division is exact, and the left half ends as d*I with d =
-        +-det = +-1, so the right half is d * g^-1.
-        """
+        """Exact inverse by back-substitution on the echelon form [U | R] of
+        [g | I]: U g^-1 = R with U upper triangular, its diagonal nonzero as
+        det g = 1, and every division is exact as g^-1 is integral."""
         n = self.dimension
-        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
-        prev = 1
-        for k in range(n):
-            if m[k][k] == 0:
-                swap = next(i for i in range(k + 1, n) if m[i][k] != 0)
-                m[k], m[swap] = m[swap], m[k]
-            pivot, row_k = m[k][k], m[k]
-            for i in range(n):
-                if i != k:
-                    row, f = m[i], m[i][k]
-                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, row_k)]
-            prev = pivot
-        return MatrixElement(tuple(tuple(x * prev for x in row[n:]) for row in m))
+        m, _, _ = echelon([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(self.entries)])
+        x = [()] * n
+        for k in reversed(range(n)):
+            x[k] = tuple((m[k][n + c] - sum(m[k][j] * x[j][c] for j in range(k + 1, n)))
+                         // m[k][k] for c in range(n))
+        return MatrixElement(tuple(x))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dimension))

@@ -29,7 +29,7 @@ Rational = Union[int, Fraction]
 def _frac(x, name: str) -> Fraction:
     try:
         return Fraction(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a rational number, got {x!r}")
 
 
@@ -174,6 +174,8 @@ def single_prime_bound_exact(order: int, residual_density: Rational,
     d = _frac(residual_density, "residual_density")
     if not 0 <= d <= 1:
         raise DomainError("residual_density must lie in [0, 1]")
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     s = math.isqrt(order)
     if s * s < order:
         s += 1
@@ -215,5 +217,7 @@ def estimate_alpha(oracle, schedule: Sequence[int], mode: str = "enumerate",
         densities.append((p, d))
         if worst is None or d > worst:
             worst = d
+    if worst is None:
+        raise DomainError("the prime schedule is empty")
     alpha = 1 - worst
     return AlphaEstimate(alpha=alpha, mode=mode, densities=tuple(densities))

@@ -80,8 +80,9 @@ def walk_permutations(A: GeneratorMultiset, quotient):
     if quotient.identity() not in merged:
         raise MissingIdentity("reduced multiset must contain the identity")
     codes = quotient.element_codes()
-    translate = _translations(quotient, codes)
-    maps = [(translate(g), m) for g, m in merged.items()]
+    digits = quotient.decode(codes)
+    maps = [(np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g]))), m)
+            for g, m in merged.items()]
     # x -> x g sends the identity e to g, and g^-1 to e
     e = _index(quotient, codes, quotient.identity())
     weight = {int(perm[e]): m for perm, m in maps}
@@ -95,13 +96,6 @@ def _index(quotient, codes, x) -> int:
     return int(np.searchsorted(codes, quotient.encode([x]))[0])
 
 
-def _translations(quotient, codes):
-    """g -> the index permutation of x -> x g over the sorted element codes."""
-    digits = quotient.decode(codes)
-    return lambda g: np.searchsorted(
-        codes, quotient.encode(quotient.multiply_digits(digits, [g])))
-
-
 def _cyclic_translation(quotient, codes):
     """(h, L): the element h whose left translations split the dense
     route, and the index permutation L of x -> h x over the sorted codes.
@@ -112,14 +106,11 @@ def _cyclic_translation(quotient, codes):
     """
     if isinstance(quotient, AbelianQuotient):
         h = (1,) + (0,) * (quotient.rank - 1)
-        return h, _translations(quotient, codes)(h)
-    digits = quotient.decode(codes)
-    d, b = quotient.dimension, len(quotient.moduli)
-    h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
-              for p in quotient.moduli for i in range(d) for j in range(d))
-    g = np.array(h, dtype=digits.dtype).reshape(b, d, d)
-    mods = np.array(quotient.moduli, dtype=digits.dtype).reshape(b, 1, 1)
-    hx = (g @ digits.reshape(-1, b, d, d) % mods).reshape(digits.shape)
+    else:
+        d = quotient.dimension
+        h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
+                  for p in quotient.moduli for i in range(d) for j in range(d))
+    hx = quotient.multiply_digits(np.array([h], dtype=quotient.dtype), quotient.decode(codes))
     return h, np.searchsorted(codes, quotient.encode(hx))
 
 

@@ -29,14 +29,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import gfpoly, prng
-from .errors import (ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError,
-                     SievelabError)
+from .errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from .matgroup import (
     AbelianElement,
     MatrixElement,
     charpoly_coefficients,
+    det,
     discriminant,
-    _det_bareiss,
+    kernel_vector,
 )
 from .quotients import AbelianQuotient, MatrixQuotient
 
@@ -74,69 +74,6 @@ class OracleVerdict:
         if self.reason:
             out["reason"] = self.reason
         return out
-
-
-# ----- small exact linear algebra helpers -----
-
-def _kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int, ...]:
-    """Primitive integer vector v with (g - eigenvalue*I) v = 0.
-
-    Gaussian elimination over exact rationals. Raises DomainError when the
-    kernel is trivial, i.e. eigenvalue is not an eigenvalue of g.
-    """
-    rows = [
-        [Fraction(flat[i * dim + j] - (eigenvalue if i == j else 0))
-         for j in range(dim)]
-        for i in range(dim)
-    ]
-    piv_cols = []
-    r = 0
-    for c in range(dim):
-        pr = None
-        for i in range(r, dim):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in piv_cols]
-    if not free:
-        raise DomainError(f"{eigenvalue} is not an eigenvalue of g: the kernel is trivial")
-    fc = free[0]
-    v = [Fraction(0)] * dim
-    v[fc] = Fraction(1)
-    for i, c in enumerate(piv_cols):
-        v[c] = -rows[i][fc]
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    check = [
-        sum((flat[i * dim + j] - (eigenvalue if i == j else 0)) * ints[j]
-            for j in range(dim))
-        for i in range(dim)
-    ]
-    if any(check):
-        raise SievelabError(f"{ints} is not in the kernel of g - {eigenvalue} I")
-    return tuple(ints)
 
 
 def _at_pm1(coeffs: Sequence[int]) -> Tuple[int, int]:
@@ -298,7 +235,7 @@ class RationalFixedFlagOracle(_CharpolyOracle):
         at_one, at_minus_one = _at_pm1(coeffs)
         for lam, value in ((1, at_one), (-1, at_minus_one)):
             if value == 0:
-                v = list(_kernel_vector(flat, dim, lam))
+                v = list(kernel_vector(flat, dim, lam))
                 return OracleVerdict(IN, {
                     "eigenvalue": lam,
                     "fixed_vector": v,
@@ -555,11 +492,10 @@ def _sample_matrix_block(p: int, dim: int, seed: int, trial: int) -> Tuple[int, 
     need = dim * dim
     for attempt in range(64):
         entries = tuple(prng.draw_indices(seed, trial, need, p, start=attempt * need))
-        rows = [[entries[i * dim + j] for j in range(dim)] for i in range(dim)]
-        det = _det_bareiss(rows) % p
-        if det == 0:
+        d = det([entries[i * dim:(i + 1) * dim] for i in range(dim)]) % p
+        if d == 0:
             continue
-        inv = pow(det, p - 2, p)
+        inv = pow(d, p - 2, p)
         return tuple((x * inv) % p for x in entries[:dim]) + entries[dim:]
     raise DomainError(f"could not sample an invertible matrix mod {p}")
 

@@ -247,6 +247,14 @@ def test_bound_nonpositive_a_size_exits_2(tmp_path, a_size):
     assert rc == 2
 
 
+@pytest.mark.parametrize("C, alpha", [("inf", "0.5"), ("1", "inf"), ("1e400", "0.5")])
+def test_bound_infinite_float_exits_2(tmp_path, capsys, C, alpha):
+    # argparse reads --C and --alpha as floats, and 1e400 overflows to inf
+    rc, _ = run(tmp_path, "bound", "--a-size", "3", "--C", C, "--D", "1", "--alpha", alpha)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # ----- experiment and fit round trip -----
 
 def test_experiment_csv_and_fit(tmp_path):

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, or a private
+name of another package module.
 
 No linter is installed, and a deletion easily leaves an import behind.
 __init__.py is skipped: its imports are the public API.
@@ -26,6 +27,14 @@ def unread_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def private_imports(source):
+    """(line, name) of each underscore name imported from the package."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "sievelab")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_unread_imports_are_found():
     assert unread_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         (1, "math"), (2, "path")]
@@ -35,4 +44,17 @@ def test_unread_imports_are_found():
 def test_no_module_imports_a_name_it_never_reads():
     found = {path.name: unread_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_imports_are_found():
+    assert private_imports("from .walker import _CHUNK, run_walk\nfrom os import _exit\n"
+                           "from sievelab.prng import _TILE\nfrom . import _x\n") == [
+        (1, "_CHUNK"), (3, "_TILE"), (4, "_x")]
+    assert private_imports("from __future__ import annotations\nfrom . import prng\n") == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {path.name: private_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

@@ -1,3 +1,9 @@
+import math
+
+import numpy as np
+import pytest
+from sympy import Matrix
+
 from helpers import brute_charpoly, from_json_entries
 from sievelab import prng
 from sievelab.errors import (
@@ -13,8 +19,11 @@ from sievelab.matgroup import (
     MatrixElement,
     charpoly_coefficients,
     compose,
+    det,
     discriminant,
+    echelon,
     elementary_generators,
+    kernel_vector,
     sl2_st_generators,
     torus_generators,
     validate_generators,
@@ -241,3 +250,75 @@ def test_inverse_needs_row_swaps():
     g = MatrixElement(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     assert g.inverse().entries == adjugate(g.entries) == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     assert (S.inverse() * S).is_identity()
+
+
+# ----- the fraction-free elimination against sympy -----
+
+def random_integer_matrices(count, seed):
+    """Integer matrices of 1-5 rows and 1-6 columns; every third one is
+    square and a product through an inner dimension of at most its size,
+    so often singular."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        if i % 3 == 0:
+            cols = rows
+            inner = int(rng.integers(1, rows + 1))
+            a = rng.integers(-4, 5, (rows, inner)) @ rng.integers(-4, 5, (inner, cols))
+        else:
+            a = rng.integers(-9, 10, (rows, cols))
+        yield [[int(x) for x in row] for row in a]
+
+
+def primitive(v):
+    """The integer multiple of a rational vector that is primitive with its
+    first nonzero entry positive."""
+    den = math.lcm(*(x.q for x in v))
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def test_echelon_matches_sympy_rref_and_det():
+    kernels = 0
+    for a in random_integer_matrices(1500, 2024):
+        m, pivots, _ = echelon(a)
+        rref, sympy_pivots = Matrix(a).rref()
+        assert pivots == list(sympy_pivots)
+        rank = len(pivots)
+        for k, row in enumerate(m):
+            lead = pivots[k] if k < rank else len(row)
+            assert all(x == 0 for x in row[:lead]) and (k >= rank or row[lead] != 0)
+        if rank:
+            assert Matrix(m[:rank]).rref()[0] == rref[:rank, :]
+        if len(a) == len(a[0]):
+            assert det(a) == Matrix(a).det()
+        if len(a) == len(a[0]) and rank < len(a):
+            # sympy's first null vector has 1 at the first free column
+            assert kernel_vector(sum(a, []), len(a), 0) == primitive(Matrix(a).nullspace()[0])
+            kernels += 1
+    assert kernels > 250
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_vector_of_plus_and_minus_identity(dim):
+    # g -+ I is zero, so the first column is free; -I is outside SL_3
+    # but kernel_vector takes any integer matrix
+    I = MatrixElement.identity(dim).flat()
+    negI = tuple(-x for x in I)
+    e1 = (1,) + (0,) * (dim - 1)
+    assert kernel_vector(I, dim, 1) == e1
+    assert kernel_vector(negI, dim, -1) == e1
+    for flat, lam in ((I, -1), (negI, 1)):
+        with pytest.raises(DomainError, match="not an eigenvalue"):
+            kernel_vector(flat, dim, lam)
+
+
+def test_kernel_vector_with_a_two_dimensional_kernel():
+    # E_21(1) - I has one nonzero row, found after a row swap; the kernel
+    # is spanned by e2 and e3, and the first free column is the second
+    g = MatrixElement(((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+    assert len((Matrix(3, 3, g.flat()) - Matrix.eye(3)).nullspace()) == 2
+    assert kernel_vector(g.flat(), 3, 1) == (0, 1, 0)

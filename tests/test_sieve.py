@@ -201,6 +201,11 @@ def test_single_prime_bound_validation():
         sieve.single_prime_bound(24, 0.5, 7, pi_star=1.5)
 
 
+def test_single_prime_bound_exact_validation():
+    with pytest.raises(DomainError):
+        sieve.single_prime_bound_exact(10, 0.5, 3, -2)
+
+
 def test_single_prime_bound_exact_dominates_float():
     from sievelab.spectra import mixing_rate
 
@@ -226,6 +231,11 @@ def test_estimate_alpha_empty_thin_set():
     est = sieve.estimate_alpha(oracle, prime_schedule(3, 2))
     assert est.alpha == 1
     assert all(d == 0 for _, d in est.densities)
+
+
+def test_estimate_alpha_empty_schedule():
+    with pytest.raises(DomainError, match="empty"):
+        sieve.estimate_alpha(RationalFixedFlagOracle(2), [])
 
 
 def test_estimate_alpha_full_thin_set():

@@ -22,6 +22,7 @@ from sievelab.matgroup import (
     MatrixElement,
     charpoly_coefficients,
     elementary_generators,
+    kernel_vector,
     sl2_st_generators,
 )
 from sievelab.quotients import AbelianQuotient, MatrixQuotient
@@ -35,7 +36,6 @@ from sievelab.thinsets import (
     RationalFixedFlagOracle,
     SubvarietyOracle,
     TorusSquaresOracle,
-    _kernel_vector,
     coordinate_polynomial,
     residual,
     sample_element,
@@ -235,9 +235,9 @@ def test_fixed_flag_iff_linear_factor():
 
 def test_kernel_vector_without_the_eigenvalue_raises_domain_error():
     # T has eigenvalue 1 only: g + I has a trivial kernel
-    assert _kernel_vector(T.flat(), 2, 1) == (1, 0)
+    assert kernel_vector(T.flat(), 2, 1) == (1, 0)
     with pytest.raises(DomainError, match="not an eigenvalue"):
-        _kernel_vector(T.flat(), 2, -1)
+        kernel_vector(T.flat(), 2, -1)
 
 
 # ----- subvariety of entry polynomials -----
