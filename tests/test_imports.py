@@ -2,7 +2,7 @@
 name of another package module.
 
 No linter is installed, and a deletion easily leaves an import behind.
-__init__.py is skipped: its imports are the public API.
+The unread-import check skips __init__.py: its imports are the public API.
 """
 
 import ast
