@@ -46,7 +46,9 @@ from .walker import (
     WalkConfig,
     WalkDistribution,
     exact_distribution,
+    exact_laws,
     exact_origin_scan_z,
+    hit_probabilities_exact,
     hit_probability_exact,
     mc_sweep,
     run_walk,
@@ -91,6 +93,7 @@ from .lab import (
     ExperimentRow,
     ExperimentTable,
     Scenario,
+    exact_probabilities,
     exact_probability,
     fit_decay,
     get_scenario,

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import List, Optional
 
 from . import lab, sieve, walker
@@ -125,11 +126,23 @@ def _cmd_residual(args) -> int:
     return 0
 
 
+def _finite_fraction(text: str, name: str) -> Fraction:
+    """The exact rational a number string names ("0.1" is 1/10, not the
+    nearest binary float); its float must be finite, as JSON echoes it."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"--{name} must be a rational number in the float range, got {text!r}")
+    return value
+
+
 def _cmd_bound(args) -> int:
     grid = parse_grid(args.grid)
+    C, alpha = _finite_fraction(args.C, "C"), _finite_fraction(args.alpha, "alpha")
     rows = []
     for n in grid:
-        bnd = sieve.plan_for_n(n, args.a_size, args.C, args.D, args.alpha)
+        bnd = sieve.plan_for_n(n, args.a_size, C, args.D, alpha)
         rows.append({"n": n, "t": bnd.t, "n_min": str(bnd.n_min),
                      "bound": bnd.bound_float, "regime": bnd.regime})
     if args.format == "csv":
@@ -142,7 +155,7 @@ def _cmd_bound(args) -> int:
         _emit(buf.getvalue(), args.out)
     else:
         obj = {"schema_version": SCHEMA_VERSION, "a_size": args.a_size,
-               "C": args.C, "D": args.D, "alpha": args.alpha, "plans": rows}
+               "C": float(C), "D": args.D, "alpha": float(alpha), "plans": rows}
         _emit(_json_text(obj), args.out)
     return 0
 
@@ -275,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="sieve plans and decay bounds over a grid of n")
     p.add_argument("--a-size", type=int, required=True, dest="a_size")
-    p.add_argument("--C", type=float, required=True)
+    p.add_argument("--C", required=True, help="a decimal or p/q, read exactly")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", required=True, help="a decimal or p/q, read exactly")
     p.add_argument("--grid", default="geometric:16:1048576")
     _add_common(p, formats=True)
     p.set_defaults(func=_cmd_bound)

@@ -264,17 +264,29 @@ class ExperimentTable:
         return [r.to_json_obj() for r in self.rows]
 
 
+def exact_probabilities(scenario: Scenario, grid: Sequence[int]) -> Dict[int, Fraction]:
+    """P(omega_n in Z) exactly at each n of grid, in one pass of the law."""
+    if not isinstance(scenario.oracle, TorusSquaresOracle):
+        return walker.hit_probabilities_exact(scenario.generators, grid, scenario.oracle)
+    # squares are detected by the parity image: the law on (Z/2)^rank,
+    # whose identity (0, ..., 0) has code and index 0
+    grid = walker.law_grid(grid)
+    q = AbelianQuotient(scenario.oracle.rank, 2)
+    _, a_size, maps = walk_permutations(scenario.generators, q)
+    out = dict.fromkeys(grid)
+
+    def snapshot(k, counts):
+        if k in out:
+            out[k] = Fraction(counts.get(0, 0), a_size ** k)
+
+    walker.convolve_counts(0, [(perm.tolist(), m) for perm, m in maps], grid[-1] if grid else 0,
+                           lambda x, perm: perm[x], snapshot)
+    return out
+
+
 def exact_probability(scenario: Scenario, n: int) -> Fraction:
     """P(omega_n in Z) exactly, where the scenario admits it."""
-    if isinstance(scenario.oracle, TorusSquaresOracle):
-        # squares are detected by the parity image: convolve on (Z/2)^rank,
-        # whose identity (0, ..., 0) has code and index 0
-        q = AbelianQuotient(scenario.oracle.rank, 2)
-        _, a_size, maps = walk_permutations(scenario.generators, q)
-        counts = walker.convolve_counts(0, [(perm.tolist(), m) for perm, m in maps], n,
-                                        lambda x, perm: perm[x])
-        return Fraction(counts.get(0, 0), a_size ** n)
-    return walker.hit_probability_exact(scenario.generators, n, scenario.oracle)
+    return exact_probabilities(scenario, [n])[n]
 
 
 def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
@@ -291,8 +303,7 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
         raise DomainError("grid must be non-empty with n >= 1")
     rows = []
     if mode == "exact":
-        for n in grid:
-            p = exact_probability(scenario, n)
+        for n, p in sorted(exact_probabilities(scenario, grid).items()):
             rows.append(ExperimentRow(
                 scenario=scenario.name, n=n, trials=0, hits=0, unknown=0,
                 estimate=float(p), ci_halfwidth=0.0,

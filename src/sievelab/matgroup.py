@@ -108,11 +108,24 @@ class MatrixElement:
     entries: Entries
 
     def __post_init__(self):
+        self._check_shape()
+        if det(self.entries) != 1:
+            raise DomainError("determinant must equal 1")
+
+    def _check_shape(self):
         n = len(self.entries)
         if n == 0 or any(len(r) != n for r in self.entries):
             raise DimensionMismatch("entries must form a square matrix")
-        if det(self.entries) != 1:
-            raise DomainError("determinant must equal 1")
+
+    @classmethod
+    def _det_one(cls, entries: Entries) -> "MatrixElement":
+        """An element whose determinant is 1 by construction, a product
+        or an inverse of elements: det(ab) = det(a) det(b). Only the
+        shape is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "entries", entries)
+        g._check_shape()
+        return g
 
     @property
     def dimension(self) -> int:
@@ -123,7 +136,7 @@ class MatrixElement:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def is_identity(self) -> bool:
-        return self == MatrixElement.identity(self.dimension)
+        return all(x == (i == j) for i, row in enumerate(self.entries) for j, x in enumerate(row))
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         return compose(self, other)
@@ -139,7 +152,7 @@ class MatrixElement:
         for k in reversed(range(n)):
             x[k] = tuple((m[k][n + c] - sum(m[k][j] * x[j][c] for j in range(k + 1, n)))
                          // m[k][k] for c in range(n))
-        return MatrixElement(tuple(x))
+        return MatrixElement._det_one(tuple(x))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dimension))
@@ -195,7 +208,7 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
         if n != b.dimension:
             raise DimensionMismatch(f"dimensions differ: {n} vs {b.dimension}")
         bt = tuple(zip(*b.entries))  # columns of b
-        return MatrixElement(tuple(
+        return MatrixElement._det_one(tuple(
             tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt)
             for ra in a.entries
         ))

@@ -3,8 +3,14 @@
 Walk states are exact: big-integer matrix entries or exponent vectors.
 Monte Carlo estimation runs one kernel for every multiset: trials are
 batched into int64 lanes that step by the draw table alone and continue
-in Python ints before they could overflow. Exact distributions are
-integer path counts with implicit denominator |A|^n.
+in Python ints before they could overflow. The exact law of omega_n is
+an array of flat states with integer path counts (implicit denominator
+|A|^n), in order of first reach. One pass over the walk lengths gives
+it at every length of a grid: each step multiplies every state by every
+generator, packs each product into one exact int64 key, and merges equal
+keys by a sort. States are int64 while that is exact and Python ints
+past it. Both the lanes and the exact states are decided by the oracle's
+one Monte Carlo test.
 """
 
 from __future__ import annotations
@@ -18,9 +24,16 @@ import numpy as np
 
 from . import prng
 from .errors import BudgetExceeded, DomainError, UndecidedMembership
-from .matgroup import AbelianElement, GeneratorMultiset, GroupElement, z_generators
+from .matgroup import (
+    AbelianElement,
+    GeneratorMultiset,
+    GroupElement,
+    MatrixElement,
+    z_generators,
+)
 
-EXACT_BUDGET = 5_000_000  # most distinct states an exact convolution step may hold
+EXACT_BUDGET = 5_000_000  # most distinct states one step of an exact law may hold
+_LIMIT = 1 << 62  # int64 walk states step exactly while their bound stays below this
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,8 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 
 def convolve_counts(identity, step_pairs, n: int, compose: Callable,
                     on_snapshot: Optional[Callable] = None) -> Dict:
-    """Integer path counts of the walk law after each of n steps.
+    """Integer path counts of a walk law on hashable states after each of
+    n steps; the torus parity law and the quotient laws use it.
 
     step_pairs is a sequence of (element, multiplicity). on_snapshot(k,
     counts) fires after step k when given (counts must not be mutated).
@@ -82,6 +96,125 @@ def convolve_counts(identity, step_pairs, n: int, compose: Callable,
     return counts
 
 
+def law_grid(grid: Sequence[int]) -> List[int]:
+    """The walk lengths of grid sorted, without repeats; each must be >= 0."""
+    grid = sorted(set(grid))
+    if grid and grid[0] < 0:
+        raise DomainError(f"walk length n = {grid[0]} must be nonnegative")
+    return grid
+
+
+def exact_laws(A: GeneratorMultiset, grid: Sequence[int]):
+    """Yield (n, rows, counts) at each n of the sorted grid, in one pass:
+    the states omega_n reaches, as flat rows in order of first reach, and
+    their path counts over |A|^n.
+
+    Rows are int64 while a step is exact in int64, that is while
+    max|entry| x (largest column abs-sum of a generator), or max|coord| +
+    max|step|, is below 2^62, which bounds every partial sum; past that
+    they continue as Python ints. Counts are int64 while |A|^n < 2^63,
+    then Python ints.
+    """
+    grid = law_grid(grid)
+    identity = A.identity_element()
+    abelian = isinstance(identity, AbelianElement)
+    gens = np.array([g.flat() for g, _ in A.pairs], dtype=object)
+    if abelian:
+        growth = int(abs(gens).max())
+    else:
+        gens = gens.reshape(-1, identity.dimension, identity.dimension)
+        growth = int(abs(gens).sum(axis=1).max())  # largest column abs-sum
+    fast = gens.astype(np.int64) if growth < _LIMIT else None
+    mults = np.array([m for _, m in A.pairs], dtype=np.int64)
+    rows = np.array([identity.flat()], dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    done = 0
+    for n in grid:
+        for k in range(done + 1, n + 1):
+            big = int(abs(rows).max())
+            if rows.dtype != object and (big + growth if abelian else big * growth) >= _LIMIT:
+                rows = rows.astype(object)
+            if counts.dtype != object and A.size ** k >= 1 << 63:
+                counts = counts.astype(object)
+            step = gens if rows.dtype == object else fast
+            rows, counts = _law_step(rows, counts, step, mults, abelian)
+        done = n
+        yield n, rows, counts
+
+
+def _law_step(rows, counts, gens, mults, abelian):
+    """The law one step on: each row times each generator, equal products
+    merged, the merged rows in order of first reach.
+
+    Row i times generator j is reached as (i, j), the order in which a
+    convolution meets it, and has index i|A| + j here. The products are
+    formed one coordinate at a time into one exact int64 key each, so at
+    most one coordinate of all |rows| x |A| products is held at once; a
+    merged row is formed again from its first reach.
+    """
+    size = len(gens)
+    keys = _row_keys(_product_columns(rows, gens, abelian), len(rows) * size)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    del keys
+    if len(starts) > EXACT_BUDGET:
+        raise BudgetExceeded(f"distinct states {len(starts)} exceed budget {EXACT_BUDGET}")
+    weights = counts[order // size]
+    weights *= mults[order % size]
+    sums = np.add.reduceat(weights, starts)
+    del weights
+    reach = np.minimum.reduceat(order, starts)
+    del order
+    by_reach = np.argsort(reach)
+    src, gen = np.divmod(reach[by_reach], size)
+    out = np.empty((len(src), rows.shape[1]), dtype=rows.dtype)
+    for j, g in enumerate(gens):
+        sel = np.flatnonzero(gen == j)
+        part = rows[src[sel]]
+        out[sel] = part + g if abelian else (part.reshape(-1, *g.shape) @ g).reshape(part.shape)
+    return out, sums[by_reach]
+
+
+def _product_columns(rows, gens, abelian):
+    """Each coordinate of every product rows[i] * gens[j], one array at a
+    time, the product at index i|A| + j."""
+    if abelian:
+        for f in range(rows.shape[1]):
+            yield np.add.outer(rows[:, f], gens[:, f]).ravel()
+        return
+    dim = gens.shape[1]
+    mats = rows.reshape(-1, dim, dim)
+    for r in range(dim):
+        for c in range(dim):
+            yield (mats[:, r, :] @ gens[:, :, c].T).ravel()
+
+
+def _row_keys(columns, size):
+    """One int64 per row, equal exactly where the rows are equal; the rows
+    come as their columns, int64 or Python ints.
+
+    Each column is packed in mixed radix by its range. Where the key so
+    far times that range would pass 2^63, the key is first replaced by
+    its rank among the distinct keys, and then the column by its rank
+    among its distinct values, so that no key ever wraps.
+    """
+    key, span = np.zeros(size, dtype=np.int64), 1
+    for col in columns:
+        low = col.min()
+        width = int(col.max()) - int(low) + 1
+        if span * width > 1 << 63:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        if span * width > 1 << 63:
+            _, col = np.unique(col, return_inverse=True)
+            low, width = 0, int(col.max()) + 1
+        key *= width
+        key += (col - low).astype(np.int64, copy=False)
+        span *= width
+    return key
+
+
 @dataclass(frozen=True)
 class WalkDistribution:
     """Exact law of omega_n: path counts over |A|^n."""
@@ -99,47 +232,70 @@ class WalkDistribution:
 
 
 def exact_distribution(A: GeneratorMultiset, n: int) -> WalkDistribution:
-    """Exact convolution of n uniform steps from A."""
+    """Exact law of n uniform steps from A, in order of first reach."""
+    (_, rows, counts), = exact_laws(A, [n])
     identity = A.identity_element()
-    counts = convolve_counts(identity, A.pairs, n, lambda a, b: a * b)
-    return WalkDistribution(tuple(counts.items()), A.size, n)
+    if isinstance(identity, AbelianElement):
+        elements = [AbelianElement(tuple(row)) for row in rows.tolist()]
+    else:
+        dim = identity.dimension
+        elements = [MatrixElement(tuple(tuple(row[i:i + dim]) for i in range(0, dim * dim, dim)))
+                    for row in rows.tolist()]
+    return WalkDistribution(tuple(zip(elements, counts.tolist())), A.size, n)
+
+
+def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
+                            oracle) -> Dict[int, Fraction]:
+    """P(omega_n in Z) as an exact rational at each n of grid, in one pass.
+
+    The walk on the integers with steps {0, +1, -1} takes the dense line
+    scan, any other multiset the rows of exact_laws. Either way the
+    oracle's one Monte Carlo test decides every reachable state, and a
+    state it leaves undecided raises UndecidedMembership.
+    """
+    if dict(A.pairs) == dict(z_generators().pairs):
+        laws = _z_line_laws(grid)
+    else:
+        laws = exact_laws(A, grid)
+    out = {}
+    for n, rows, counts in laws:
+        hit, undecided = _hit_mask(oracle, rows)
+        if undecided:
+            raise UndecidedMembership(
+                f"oracle undecided on {undecided} of the {len(rows)} states at n = {n}")
+        out[n] = Fraction(int(counts[hit].sum()), A.size ** n)
+    return out
 
 
 def hit_probability_exact(A: GeneratorMultiset, n: int, oracle) -> Fraction:
-    """P(omega_n in Z) as an exact rational; errors on UNKNOWN verdicts.
-
-    The walk on the integers with steps {0, +1, -1} takes the dense line
-    scan, any other multiset the convolution; either way global_verdict
-    decides every reachable element.
-    """
-    if dict(A.pairs) == dict(z_generators().pairs):
-        for line in _z_line_counts(n):
-            pass  # keep the counts after n steps
-        counts = [(AbelianElement((x,)), c) for x, c in enumerate(line, -n)]
-    else:
-        counts = exact_distribution(A, n).counts
-    hit = 0
-    for e, c in counts:
-        v = oracle.global_verdict(e)
-        if v.status == "UNKNOWN":
-            raise UndecidedMembership(f"oracle undecided on {e}: {v.reason}")
-        if v.status == "IN":
-            hit += c
-    return Fraction(hit, A.size ** n)
+    """P(omega_n in Z) as an exact rational; see hit_probabilities_exact."""
+    return hit_probabilities_exact(A, [n], oracle)[n]
 
 
 def _z_line_counts(nmax: int):
     """Path counts of the walk on Z with steps {0, +1, -1}: after k steps,
-    for k = 0..nmax, the list of counts at positions -k..k."""
+    for k = 0..nmax, the list of counts at positions 0..k. The law is
+    symmetric, so position -x has the count of x."""
     if nmax < 0:
         raise DomainError(f"walk length n = {nmax} must be nonnegative")
     counts = [1]
     yield counts
     for _ in range(nmax):
-        # position x after k steps sums positions x-1, x, x+1 after k-1
-        pad = [0, 0, *counts, 0, 0]
+        # position x after k steps sums positions x-1, x, x+1 after k-1,
+        # and position -1 has the count of 1
+        pad = [counts[1] if len(counts) > 1 else 0, *counts, 0, 0]
         counts = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
         yield counts
+
+
+def _z_line_laws(grid: Sequence[int]):
+    """exact_laws of the walk on Z with steps {0, +1, -1}, from the line
+    scan: positions -n..n in order, counts as Python ints."""
+    grid = law_grid(grid)
+    wanted = set(grid)
+    for k, half in enumerate(_z_line_counts(grid[-1] if grid else 0)):
+        if k in wanted:
+            yield k, np.arange(-k, k + 1).reshape(-1, 1), np.array(half[:0:-1] + half, dtype=object)
 
 
 def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
@@ -150,8 +306,8 @@ def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
     grid = set(grid)
     if min(grid, default=0) < 0:
         raise DomainError(f"walk length n = {min(grid)} must be nonnegative")
-    return {k: Fraction(counts[k], 3 ** k)
-            for k, counts in enumerate(_z_line_counts(max(grid, default=0))) if k in grid}
+    return {k: Fraction(half[0], 3 ** k)
+            for k, half in enumerate(_z_line_counts(max(grid, default=0))) if k in grid}
 
 
 # ----- Monte Carlo -----
@@ -180,7 +336,6 @@ class MCEstimate:
 
 
 _CHUNK = 1 << 14
-_LIMIT = 1 << 62
 
 
 def _sweep_lanes(A, oracle, grid, m, seed):
@@ -210,7 +365,6 @@ def _sweep_lanes(A, oracle, grid, m, seed):
         start = np.eye(dim, dtype=np.int64)[None]
     fast = gens.astype(np.int64) if growth < _LIMIT else None
     hits, unknown = dict.fromkeys(grid, 0), dict.fromkeys(grid, 0)
-    batch = getattr(oracle, "hit_raw_batch", None)
     chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
     for t0 in range(0, m, chunk):
         cnt = min(chunk, m - t0)
@@ -238,14 +392,29 @@ def _sweep_lanes(A, oracle, grid, m, seed):
                 big = big + (cp - k) * growth if abelian else big * growth
             k = cp
             for ids, st in lanes:
-                flat = st.reshape(-1, start.size)
-                if batch is None:
-                    verdicts = list(map(oracle.hit_raw, flat.tolist()))
-                    unknown[cp] += verdicts.count(None)
-                    hits[cp] += sum(map(bool, verdicts))
-                elif len(flat):
-                    hits[cp] += int(np.count_nonzero(batch(tuple(flat.T))))
+                hit, undecided = _hit_mask(oracle, st.reshape(-1, start.size))
+                hits[cp] += int(np.count_nonzero(hit))
+                unknown[cp] += undecided
     return hits, unknown
+
+
+def _hit_mask(oracle, flat):
+    """(hit, undecided) for the rows of flat, int64 or Python ints, by the
+    oracle's one Monte Carlo test: hit_raw_batch on the columns in one
+    call where the oracle has it, else one hit_raw per row. hit is a bool
+    array; undecided counts the rows where hit_raw gave None, which are
+    not hits."""
+    if not len(flat):
+        return np.zeros(0, dtype=bool), 0
+    batch = getattr(oracle, "hit_raw_batch", None)
+    if batch is not None:
+        return np.asarray(batch(tuple(flat.T)), dtype=bool), 0
+    # a chunk of rows at a time: a list of Python-int rows costs far more
+    # memory than the array
+    verdicts = []
+    for i in range(0, len(flat), _CHUNK):
+        verdicts += map(oracle.hit_raw, flat[i:i + _CHUNK].tolist())
+    return np.array(verdicts, dtype=bool), verdicts.count(None)
 
 
 def _advance(st, gens, draws, abelian):

@@ -95,3 +95,21 @@ def residual_contains(oracle, x, quotient):
     """Whether the quotient element x lies in the oracle's residual set,
     asked through residual_mask as a one-row digit array."""
     return bool(oracle.residual_mask(np.array([x]), quotient)[0])
+
+
+def dict_laws(generators, nmax):
+    """The law of omega_n for n = 0..nmax by a dict convolution of group
+    elements: the reference for the rows of walker.exact_laws. Yields
+    [(element, path count)] in order of first reach, as a convolution
+    meets the states: source state by source state, each times every
+    generator in the order of generators.pairs."""
+    counts = {generators.identity_element(): 1}
+    yield list(counts.items())
+    for _ in range(nmax):
+        nxt = {}
+        for g, c in counts.items():
+            for h, mult in generators.pairs:
+                t = g * h
+                nxt[t] = nxt.get(t, 0) + c * mult
+        counts = nxt
+        yield list(counts.items())

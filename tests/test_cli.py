@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab import cli
+from sievelab import cli, sieve
 from sievelab.errors import DomainError
 
 
@@ -249,10 +249,34 @@ def test_bound_nonpositive_a_size_exits_2(tmp_path, a_size):
 
 @pytest.mark.parametrize("C, alpha", [("inf", "0.5"), ("1", "inf"), ("1e400", "0.5")])
 def test_bound_infinite_float_exits_2(tmp_path, capsys, C, alpha):
-    # argparse reads --C and --alpha as floats, and 1e400 overflows to inf
+    # --C and --alpha are read exactly; inf is no rational, and 1e400 is one
+    # whose float, echoed in the JSON, overflows to inf
     rc, _ = run(tmp_path, "bound", "--a-size", "3", "--C", C, "--D", "1", "--alpha", alpha)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("C, alpha", [("nan", "0.5"), ("1", "nan"), ("1/0", "0.5"), ("x", "0.5")])
+def test_bound_non_rational_exits_2(tmp_path, capsys, C, alpha):
+    rc, _ = run(tmp_path, "bound", "--a-size", "3", "--C", C, "--D", "1", "--alpha", alpha)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bound_reads_C_and_alpha_exactly(tmp_path):
+    # 0.1 is 1/10, not the binary float nearest to it
+    want = sieve.plan_for_n(16, 3, Fraction(1, 10), 1, Fraction(1, 2))
+    assert want.n_min == Fraction(50421, 5000)
+    rc, text = run(tmp_path, "bound", "--a-size", "3", "--C", "0.1", "--D", "1",
+                   "--alpha", "0.5", "--grid", "16")
+    assert rc == 0
+    assert text.splitlines()[1].split(",")[:3] == ["16", str(want.t), "50421/5000"]
+    rc, text = run(tmp_path, "bound", "--a-size", "3", "--C", "1/10", "--D", "1",
+                   "--alpha", "1/2", "--grid", "16", "--format", "json")
+    assert rc == 0
+    obj = json.loads(text)
+    assert (obj["C"], obj["alpha"]) == (0.1, 0.5)
+    assert obj["plans"][0]["n_min"] == "50421/5000"
 
 
 # ----- experiment and fit round trip -----

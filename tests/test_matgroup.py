@@ -57,6 +57,27 @@ def test_det_one_enforced():
         pass
 
 
+def test_products_and_inverses_keep_det_one_without_the_check():
+    # compose and inverse skip the det = 1 elimination, since det(ab) =
+    # det(a) det(b); sympy confirms it on words of every built-in family
+    for gens in (sl2_st_generators(), elementary_generators(3), elementary_generators(4)):
+        table = gens.draw_table()
+        for trial in range(4):
+            g = MatrixElement.identity(gens.support[0].dimension)
+            for idx in prng.draw_indices(13, trial, 24, len(table)):
+                g = g * table[idx]
+                assert Matrix(g.entries).det() == 1
+            assert Matrix(g.inverse().entries).det() == 1
+            assert g.is_identity() == (g == MatrixElement.identity(g.dimension))
+    # the constructor called from outside still checks the determinant
+    with pytest.raises(DomainError):
+        MatrixElement(((2, 0), (0, 1)))
+    with pytest.raises(DomainError):
+        MatrixElement(((2, 1, 0), (1, 1, 0), (0, 0, 2)))
+    with pytest.raises(DimensionMismatch):
+        compose(MatrixElement.identity(2), MatrixElement.identity(3))
+
+
 def test_group_axioms_spotcheck():
     g = MatrixElement(((2, 1), (1, 1)))
     h = S

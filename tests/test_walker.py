@@ -5,10 +5,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from helpers import dict_laws
 from sievelab import lab, walker
 from sievelab.errors import (
     BudgetExceeded,
     DomainError,
+    ResourceError,
     UndecidedMembership,
     UnknownRateExceeded,
 )
@@ -31,7 +33,9 @@ from sievelab.walker import (
     MCEstimate,
     WalkConfig,
     exact_distribution,
+    exact_laws,
     exact_origin_scan_z,
+    hit_probabilities_exact,
     hit_probability_exact,
     mc_sweep,
     run_walk,
@@ -168,6 +172,111 @@ def test_exact_budget(monkeypatch):
         pass
 
 
+# ----- the rows law against a dict convolution -----
+
+def assert_law_equals_dict_reference(A, nmax, grid=None):
+    """exact_laws gives the reference's states, counts and order of first
+    reach, at every n of the grid (default 0..nmax)."""
+    reference = list(dict_laws(A, nmax))
+    grid = range(nmax + 1) if grid is None else grid
+    seen = []
+    for n, rows, counts in exact_laws(A, grid):
+        want = reference[n]
+        assert len(rows) == len(counts) == len(want), n
+        assert rows.tolist() == [list(e.flat()) for e, _ in want], n
+        assert counts.tolist() == [c for _, c in want], n
+        assert all(type(x) is int for x in rows.ravel().tolist() + counts.tolist())
+        seen.append(n)
+    assert seen == sorted(set(grid))
+
+
+@pytest.mark.parametrize("name", lab.list_scenarios())
+def test_rows_law_equals_dict_convolution_on_every_scenario(name):
+    scenario = lab.get_scenario(name)
+    nmax = 4 if name == "sl3_galois" else 6
+    assert_law_equals_dict_reference(scenario.generators, nmax)
+    # every scenario's exact probability: the oracle's global verdict on
+    # the reference law, for the torus too, whose exact law is its parity law
+    laws = dict_laws(scenario.generators, nmax)
+    got = lab.exact_probabilities(scenario, range(nmax + 1))
+    for n, law in enumerate(laws):
+        hits = sum(c for e, c in law if scenario.oracle.global_verdict(e).status == "IN")
+        assert got[n] == Fraction(hits, scenario.generators.size ** n), n
+
+
+@pytest.mark.parametrize("name", lab.list_scenarios())
+def test_grid_pass_equals_per_n_calls(name):
+    scenario = lab.get_scenario(name)
+    grid = (5, 1, 3, 3, 2) if name == "sl3_galois" else (7, 1, 4, 2, 12, 4)
+    got = lab.exact_probabilities(scenario, grid)
+    assert list(got) == sorted(set(grid))
+    assert got == {n: lab.exact_probability(scenario, n) for n in grid}
+    if name != "torus_squares":
+        A, oracle = scenario.generators, scenario.oracle
+        assert hit_probabilities_exact(A, grid, oracle) == got
+        assert {n: hit_probability_exact(A, n, oracle) for n in grid} == got
+    table = lab.run_experiment(scenario, grid, m=1, seed=0, mode="exact")
+    assert [(r.n, r.estimate) for r in table.rows] == [(n, float(p)) for n, p in got.items()]
+    assert lab.exact_probabilities(scenario, []) == {}
+
+
+def sl2_with_translation(k):
+    """{I, S, S^-1, T_k, T_k^-1}, T_k = [[1, k], [0, 1]]."""
+    S = MatrixElement(((0, 1), (-1, 0)))
+    T = MatrixElement(((1, k), (0, 1)))
+    return validate_generators([MatrixElement.identity(2), S, S.inverse(), T, T.inverse()])
+
+
+@pytest.mark.parametrize("k", [1 << 30, (1 << 61) - 1, 1 << 61, 1 << 70])
+def test_rows_law_exact_past_int64_entries(k):
+    # entries pass 2^62 within a few steps (at once for 2^70): the rows
+    # continue as Python ints, and equal the dict convolution
+    A = sl2_with_translation(k)
+    assert_law_equals_dict_reference(A, 5)
+    *_, (n, rows, counts) = exact_laws(A, [5])
+    assert max(abs(x) for x in rows.ravel().tolist()) > 1 << 62 or k == 1 << 30
+    big = validate_generators([AbelianElement((x,)) for x in (0, 1 << 62, -(1 << 62), 3, -3)])
+    assert_law_equals_dict_reference(big, 5)
+
+
+def test_rows_law_counts_exact_past_int64():
+    # |A|^n passes 2^63 at n = 2: the counts continue as Python ints
+    lazy = GeneratorMultiset(((AbelianElement((0,)), 1 << 40), (AbelianElement((1,)), 3),
+                              (AbelianElement((-1,)), 3)))
+    assert_law_equals_dict_reference(lazy, 4)
+    _, _, counts = next(exact_laws(lazy, [4]))
+    assert counts.dtype == object and int(counts.sum()) == lazy.size ** 4
+    assert hit_probability_exact(lazy, 4, TorusSquaresOracle(1)) == Fraction(
+        sum(c for e, c in list(dict_laws(lazy, 4))[4] if e.exponents[0] % 2 == 0),
+        lazy.size ** 4)
+
+
+def test_row_keys_are_exact_where_mixed_radix_would_wrap():
+    # columns whose ranges multiply past 2^63 are ranked first, and
+    # Python-int columns beyond int64 too: equal keys exactly on equal rows
+    rng = np.random.default_rng(5)
+    small = rng.integers(-3, 3, size=(400, 3))
+    wide = small * np.array([1 << 40, 1 << 41, 1 << 60]) + rng.integers(0, 2, size=(400, 3))
+    huge = wide.astype(object) * (1 << 30)
+    for rows in (small, wide, huge):
+        keys = walker._row_keys(list(rows.T), len(rows))
+        assert keys.dtype == np.int64
+        tuples = [tuple(r) for r in rows.tolist()]
+        for i in range(0, 400, 7):
+            for j in range(400):
+                assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
+
+
+def test_exact_laws_budget_counts_distinct_states(monkeypatch):
+    # S/T has 5, 16, 36, 68 distinct states after steps 1 to 4
+    monkeypatch.setattr(walker, "EXACT_BUDGET", 36)
+    *_, (_, rows, _) = exact_laws(sl2_st_generators(), [3])
+    assert len(rows) == 36
+    with pytest.raises(BudgetExceeded):
+        next(exact_laws(sl2_st_generators(), [4]))
+    assert issubclass(BudgetExceeded, ResourceError)
+
+
 def test_hit_probability_exact_sl2_trace_frozen():
     A = sl2_st_generators()
     oracle = TraceOracle()
@@ -178,12 +287,10 @@ def test_hit_probability_exact_sl2_trace_frozen():
 
 
 def test_hit_probability_exact_undecided():
+    # the exact laws decide by the oracle's one Monte Carlo test
     class Undecided:
-        def global_verdict(self, g):
-            class V:
-                status = "UNKNOWN"
-                reason = "no certificate"
-            return V()
+        def hit_raw(self, flat):
+            return None
 
     try:
         hit_probability_exact(z_generators(), 2, Undecided())
