@@ -9,10 +9,10 @@ modulus away from the top eigenvector.
 Small quotients get a dense route: P commutes with left translations,
 so it splits over the characters of a cyclic subgroup <h> into Hermitian
 blocks of order |G|/ord(h), each solved by a dense eigensolver. Past
-DENSE_THRESHOLD a deflated power iteration on (I+P)/2 and (I-P)/2
-extracts the two extremes with a residual: the 2-norm ||Pv - theta v||
-of each Rayleigh pair, which bounds |lambda - theta| for some eigenvalue
-lambda of P.
+DENSE_THRESHOLD one Lanczos run on P, deflated by the constant vector,
+extracts both extremes with a residual: the 2-norm ||Py - theta y|| of
+each Ritz pair plus a rounding floor, which bounds |lambda - theta| for
+some eigenvalue lambda of P.
 Consumers add the residual before comparing against thresholds.
 """
 
@@ -31,7 +31,8 @@ from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
 _POWER_TOL = 1e-9
-_POWER_MAX_ITER = 200_000
+_KRYLOV_BYTES = 1 << 28
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -146,42 +147,91 @@ def _dense_spectrum(maps, left) -> np.ndarray:
     return np.sort(np.repeat(np.linalg.eigvalsh(blocks), copies, axis=0).ravel())
 
 
-def _power_top(matvec, dim: int, deflate: np.ndarray):
-    """Largest eigenvalue of a PSD-shifted operator, u-deflated.
+def _orthogonalise(w, u, blocks):
+    """w less its components along u and the rows of each block, by two
+    Gram-Schmidt passes (the second restores what rounding in the first
+    left)."""
+    for _ in range(2):
+        w -= (u @ w) * u
+        for rows in blocks:
+            w -= rows.T @ (rows @ w)
+    return w
 
-    Returns (rayleigh, residual): residual is the 2-norm ||Av - rayleigh
-    v|| for the last unit vector v, which bounds the distance from
-    rayleigh to an eigenvalue of a self-adjoint A.
+
+def _lanczos_extremes(maps, dim: int):
+    """Top and bottom eigenpairs of P = sum of its (permutation, weight)
+    maps on the complement of the constant vector u.
+
+    One Lanczos run with full reorthogonalisation (Lanczos, J. Res. NBS
+    45, 1950; Parlett, The Symmetric Eigenvalue Problem, 1980) from a
+    seeded start vector. Every 8 steps the tridiagonal T is solved;
+    the run stops once both end estimates |beta_k s_k| are below
+    _POWER_TOL, or the Krylov space is exhausted (beta near 0). Returns
+    [(theta, y, residual)] for the top and the bottom Ritz pair: y a
+    unit vector, residual the explicit 2-norm ||P y - theta y|| plus a
+    floor for the rounding in evaluating it, so it bounds |lambda -
+    theta| for some eigenvalue lambda of P. The basis is held in blocks
+    of _BLOCK rows, added as needed up to _KRYLOV_BYTES in all, so it is
+    never copied; ConvergenceFailure if the budget is reached first.
     """
-    rng = np.random.default_rng(987654321)
-    v = rng.standard_normal(dim)
-    v -= (deflate @ v) * deflate
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ConvergenceFailure("degenerate start vector")
-    v /= nrm
-    mu = 0.0
-    for _ in range(_POWER_MAX_ITER):
+    def matvec(v):
+        out = np.zeros_like(v)
+        for idx, w in maps:
+            out += w * v[idx]
+        return out
+
+    # an entry of P y - theta y sums len(maps) + 1 products; P is
+    # nonnegative with ||P|| = 1, so the rounding of the vector is below
+    # 2 (len(maps) + 1) eps in norm, which this floor covers
+    floor = 4 * len(maps) * np.finfo(float).eps
+    u = np.full(dim, 1.0 / np.sqrt(dim))
+    steps = min(dim - 1, _KRYLOV_BYTES // (8 * dim))
+    if steps < 1:
+        raise ConvergenceFailure(
+            f"Krylov budget of {_KRYLOV_BYTES} bytes holds no vector of order {dim}")
+    blocks = []
+    w = _orthogonalise(np.random.default_rng(987654321).standard_normal(dim), u, blocks)
+    b = float(np.linalg.norm(w))
+    alpha, beta = [], []
+    for k in range(steps):
+        if k % _BLOCK == 0:
+            blocks.append(np.empty((min(_BLOCK, steps - k), dim)))
+        v = blocks[-1][k % _BLOCK]
+        np.divide(w, b, out=v)
         w = matvec(v)
-        w -= (deflate @ w) * deflate
-        mu = float(v @ w)
-        res = float(np.linalg.norm(w - mu * v))
-        if res <= _POWER_TOL:
-            return mu, res
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0, 0.0
-        v = w / nrm
+        alpha.append(v @ w)
+        filled = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
+        w = _orthogonalise(w, u, filled)
+        beta.append(float(np.linalg.norm(w)))
+        b = beta[-1]
+        if (k + 1) % 8 == 0 or k + 1 == steps or b <= _POWER_TOL:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
+                                      + np.diag(beta[:-1], -1))
+            estimate = b * float(np.max(np.abs(s[-1, [-1, 0]])))
+            if estimate <= _POWER_TOL:
+                pairs = []
+                for j in (-1, 0):
+                    y = sum(rows.T @ s[i * _BLOCK:i * _BLOCK + len(rows), j]
+                            for i, rows in enumerate(filled))
+                    y /= np.linalg.norm(y)
+                    pairs.append((float(theta[j]), y,
+                                  float(np.linalg.norm(matvec(y) - theta[j] * y)) + floor))
+                if max(res for _, _, res in pairs) <= _POWER_TOL:
+                    return pairs
+        if b == 0:
+            break
     raise ConvergenceFailure(
-        f"power iteration residual {res:.3e} after {_POWER_MAX_ITER} iterations")
+        f"Lanczos residual estimate {estimate:.3e} after {k + 1} steps "
+        f"(Krylov budget {_KRYLOV_BYTES} bytes, order {dim})")
 
 
 def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     """pi_1, pi_min, pi_star of the walk operator of A on the quotient.
 
     A dense spectrum is exact up to rounding (residual 0.0); an iterative
-    one reports a residual that bounds the distance of pi_1 and of pi_min
-    to eigenvalues of P.
+    one (Lanczos, past DENSE_THRESHOLD) reports a residual that bounds the
+    distance of pi_1 and of pi_min to eigenvalues of P, and raises
+    ConvergenceFailure if its Krylov basis outgrows _KRYLOV_BYTES first.
     """
     codes, a_size, maps = walk_permutations(A, quotient)
     ell = len(codes)
@@ -194,21 +244,10 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)
 
-    def matvec_p(v):
-        out = np.zeros_like(v)
-        for idx, w in maps:
-            out += w * v[idx]
-        return out
-
-    u = np.full(ell, 1.0 / np.sqrt(ell))
-    mu_plus, res_plus = _power_top(lambda v: 0.5 * (v + matvec_p(v)), ell, u)
-    mu_minus, res_minus = _power_top(lambda v: 0.5 * (v - matvec_p(v)), ell, u)
-    pi_1 = 2.0 * mu_plus - 1.0
-    pi_min = 1.0 - 2.0 * mu_minus
-    residual = 2.0 * max(res_plus, res_minus)
+    (pi_1, _, res_1), (pi_min, _, res_min) = _lanczos_extremes(maps, ell)
     return AdjacencySpectrum(quotient.label, ell, a_size,
                              pi_1=pi_1, pi_min=pi_min,
-                             method="iterative", residual=residual)
+                             method="iterative", residual=max(res_1, res_min))
 
 
 def expander_certify(A: GeneratorMultiset, quotient, eps: float) -> bool:

@@ -239,7 +239,9 @@ def exact_distribution(A: GeneratorMultiset, n: int) -> WalkDistribution:
         elements = [AbelianElement(tuple(row)) for row in rows.tolist()]
     else:
         dim = identity.dimension
-        elements = [MatrixElement(tuple(tuple(row[i:i + dim]) for i in range(0, dim * dim, dim)))
+        # every state is a product of generators, so det = 1 needs no check
+        elements = [MatrixElement._det_one(tuple(tuple(row[i:i + dim])
+                                                 for i in range(0, dim * dim, dim)))
                     for row in rows.tolist()]
     return WalkDistribution(tuple(zip(elements, counts.tolist())), A.size, n)
 

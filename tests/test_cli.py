@@ -119,6 +119,15 @@ def test_spectrum_json_value(tmp_path):
     assert obj["order"] == 24
 
 
+def test_spectrum_json_iterative_route(tmp_path):
+    rc, text = run(tmp_path, "spectrum", "--scenario", "sl2_trace",
+                   "--prime", "17", "--format", "json")
+    assert rc == 0
+    obj = json.loads(text)
+    assert obj["method"] == "iterative" and obj["order"] == 4896
+    assert obj["residual"] <= 1e-9
+
+
 # each subcommand accepts only the options it reads
 BASE_ARGS = {
     "walk": ["--scenario", "z_origin", "--n", "2"],

@@ -6,7 +6,7 @@ from scipy.linalg import eigh
 
 from helpers import elements
 from sievelab import lab, spectra
-from sievelab.errors import DomainError, MissingIdentity, NotSymmetric
+from sievelab.errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
     AbelianElement,
     GeneratorMultiset,
@@ -290,22 +290,39 @@ def test_iterative_residual_is_a_two_norm_bound(quotient, A, monkeypatch):
     eig = np.linalg.eigvalsh(P)
     assert np.min(np.abs(eig - it.pi_1)) <= it.residual
     assert np.min(np.abs(eig - it.pi_min)) <= it.residual
-    # the reported number is the 2-norm of the residual vector of the
-    # last vector the iteration applied the operator to
-    ell = len(P)
-    u = np.full(ell, 1.0 / np.sqrt(ell))
-    for sign in (1.0, -1.0):
-        applied = []
-
-        def op(v):
-            applied.append(v.copy())
-            return 0.5 * (v + sign * (P @ v))
-        mu, res = spectra._power_top(op, ell, u)
-        v = applied[-1]
-        w = op(v)
-        w -= (u @ w) * u
-        assert res >= np.linalg.norm(w - mu * v) * (1 - 1e-9)
+    # each end reports the explicit 2-norm of the residual vector of the
+    # Ritz pair it returns, plus a floor for the rounding in evaluating it
+    codes, a_size, maps = spectra.walk_permutations(A, quotient)
+    pairs = spectra._lanczos_extremes([(perm, m / a_size) for perm, m in maps], len(codes))
+    assert [theta for theta, _, _ in pairs] == [it.pi_1, it.pi_min]
+    assert max(res for _, _, res in pairs) == it.residual
+    for theta, y, res in pairs:
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert np.min(np.abs(eig - theta)) <= res
+        assert res >= np.linalg.norm(P @ y - theta * y)
         assert res <= spectra._POWER_TOL
+
+
+def test_iterative_st_mod_17_agrees_with_dense_blocks(monkeypatch):
+    # order 4896 is past DENSE_THRESHOLD; the dense route splits it into
+    # blocks of order 144
+    A, q = sl2_st_generators(), MatrixQuotient(2, (17,))
+    it = second_eigenvalue(A, q)
+    assert it.method == "iterative" and it.order == 4896
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 5000)
+    dense = second_eigenvalue(A, q)
+    assert dense.method == "dense"
+    assert abs(it.pi_1 - dense.pi_1) <= 1e-9
+    assert abs(it.pi_min - dense.pi_min) <= 1e-9
+
+
+@pytest.mark.parametrize("vectors", [0, 1, 5, 24])
+def test_krylov_budget_exhausted_raises_convergence_failure(vectors, monkeypatch):
+    q = MatrixQuotient(2, (7,))
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
+    monkeypatch.setattr(spectra, "_KRYLOV_BYTES", 8 * q.order() * vectors)
+    with pytest.raises(ConvergenceFailure):
+        second_eigenvalue(sl2_st_generators(), q)
 
 
 def _walk_matrix(quotient, A):
