@@ -202,8 +202,8 @@ def _lanczos_extremes(maps, dim: int):
         alpha.append(v @ w)
         filled = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
         w = _orthogonalise(w, u, filled)
-        beta.append(float(np.linalg.norm(w)))
-        b = beta[-1]
+        b = float(np.linalg.norm(w))
+        beta.append(b)
         if (k + 1) % 8 == 0 or k + 1 == steps or b <= _POWER_TOL:
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
                                       + np.diag(beta[:-1], -1))
