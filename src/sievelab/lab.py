@@ -270,18 +270,10 @@ def exact_probabilities(scenario: Scenario, grid: Sequence[int]) -> Dict[int, Fr
         return walker.hit_probabilities_exact(scenario.generators, grid, scenario.oracle)
     # squares are detected by the parity image: the law on (Z/2)^rank,
     # whose identity (0, ..., 0) has code and index 0
-    grid = walker.law_grid(grid)
     q = AbelianQuotient(scenario.oracle.rank, 2)
     _, a_size, maps = walk_permutations(scenario.generators, q)
-    out = dict.fromkeys(grid)
-
-    def snapshot(k, counts):
-        if k in out:
-            out[k] = Fraction(counts.get(0, 0), a_size ** k)
-
-    walker.convolve_counts(0, [(perm.tolist(), m) for perm, m in maps], grid[-1] if grid else 0,
-                           lambda x, perm: perm[x], snapshot)
-    return out
+    laws = walker.convolve_counts(maps, 0, grid)
+    return {n: Fraction(int(c[0]), a_size ** n) for n, c in laws.items()}
 
 
 def exact_probability(scenario: Scenario, n: int) -> Fraction:

@@ -30,7 +30,7 @@ from .quotients import AbelianQuotient
 from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
-_POWER_TOL = 1e-9
+_LANCZOS_TOL = 1e-9
 _KRYLOV_BYTES = 1 << 28
 _BLOCK = 128
 
@@ -166,7 +166,7 @@ def _lanczos_extremes(maps, dim: int):
     45, 1950; Parlett, The Symmetric Eigenvalue Problem, 1980) from a
     seeded start vector. Every 8 steps the tridiagonal T is solved;
     the run stops once both end estimates |beta_k s_k| are below
-    _POWER_TOL, or the Krylov space is exhausted (beta near 0). Returns
+    _LANCZOS_TOL, or the Krylov space is exhausted (beta near 0). Returns
     [(theta, y, residual)] for the top and the bottom Ritz pair: y a
     unit vector, residual the explicit 2-norm ||P y - theta y|| plus a
     floor for the rounding in evaluating it, so it bounds |lambda -
@@ -204,11 +204,11 @@ def _lanczos_extremes(maps, dim: int):
         w = _orthogonalise(w, u, filled)
         b = float(np.linalg.norm(w))
         beta.append(b)
-        if (k + 1) % 8 == 0 or k + 1 == steps or b <= _POWER_TOL:
+        if (k + 1) % 8 == 0 or k + 1 == steps or b <= _LANCZOS_TOL:
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
                                       + np.diag(beta[:-1], -1))
             estimate = b * float(np.max(np.abs(s[-1, [-1, 0]])))
-            if estimate <= _POWER_TOL:
+            if estimate <= _LANCZOS_TOL:
                 pairs = []
                 for j in (-1, 0):
                     y = sum(rows.T @ s[i * _BLOCK:i * _BLOCK + len(rows), j]
@@ -216,7 +216,7 @@ def _lanczos_extremes(maps, dim: int):
                     y /= np.linalg.norm(y)
                     pairs.append((float(theta[j]), y,
                                   float(np.linalg.norm(matvec(y) - theta[j] * y)) + floor))
-                if max(res for _, _, res in pairs) <= _POWER_TOL:
+                if max(res for _, _, res in pairs) <= _LANCZOS_TOL:
                     return pairs
         if b == 0:
             break
@@ -291,31 +291,20 @@ def exact_deviation_sweep(A: GeneratorMultiset, quotient,
                           grid: Sequence[int]) -> Dict[int, Fraction]:
     """max_g |P(omega_n = g) - 1/|G|| exactly, for each n in the grid.
 
-    Convolves integer path counts over the element indices of the
-    quotient, stepping by walk_permutations; requires the walk to reach
-    the whole group eventually but is correct regardless.
+    Steps integer path counts over the element indices of the quotient
+    by convolve_counts; elements not yet reached have count 0.
     """
-    grid = sorted(set(grid))
-    if not grid or grid[0] < 0:
+    if not grid or min(grid) < 0:
         raise DomainError("grid must be non-empty with n >= 0")
     codes, a_size, maps = walk_permutations(A, quotient)
     ell = len(codes)
-    out_keys = set(grid)
     out: Dict[int, Fraction] = {}
-
-    def snap(k, counts):
-        if k in out_keys:
-            # |c/total - 1/ell| = |c ell - total| / (total ell); elements
-            # never reached (count 0) deviate by total / (total ell)
-            total = a_size ** k
-            worst = max(abs(c * ell - total) for c in counts.values())
-            if len(counts) < ell:
-                worst = max(worst, total)
-            out[k] = Fraction(worst, total * ell)
-
-    steps = [(perm.tolist(), m) for perm, m in maps]
-    convolve_counts(_index(quotient, codes, quotient.identity()), steps, grid[-1],
-                    lambda x, perm: perm[x], on_snapshot=snap)
+    for n, c in convolve_counts(maps, _index(quotient, codes, quotient.identity()), grid).items():
+        # |c/total - 1/ell| = |c ell - total| / (total ell), largest at the
+        # largest or the smallest count
+        total = a_size ** n
+        worst = max(int(c.max()) * ell - total, total - int(c.min()) * ell)
+        out[n] = Fraction(worst, total * ell)
     return out
 
 

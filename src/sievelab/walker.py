@@ -10,7 +10,10 @@ it at every length of a grid: each step multiplies every state by every
 generator, packs each product into one exact int64 key, and merges equal
 keys by a sort. States are int64 while that is exact and Python ints
 past it. Both the lanes and the exact states are decided by the oracle's
-one Monte Carlo test.
+one Monte Carlo test. On a finite quotient the law is one count array
+over the element indices, and a step is one gather by the index
+permutations of the generators and one dot product with their
+multiplicities.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,32 +71,30 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 
 # ----- exact distributions -----
 
-def convolve_counts(identity, step_pairs, n: int, compose: Callable,
-                    on_snapshot: Optional[Callable] = None) -> Dict:
-    """Integer path counts of a walk law on hashable states after each of
-    n steps; the torus parity law and the quotient laws use it.
+def convolve_counts(maps, start: int, grid: Sequence[int]) -> Dict[int, np.ndarray]:
+    """Integer path counts of a walk on a quotient's element indices, one
+    array over |A|^n per n of the grid, from the index start; the torus
+    parity law and the quotient laws use it.
 
-    step_pairs is a sequence of (element, multiplicity). on_snapshot(k,
-    counts) fires after step k when given (counts must not be mutated).
-    Raises BudgetExceeded as soon as a step passes EXACT_BUDGET states.
+    maps are the (permutation, multiplicity) steps of walk_permutations,
+    whose multiset is symmetric, so the count of y after a step sums the
+    counts of y g, and a step is counts = mults @ counts[perms]. Counts
+    are int64 while |A|^n < 2^63, then Python ints.
     """
-    if n < 0:
-        raise DomainError(f"walk length n = {n} must be nonnegative")
-    counts = {identity: 1}
-    if on_snapshot:
-        on_snapshot(0, counts)
-    for k in range(1, n + 1):
-        nxt: Dict = {}
-        for state, c in counts.items():
-            for g, mult in step_pairs:
-                t = compose(state, g)
-                nxt[t] = nxt.get(t, 0) + c * mult
-            if len(nxt) > EXACT_BUDGET:
-                raise BudgetExceeded(f"distinct states {len(nxt)} exceed budget {EXACT_BUDGET}")
-        counts = nxt
-        if on_snapshot:
-            on_snapshot(k, counts)
-    return counts
+    grid = law_grid(grid)
+    perms = np.array([perm for perm, _ in maps])
+    mults = np.array([m for _, m in maps], dtype=np.int64)
+    a_size = int(mults.sum())
+    counts = np.zeros(perms.shape[1], dtype=np.int64)
+    counts[start] = 1
+    out, done = {}, 0
+    for n in grid:
+        for k in range(done + 1, n + 1):
+            if counts.dtype != object and a_size ** k >= 1 << 63:
+                counts = counts.astype(object)
+            counts = mults @ counts[perms]
+        out[n], done = counts, n
+    return out
 
 
 def law_grid(grid: Sequence[int]) -> List[int]:
@@ -278,8 +279,6 @@ def _z_line_counts(nmax: int):
     """Path counts of the walk on Z with steps {0, +1, -1}: after k steps,
     for k = 0..nmax, the list of counts at positions 0..k. The law is
     symmetric, so position -x has the count of x."""
-    if nmax < 0:
-        raise DomainError(f"walk length n = {nmax} must be nonnegative")
     counts = [1]
     yield counts
     for _ in range(nmax):
@@ -301,15 +300,10 @@ def _z_line_laws(grid: Sequence[int]):
 
 
 def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
-    """P(omega_n = 0) for Gamma = Z, A = {0,+1,-1}, at each grid n.
-
-    Dense line convolution with integer counts; one pass to max(grid).
+    """P(omega_n = 0) for Gamma = Z, A = {0,+1,-1}, at each grid n: the
+    middle count of the line scan _z_line_laws, one pass to max(grid).
     """
-    grid = set(grid)
-    if min(grid, default=0) < 0:
-        raise DomainError(f"walk length n = {min(grid)} must be nonnegative")
-    return {k: Fraction(half[0], 3 ** k)
-            for k, half in enumerate(_z_line_counts(max(grid, default=0))) if k in grid}
+    return {n: Fraction(int(counts[n]), 3 ** n) for n, _, counts in _z_line_laws(grid)}
 
 
 # ----- Monte Carlo -----

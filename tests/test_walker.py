@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import comb
 
@@ -151,16 +150,6 @@ def test_exact_laws_refuse_negative_n():
             lab.exact_probability(lab.get_scenario(name), -1)
     with pytest.raises(DomainError):
         exact_origin_scan_z([-1, 3])
-
-
-def test_convolution_checks_the_budget_per_source_state(monkeypatch):
-    # every compose makes a new state, so step k holds 3^k states and
-    # step 5 (243 states) is the first past the budget
-    monkeypatch.setattr(walker, "EXACT_BUDGET", 100)
-    calls = itertools.count()
-    with pytest.raises(BudgetExceeded):
-        walker.convolve_counts(0, [(None, 1)] * 3, 8, lambda x, g: next(calls))
-    assert next(calls) - (3 + 9 + 27 + 81) <= 100 + 3
 
 
 def test_exact_budget(monkeypatch):
