@@ -49,7 +49,6 @@ from .walker import (
     exact_laws,
     exact_origin_scan_z,
     hit_probabilities_exact,
-    hit_probability_exact,
     mc_sweep,
     run_walk,
 )
@@ -93,7 +92,6 @@ from .lab import (
     ExperimentRow,
     ExperimentTable,
     Scenario,
-    exact_probabilities,
     exact_probability,
     fit_decay,
     get_scenario,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: walk, spectrum, closure, residual, bound, experiment, fit,
-scenarios.  Exit codes: 0 success, 2 bad configuration or arguments,
-3 budget or convergence failure.
+scenarios. Each returns its CSV or text, or its JSON document as a dict,
+and main writes it, the JSON with schema_version and sorted keys.
+Exit codes: 0 success, 2 bad configuration or arguments, 3 budget or
+convergence failure.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .errors import ConfigError, DomainError, ResourceError, SievelabError
 from .quotients import bfs_closure, is_prime, quotient_for
 from .spectra import second_eigenvalue, spectrum_csv
 from .thinsets import residual
-
-SCHEMA_VERSION = lab.SCHEMA_VERSION
-
 
 def parse_grid(text: str) -> List[int]:
     """Either a comma list '4,8,16' or 'geometric:start:stop' meaning
@@ -63,67 +62,46 @@ def _emit(text: str, out: Optional[str]):
             fh.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _moduli(args):
     return (args.prime,) if args.prime2 is None else (args.prime, args.prime2)
 
 
-def _cmd_walk(args) -> int:
+def _cmd_walk(args):
     scenario = lab.get_scenario(args.scenario)
     if args.exact:
         dist = walker.exact_distribution(scenario.generators, args.n)
-        obj = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name,
-               "n": args.n, "mode": "exact",
-               "distribution": dist.to_json_obj()}
-        _emit(_json_text(obj), args.out)
-        return 0
+        return {"scenario": scenario.name, "n": args.n, "mode": "exact",
+                "distribution": dist.to_json_obj()}
     config = walker.WalkConfig(generators=scenario.generators, n=args.n,
                                m=args.trials, seed=args.seed)
     trials = []
     for trial in range(args.trials):
         path = walker.run_walk(config, trial)
         trials.append([g.to_json_obj() for g in path])
-    obj = {"schema_version": SCHEMA_VERSION, "scenario": scenario.name,
-           "n": args.n, "seed": args.seed, "trials": trials}
-    _emit(_json_text(obj), args.out)
-    return 0
+    return {"scenario": scenario.name, "n": args.n, "seed": args.seed, "trials": trials}
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     scenario = lab.get_scenario(args.scenario)
     quotient = quotient_for(scenario.generators, _moduli(args))
     spec = second_eigenvalue(scenario.generators, quotient)
     if args.format == "csv":
-        _emit(spectrum_csv([spec]), args.out)
-    else:
-        obj = spec.to_json_obj()
-        obj.update(schema_version=SCHEMA_VERSION, scenario=scenario.name)
-        _emit(_json_text(obj), args.out)
-    return 0
+        return spectrum_csv([spec])
+    return {**spec.to_json_obj(), "scenario": scenario.name}
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args):
     scenario = lab.get_scenario(args.scenario)
     quotient = quotient_for(scenario.generators, _moduli(args))
-    report = bfs_closure(scenario.generators, quotient)
-    obj = report.to_json_obj()
-    obj["schema_version"] = SCHEMA_VERSION
-    _emit(_json_text(obj), args.out)
-    return 0
+    return bfs_closure(scenario.generators, quotient).to_json_obj()
 
 
-def _cmd_residual(args) -> int:
+def _cmd_residual(args):
     scenario = lab.get_scenario(args.scenario)
     quotient = scenario.oracle.quotient_for_prime(args.prime)
     report = residual(scenario.oracle, quotient, mode=args.mode,
                       samples=args.trials, seed=args.seed)
-    obj = report.to_json_obj()
-    obj["schema_version"] = SCHEMA_VERSION
-    _emit(_json_text(obj), args.out)
-    return 0
+    return report.to_json_obj()
 
 
 def _finite_fraction(text: str, name: str) -> Fraction:
@@ -137,7 +115,7 @@ def _finite_fraction(text: str, name: str) -> Fraction:
     return value
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     grid = parse_grid(args.grid)
     C, alpha = _finite_fraction(args.C, "C"), _finite_fraction(args.alpha, "alpha")
     rows = []
@@ -152,26 +130,19 @@ def _cmd_bound(args) -> int:
         for r in rows:
             writer.writerow([r["n"], r["t"], r["n_min"],
                              repr(r["bound"]), r["regime"]])
-        _emit(buf.getvalue(), args.out)
-    else:
-        obj = {"schema_version": SCHEMA_VERSION, "a_size": args.a_size,
-               "C": float(C), "D": args.D, "alpha": float(alpha), "plans": rows}
-        _emit(_json_text(obj), args.out)
-    return 0
+        return buf.getvalue()
+    return {"a_size": args.a_size, "C": float(C), "D": args.D, "alpha": float(alpha),
+            "plans": rows}
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     grid = parse_grid(args.grid)
     table = lab.run_experiment(args.scenario, grid, args.trials, args.seed,
                                mode=args.mode)
     if args.format == "csv":
-        _emit(table.csv(), args.out)
-    else:
-        obj = {"schema_version": SCHEMA_VERSION, "scenario": args.scenario,
-               "seed": args.seed, "trials": args.trials,
-               "rows": table.to_json_obj()}
-        _emit(_json_text(obj), args.out)
-    return 0
+        return table.csv()
+    return {"scenario": args.scenario, "seed": args.seed, "trials": args.trials,
+            "rows": table.to_json_obj()}
 
 
 def _read_rows_csv(path: str) -> List[lab.ExperimentRow]:
@@ -205,31 +176,22 @@ def _read_rows_csv(path: str) -> List[lab.ExperimentRow]:
     return rows
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     rows = _read_rows_csv(args.input)
-    fit = lab.fit_decay(rows, min_trials=args.min_trials)
-    obj = fit.to_json_obj()
-    obj["schema_version"] = SCHEMA_VERSION
-    _emit(_json_text(obj), args.out)
-    return 0
+    return lab.fit_decay(rows, min_trials=args.min_trials).to_json_obj()
 
 
-def _cmd_scenarios(args) -> int:
+def _cmd_scenarios(args):
     if args.describe is not None:
-        _emit(_json_text(lab.get_scenario(args.describe).to_json_obj()), args.out)
-        return 0
+        return lab.get_scenario(args.describe).to_json_obj()
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION,
-               "scenarios": [lab.get_scenario(name).to_json_obj()
-                             for name in lab.list_scenarios()]}
-        _emit(_json_text(obj), args.out)
-        return 0
+        return {"scenarios": [lab.get_scenario(name).to_json_obj()
+                              for name in lab.list_scenarios()]}
     lines = []
     for name in lab.list_scenarios():
         s = lab.get_scenario(name)
         lines.append(f"{name}  [{s.regime}]  {s.description}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _add_common(p, trials_default=None, formats=False):
@@ -321,7 +283,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, dict):
+            out = json.dumps({**out, "schema_version": lab.SCHEMA_VERSION},
+                             indent=2, sort_keys=True)
+        _emit(out, args.out)
+        return 0
     except ConfigError as exc:
         print(f"sievelab: config error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ from .matgroup import (
     torus_generators,
     z_generators,
 )
-from .quotients import AbelianQuotient, is_prime, prime_schedule
-from .spectra import second_eigenvalue, walk_permutations
+from .quotients import is_prime, prime_schedule
+from .spectra import second_eigenvalue
 from .thinsets import (
     NongenericGaloisOracle,
     RationalFixedFlagOracle,
@@ -264,29 +264,17 @@ class ExperimentTable:
         return [r.to_json_obj() for r in self.rows]
 
 
-def exact_probabilities(scenario: Scenario, grid: Sequence[int]) -> Dict[int, Fraction]:
-    """P(omega_n in Z) exactly at each n of grid, in one pass of the law."""
-    if not isinstance(scenario.oracle, TorusSquaresOracle):
-        return walker.hit_probabilities_exact(scenario.generators, grid, scenario.oracle)
-    # squares are detected by the parity image: the law on (Z/2)^rank,
-    # whose identity (0, ..., 0) has code and index 0
-    q = AbelianQuotient(scenario.oracle.rank, 2)
-    _, a_size, maps = walk_permutations(scenario.generators, q)
-    laws = walker.convolve_counts(maps, 0, grid)
-    return {n: Fraction(int(c[0]), a_size ** n) for n, c in laws.items()}
-
-
 def exact_probability(scenario: Scenario, n: int) -> Fraction:
     """P(omega_n in Z) exactly, where the scenario admits it."""
-    return exact_probabilities(scenario, [n])[n]
+    return walker.hit_probabilities_exact(scenario.generators, [n], scenario.oracle)[n]
 
 
 def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
                    mode: str = "mc") -> ExperimentTable:
     """One row per n: estimate, half-width, UNKNOWN count, theory bound.
 
-    Deterministic in (scenario, grid, m, seed). P-hat = 0 rows carry the
-    rule-of-three half-width 3/m.
+    Deterministic in (scenario, grid, m, seed). The half-width is
+    MCEstimate.halfwidth, 3/m on rows without hits.
     """
     scenario = (scenario_or_name if isinstance(scenario_or_name, Scenario)
                 else get_scenario(scenario_or_name))
@@ -295,7 +283,8 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
         raise DomainError("grid must be non-empty with n >= 1")
     rows = []
     if mode == "exact":
-        for n, p in sorted(exact_probabilities(scenario, grid).items()):
+        exact = walker.hit_probabilities_exact(scenario.generators, grid, scenario.oracle)
+        for n, p in exact.items():
             rows.append(ExperimentRow(
                 scenario=scenario.name, n=n, trials=0, hits=0, unknown=0,
                 estimate=float(p), ci_halfwidth=0.0,
@@ -310,13 +299,9 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
         if est.unknown_rate > UNKNOWN_CAP:
             raise UnknownRateExceeded(
                 f"UNKNOWN rate {est.unknown_rate:.3g} at n={est.n} above cap {UNKNOWN_CAP}")
-        if est.hits == 0:
-            hw = 3.0 / m  # rule-of-three upper bound for an all-miss cell
-        else:
-            hw = est.halfwidth
         rows.append(ExperimentRow(
             scenario=scenario.name, n=est.n, trials=est.trials, hits=est.hits,
-            unknown=est.unknown, estimate=est.estimate, ci_halfwidth=hw,
+            unknown=est.unknown, estimate=est.estimate, ci_halfwidth=est.halfwidth,
             theory_bound=theory_bound(scenario, est.n), regime=scenario.regime))
     return ExperimentTable(tuple(rows))
 

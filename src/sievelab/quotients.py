@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import (
     DomainError,
     EnumerationIncomplete,
     EnumerationUnavailable,
+    MissingIdentity,
+    NotSymmetric,
 )
 from .matgroup import (
     AbelianElement,
@@ -42,7 +44,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for all n below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -139,6 +141,10 @@ class _Coded:
         """All elements in sorted order, one digit row each; raises when
         the order exceeds ENUM_BUDGET."""
         return self.decode(self.element_codes())
+
+    def index(self, x) -> int:
+        """The index of the element x among the sorted codes."""
+        return int(np.searchsorted(self.element_codes(), self.encode([x]))[0])
 
 
 @dataclass(frozen=True)
@@ -328,6 +334,34 @@ def bfs_closure(A: GeneratorMultiset, quotient) -> ClosureReport:
                          for g in A.support for h in (g, g.inverse()))
     codes = _closure_codes(quotient, list(gens), ENUM_BUDGET)
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
+
+
+def walk_permutations(A: GeneratorMultiset, quotient):
+    """The steps of a quotient walk as permutations of its element indices.
+
+    The elements of A are reduced into the quotient, where repeated
+    images merge in order of first appearance. Returns (codes, |A|,
+    maps): the sorted element codes, and per distinct step g the index
+    permutation of x -> x g with g's multiplicity. Raises MissingIdentity
+    without the identity, and NotSymmetric unless each step's inverse has
+    its multiplicity.
+    """
+    merged: Dict = {}
+    for g, m in A.pairs:
+        r = quotient.reduce(g)
+        merged[r] = merged.get(r, 0) + m
+    if quotient.identity() not in merged:
+        raise MissingIdentity("reduced multiset must contain the identity")
+    codes = quotient.element_codes()
+    digits = quotient.decode(codes)
+    maps = [(np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g]))), m)
+            for g, m in merged.items()]
+    # x -> x g sends the identity e to g, and g^-1 to e
+    e = quotient.index(quotient.identity())
+    weight = {int(perm[e]): m for perm, m in maps}
+    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in maps):
+        raise NotSymmetric("reduced multiset is not symmetric")
+    return codes, sum(merged.values()), maps
 
 
 def quotient_for(A: GeneratorMultiset, moduli: Sequence[int]):

@@ -24,9 +24,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
+from .errors import ConvergenceFailure, DomainError
 from .matgroup import GeneratorMultiset
-from .quotients import AbelianQuotient
+from .quotients import AbelianQuotient, walk_permutations
 from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
@@ -62,39 +62,6 @@ class AdjacencySpectrum:
             "method": self.method,
             "residual": self.residual,
         }
-
-
-def walk_permutations(A: GeneratorMultiset, quotient):
-    """The steps of a quotient walk as permutations of its element indices.
-
-    The elements of A are reduced into the quotient, where repeated
-    images merge in order of first appearance. Returns (codes, |A|,
-    maps): the sorted element codes, and per distinct step g the index
-    permutation of x -> x g with g's multiplicity. Raises MissingIdentity
-    without the identity, and NotSymmetric unless each step's inverse has
-    its multiplicity.
-    """
-    merged: Dict = {}
-    for g, m in A.pairs:
-        r = quotient.reduce(g)
-        merged[r] = merged.get(r, 0) + m
-    if quotient.identity() not in merged:
-        raise MissingIdentity("reduced multiset must contain the identity")
-    codes = quotient.element_codes()
-    digits = quotient.decode(codes)
-    maps = [(np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g]))), m)
-            for g, m in merged.items()]
-    # x -> x g sends the identity e to g, and g^-1 to e
-    e = _index(quotient, codes, quotient.identity())
-    weight = {int(perm[e]): m for perm, m in maps}
-    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in maps):
-        raise NotSymmetric("reduced multiset is not symmetric")
-    return codes, sum(merged.values()), maps
-
-
-def _index(quotient, codes, x) -> int:
-    """The index of the element x among the sorted codes."""
-    return int(np.searchsorted(codes, quotient.encode([x]))[0])
 
 
 def _cyclic_translation(quotient, codes):
@@ -299,7 +266,7 @@ def exact_deviation_sweep(A: GeneratorMultiset, quotient,
     codes, a_size, maps = walk_permutations(A, quotient)
     ell = len(codes)
     out: Dict[int, Fraction] = {}
-    for n, c in convolve_counts(maps, _index(quotient, codes, quotient.identity()), grid).items():
+    for n, c in convolve_counts(maps, quotient.index(quotient.identity()), grid).items():
         # |c/total - 1/ell| = |c ell - total| / (total ell), largest at the
         # largest or the smallest count
         total = a_size ** n

@@ -464,6 +464,16 @@ class TorusSquaresOracle:
 
 # ----- residual set measurement -----
 
+def halfwidth(hits: int, trials: int) -> float:
+    """Half-width of the 95% interval of p = hits/trials: Wald's, or the
+    rule of three 3/trials when nothing hit. Every estimate's interval
+    comes from here."""
+    if not hits:
+        return 3.0 / trials
+    p = hits / trials
+    return 1.96 * math.sqrt(p * (1.0 - p) / trials)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Size and density of an oracle's residual set in one quotient."""
@@ -524,7 +534,5 @@ def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
     if mode == "enumerate":
         return ResidualReport(quotient.label, mode, len(rows), hits,
                               Fraction(hits, len(rows)), None)
-    est = hits / samples
-    # rule of three when no sample hits, as for all-miss Monte Carlo rows
-    hw = 1.96 * math.sqrt(est * (1.0 - est) / samples) if hits else 3.0 / samples
-    return ResidualReport(quotient.label, mode, samples, hits, est, hw)
+    return ResidualReport(quotient.label, mode, samples, hits, hits / samples,
+                          halfwidth(hits, samples))

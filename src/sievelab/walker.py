@@ -13,12 +13,11 @@ past it. Both the lanes and the exact states are decided by the oracle's
 one Monte Carlo test. On a finite quotient the law is one count array
 over the element indices, and a step is one gather by the index
 permutations of the generators and one dot product with their
-multiplicities.
+multiplicities; the squares of a torus are decided on that law mod 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -34,6 +33,8 @@ from .matgroup import (
     MatrixElement,
     z_generators,
 )
+from .quotients import AbelianQuotient, walk_permutations
+from .thinsets import TorusSquaresOracle, halfwidth
 
 EXACT_BUDGET = 5_000_000  # most distinct states one step of an exact law may hold
 _LIMIT = 1 << 62  # int64 walk states step exactly while their bound stays below this
@@ -251,12 +252,20 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
                             oracle) -> Dict[int, Fraction]:
     """P(omega_n in Z) as an exact rational at each n of grid, in one pass.
 
-    The walk on the integers with steps {0, +1, -1} takes the dense line
+    The squares of a torus oracle take the parity law: the law on
+    (Z/2)^rank by convolve_counts, whose states are the digit rows. The
+    walk on the integers with steps {0, +1, -1} takes the dense line
     scan, any other multiset the rows of exact_laws. Either way the
     oracle's one Monte Carlo test decides every reachable state, and a
     state it leaves undecided raises UndecidedMembership.
     """
-    if dict(A.pairs) == dict(z_generators().pairs):
+    if isinstance(oracle, TorusSquaresOracle):
+        q = AbelianQuotient(oracle.rank, 2)
+        codes, _, maps = walk_permutations(A, q)
+        digits = q.decode(codes)
+        laws = convolve_counts(maps, q.index(q.identity()), grid)
+        laws = ((n, digits, counts) for n, counts in laws.items())
+    elif dict(A.pairs) == dict(z_generators().pairs):
         laws = _z_line_laws(grid)
     else:
         laws = exact_laws(A, grid)
@@ -268,11 +277,6 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
                 f"oracle undecided on {undecided} of the {len(rows)} states at n = {n}")
         out[n] = Fraction(int(counts[hit].sum()), A.size ** n)
     return out
-
-
-def hit_probability_exact(A: GeneratorMultiset, n: int, oracle) -> Fraction:
-    """P(omega_n in Z) as an exact rational; see hit_probabilities_exact."""
-    return hit_probabilities_exact(A, [n], oracle)[n]
 
 
 def _z_line_counts(nmax: int):
@@ -323,8 +327,7 @@ class MCEstimate:
 
     @property
     def halfwidth(self) -> float:
-        p = self.estimate
-        return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
+        return halfwidth(self.hits, self.trials)
 
     @property
     def unknown_rate(self) -> float:

@@ -262,11 +262,13 @@ def test_run_experiment_grid_dedupe_and_sort():
 
 
 def test_run_experiment_rule_of_three():
-    table = lab.run_experiment(empty_scenario(), (3, 6), m=400, seed=2)
-    for row in table.rows:
+    scenario = empty_scenario()
+    table = lab.run_experiment(scenario, (3, 6), m=400, seed=2)
+    sweep = walker.mc_sweep(scenario.generators, scenario.oracle, (3, 6), 400, 2)
+    for row, est in zip(table.rows, sweep, strict=True):
         assert row.hits == 0
         assert row.estimate == 0.0
-        assert row.ci_halfwidth == 3.0 / 400
+        assert row.ci_halfwidth == 3.0 / 400 == est.halfwidth
 
 
 def test_run_experiment_validation():

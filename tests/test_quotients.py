@@ -36,8 +36,8 @@ from sievelab.quotients import (
     is_prime,
     prime_schedule,
     quotient_for,
+    walk_permutations,
 )
-from sievelab.spectra import walk_permutations
 
 
 def det_laplace(rows):

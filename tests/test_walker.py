@@ -19,6 +19,7 @@ from sievelab.matgroup import (
     MatrixElement,
     elementary_generators,
     sl2_st_generators,
+    torus_generators,
     validate_generators,
     z_generators,
 )
@@ -35,7 +36,6 @@ from sievelab.walker import (
     exact_laws,
     exact_origin_scan_z,
     hit_probabilities_exact,
-    hit_probability_exact,
     mc_sweep,
     run_walk,
 )
@@ -187,7 +187,7 @@ def test_rows_law_equals_dict_convolution_on_every_scenario(name):
     # every scenario's exact probability: the oracle's global verdict on
     # the reference law, for the torus too, whose exact law is its parity law
     laws = dict_laws(scenario.generators, nmax)
-    got = lab.exact_probabilities(scenario, range(nmax + 1))
+    got = hit_probabilities_exact(scenario.generators, range(nmax + 1), scenario.oracle)
     for n, law in enumerate(laws):
         hits = sum(c for e, c in law if scenario.oracle.global_verdict(e).status == "IN")
         assert got[n] == Fraction(hits, scenario.generators.size ** n), n
@@ -196,17 +196,23 @@ def test_rows_law_equals_dict_convolution_on_every_scenario(name):
 @pytest.mark.parametrize("name", lab.list_scenarios())
 def test_grid_pass_equals_per_n_calls(name):
     scenario = lab.get_scenario(name)
+    A, oracle = scenario.generators, scenario.oracle
     grid = (5, 1, 3, 3, 2) if name == "sl3_galois" else (7, 1, 4, 2, 12, 4)
-    got = lab.exact_probabilities(scenario, grid)
+    got = hit_probabilities_exact(A, grid, oracle)
     assert list(got) == sorted(set(grid))
     assert got == {n: lab.exact_probability(scenario, n) for n in grid}
-    if name != "torus_squares":
-        A, oracle = scenario.generators, scenario.oracle
-        assert hit_probabilities_exact(A, grid, oracle) == got
-        assert {n: hit_probability_exact(A, n, oracle) for n in grid} == got
     table = lab.run_experiment(scenario, grid, m=1, seed=0, mode="exact")
     assert [(r.n, r.estimate) for r in table.rows] == [(n, float(p)) for n, p in got.items()]
-    assert lab.exact_probabilities(scenario, []) == {}
+    assert hit_probabilities_exact(A, [], oracle) == {}
+
+
+def test_torus_squares_take_the_parity_law(monkeypatch):
+    # the rows of the torus walk pass 200 states within ten steps; its
+    # parity law has four, at any n
+    monkeypatch.setattr(walker, "EXACT_BUDGET", 200)
+    got = hit_probabilities_exact(torus_generators(), [64, 2048], TorusSquaresOracle(2))
+    assert got == {n: (1 + 2 * Fraction(1, 5) ** n + Fraction(-3, 5) ** n) / 4
+                   for n in (64, 2048)}
 
 
 def sl2_with_translation(k):
@@ -235,9 +241,14 @@ def test_rows_law_counts_exact_past_int64():
     assert_law_equals_dict_reference(lazy, 4)
     _, _, counts = next(exact_laws(lazy, [4]))
     assert counts.dtype == object and int(counts.sum()) == lazy.size ** 4
-    assert hit_probability_exact(lazy, 4, TorusSquaresOracle(1)) == Fraction(
-        sum(c for e, c in list(dict_laws(lazy, 4))[4] if e.exponents[0] % 2 == 0),
-        lazy.size ** 4)
+    law = list(dict_laws(lazy, 4))[4]
+    # the squares take the parity law, the origin the rows: both with
+    # Python-int counts
+    assert hit_probabilities_exact(lazy, [4], TorusSquaresOracle(1)) == {4: Fraction(
+        sum(c for e, c in law if e.exponents[0] % 2 == 0), lazy.size ** 4)}
+    origin = SubvarietyOracle([coordinate_polynomial(1, 0)], domain="abelian")
+    assert hit_probabilities_exact(lazy, [4], origin) == {4: Fraction(
+        sum(c for e, c in law if e.exponents[0] == 0), lazy.size ** 4)}
 
 
 def test_row_keys_are_exact_where_mixed_radix_would_wrap():
@@ -267,12 +278,9 @@ def test_exact_laws_budget_counts_distinct_states(monkeypatch):
 
 
 def test_hit_probability_exact_sl2_trace_frozen():
-    A = sl2_st_generators()
-    oracle = TraceOracle()
-    assert hit_probability_exact(A, 2, oracle) == Fraction(13, 25)
-    assert hit_probability_exact(A, 4, oracle) == Fraction(329, 625)
-    assert hit_probability_exact(A, 6, oracle) == Fraction(7869, 15625)
-    assert hit_probability_exact(A, 8, oracle) == Fraction(185873, 390625)
+    assert hit_probabilities_exact(sl2_st_generators(), [2, 4, 6, 8], TraceOracle()) == {
+        2: Fraction(13, 25), 4: Fraction(329, 625), 6: Fraction(7869, 15625),
+        8: Fraction(185873, 390625)}
 
 
 def test_hit_probability_exact_undecided():
@@ -282,7 +290,7 @@ def test_hit_probability_exact_undecided():
             return None
 
     try:
-        hit_probability_exact(z_generators(), 2, Undecided())
+        hit_probabilities_exact(z_generators(), [2], Undecided())
         assert False
     except UndecidedMembership:
         pass
@@ -295,6 +303,7 @@ def test_mc_estimate_properties():
     assert e.unknown_rate == 0.05
     full = MCEstimate(n=1, trials=10, hits=10, unknown=0)
     assert full.estimate == 1.0 and full.halfwidth == 0.0
+    assert MCEstimate(n=1, trials=20, hits=0, unknown=0).halfwidth == 3 / 20
 
 
 def test_mc_matches_exact_z():
