@@ -180,9 +180,9 @@ class MatrixQuotient(_Coded):
         return tuple(int(i == j) for _ in self.moduli for i in range(d) for j in range(d))
 
     def reduce(self, g: MatrixElement) -> Tuple[int, ...]:
-        if g.dimension != self.dimension:
-            raise DomainError(
-                f"element dimension {g.dimension} != quotient dimension {self.dimension}")
+        dim = getattr(g, "dimension", None)
+        if dim != self.dimension:
+            raise DomainError(f"element dimension {dim} != quotient dimension {self.dimension}")
         flat = g.flat()
         return tuple(e % p for p in self.moduli for e in flat)
 
@@ -245,8 +245,9 @@ class AbelianQuotient(_Coded):
         return (0,) * self.rank
 
     def reduce(self, g: AbelianElement) -> Tuple[int, ...]:
-        if g.rank != self.rank:
-            raise DomainError(f"element rank {g.rank} != quotient rank {self.rank}")
+        rank = getattr(g, "rank", None)
+        if rank != self.rank:
+            raise DomainError(f"element rank {rank} != quotient rank {self.rank}")
         return tuple(e % self.modulus for e in g.exponents)
 
     def multiply(self, x, y):

@@ -213,6 +213,9 @@ def test_torus_squares_take_the_parity_law(monkeypatch):
     got = hit_probabilities_exact(torus_generators(), [64, 2048], TorusSquaresOracle(2))
     assert got == {n: (1 + 2 * Fraction(1, 5) ** n + Fraction(-3, 5) ** n) / 4
                    for n in (64, 2048)}
+    # a torus oracle on matrix generators is a configuration error
+    with pytest.raises(DomainError):
+        hit_probabilities_exact(sl2_st_generators(), [3], TorusSquaresOracle(2))
 
 
 def sl2_with_translation(k):
