@@ -263,8 +263,8 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
         q = AbelianQuotient(oracle.rank, 2)
         codes, _, maps = walk_permutations(A, q)
         digits = q.decode(codes)
-        laws = convolve_counts(maps, q.index(q.identity()), grid)
-        laws = ((n, digits, counts) for n, counts in laws.items())
+        parity = convolve_counts(maps, q.index(q.identity()), grid)
+        laws = ((n, digits, counts) for n, counts in parity.items())
     elif dict(A.pairs) == dict(z_generators().pairs):
         laws = _z_line_laws(grid)
     else:
