@@ -50,6 +50,25 @@ def _mix64_np(z):
     return z ^ (z >> np.uint64(31))
 
 
+def draw_rows(seed: int, trials, n: int, bound: int, start: int = 0) -> np.ndarray:
+    """(len(trials), n) array of draws in [0, bound) for any bound >= 1.
+
+    Row i equals draw_indices(seed, trials[i], n, bound, start), for trials
+    in any order. The dtype is int64 while every draw fits (bound <= 2^63)
+    and object (Python ints) past that.
+    """
+    if bound < 1:
+        raise DomainError(f"draw bound {bound} is not positive")
+    trials = np.asarray(trials, dtype=np.uint64)
+    keys = _mix64_np(np.uint64(seed & _MASK) + (trials + np.uint64(1)) * np.uint64(_GAMMA))
+    steps = (np.arange(start, start + n, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    z = _mix64_np(keys[:, None] + steps)
+    if bound < 1 << 64:
+        b = np.uint64(bound)
+        z -= z // b * b
+    return z.astype(np.int64 if bound <= 1 << 63 else object)
+
+
 _TILE = 1 << 15  # uint64 values per scratch tile: 256 KiB, inside a 2 MiB L2
 _ROUNDS = ((np.uint64(30), np.uint64(_MUL1)), (np.uint64(27), np.uint64(_MUL2)))
 

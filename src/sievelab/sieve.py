@@ -203,8 +203,11 @@ def estimate_alpha(oracle, schedule: Sequence[int], mode: str = "enumerate",
                    samples: int = 100_000, seed: int = 0) -> AlphaEstimate:
     """Worst-case residual density over the schedule, turned into alpha.
 
-    Sampling mode is widened by the confidence half-width so alpha errs
-    on the small (safe) side.
+    Sampling mode widens each density by its Wald half-width. That keeps
+    alpha on the small (safe) side only where samples * density is large;
+    near samples * density = 10 the upper end covers about 93% of the
+    time, not 97.5%. ROADMAP item 5 replaces the widening with
+    Clopper-Pearson bounds.
     """
     densities = []
     worst = None

@@ -21,6 +21,7 @@ Every oracle answers three ways:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ from .matgroup import (
     AbelianElement,
     MatrixElement,
     charpoly_coefficients,
-    det,
     discriminant,
     kernel_vector,
 )
@@ -496,27 +496,59 @@ class ResidualReport:
         }
 
 
-def _sample_matrix_block(p: int, dim: int, seed: int, trial: int) -> Tuple[int, ...]:
-    """Uniform element of SL_dim(F_p): uniform invertible matrix, first
-    row rescaled by the inverse determinant."""
+def _det_mod(m, dim: int, p: int):
+    """det mod p of each row of m, a dim x dim matrix row-major. Laplace
+    expansion from the bottom row up keeps the minors on the last rows
+    per set of columns, each reduced mod p, so no sum passes dim * p^2."""
+    minors = {(j,): m[:, (dim - 1) * dim + j] for j in range(dim)}
+    for r in range(dim - 2, -1, -1):
+        nxt = {}
+        for cols in itertools.combinations(range(dim), dim - r):
+            total = 0
+            for k, j in enumerate(cols):
+                term = m[:, r * dim + j] * minors[cols[:k] + cols[k + 1:]]
+                total = total - term if k % 2 else total + term
+            nxt[cols] = total % p
+        minors = nxt
+    return minors[tuple(range(dim))]
+
+
+def _sample_sl_block(p: int, dim: int, seed: int, samples: int) -> np.ndarray:
+    """Uniform elements of SL_dim(F_p) for trials 0..samples-1, one row
+    each: the first of 64 draws of dim^2 entries with a nonzero
+    determinant, first row rescaled by the inverse determinant. Entries
+    are Python ints where dim * p^2 would pass int64."""
     need = dim * dim
+    big = dim * p * p >= 1 << 62
+    out = np.empty((samples, need), dtype=object if big else np.int64)
+    pending = np.arange(samples)
     for attempt in range(64):
-        entries = tuple(prng.draw_indices(seed, trial, need, p, start=attempt * need))
-        d = det([entries[i * dim:(i + 1) * dim] for i in range(dim)]) % p
-        if d == 0:
-            continue
-        inv = pow(d, p - 2, p)
-        return tuple((x * inv) % p for x in entries[:dim]) + entries[dim:]
+        entries = prng.draw_rows(seed, pending, need, p, start=attempt * need)
+        if big:
+            entries = entries.astype(object)
+        d = _det_mod(entries, dim, p)
+        ok = d != 0
+        rows = entries[ok]
+        keys, inverse = np.unique(d[ok], return_inverse=True)
+        inv = np.array([pow(int(k), p - 2, p) for k in keys], dtype=rows.dtype)
+        rows[:, :dim] = rows[:, :dim] * inv[inverse, None] % p
+        out[pending[ok]] = rows
+        pending = pending[~ok]
+        if not len(pending):
+            return out
     raise DomainError(f"could not sample an invertible matrix mod {p}")
 
 
-def sample_element(quotient, seed: int, trial: int):
-    """One uniform element of the quotient, deterministic in (seed, trial)."""
+def sample_rows(quotient, seed: int, samples: int) -> np.ndarray:
+    """Digit rows of uniform elements of the quotient for trials
+    0..samples-1, deterministic in (seed, trial), in the quotient's dtype.
+    A matrix quotient draws each block with its own seed."""
     if isinstance(quotient, AbelianQuotient):
-        return tuple(prng.draw_indices(seed, trial, quotient.rank, quotient.modulus))
-    # separate counter lanes per block via the seed
-    return tuple(e for bi, p in enumerate(quotient.moduli)
-                 for e in _sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial))
+        rows = prng.draw_rows(seed, np.arange(samples), quotient.rank, quotient.modulus)
+    else:
+        rows = np.hstack([_sample_sl_block(p, quotient.dimension, seed + 1000003 * bi, samples)
+                          for bi, p in enumerate(quotient.moduli)])
+    return rows.astype(quotient.dtype)
 
 
 def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
@@ -528,8 +560,7 @@ def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
     if mode == "sample" and samples < 1:
         raise DomainError("samples must be positive")
     rows = (quotient.enumerate_elements() if mode == "enumerate" else
-            np.array([sample_element(quotient, seed, trial) for trial in range(samples)],
-                     dtype=quotient.dtype))
+            sample_rows(quotient, seed, samples))
     hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))
     if mode == "enumerate":
         return ResidualReport(quotient.label, mode, len(rows), hits,

@@ -8,7 +8,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from sievelab import prng
-from sievelab.matgroup import MatrixElement
+from sievelab.errors import DomainError
+from sievelab.matgroup import MatrixElement, det
+from sievelab.quotients import AbelianQuotient
 
 _X = Symbol("x")
 
@@ -113,3 +115,27 @@ def dict_laws(generators, nmax):
                 nxt[t] = nxt.get(t, 0) + c * mult
         counts = nxt
         yield list(counts.items())
+
+
+def _sample_matrix_block(p, dim, seed, trial):
+    """Uniform element of SL_dim(F_p): uniform invertible matrix, first
+    row rescaled by the inverse determinant."""
+    need = dim * dim
+    for attempt in range(64):
+        entries = tuple(prng.draw_indices(seed, trial, need, p, start=attempt * need))
+        d = det([entries[i * dim:(i + 1) * dim] for i in range(dim)]) % p
+        if d == 0:
+            continue
+        inv = pow(d, p - 2, p)
+        return tuple((x * inv) % p for x in entries[:dim]) + entries[dim:]
+    raise DomainError(f"could not sample an invertible matrix mod {p}")
+
+
+def sample_element(quotient, seed, trial):
+    """One uniform element of the quotient, deterministic in (seed, trial),
+    drawn one trial at a time: the reference for thinsets.sample_rows."""
+    if isinstance(quotient, AbelianQuotient):
+        return tuple(prng.draw_indices(seed, trial, quotient.rank, quotient.modulus))
+    # separate counter lanes per block via the seed
+    return tuple(e for bi, p in enumerate(quotient.moduli)
+                 for e in _sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial))

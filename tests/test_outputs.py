@@ -46,6 +46,10 @@ GOLDEN = {
     ("residual", "--scenario", "sl3_galois", "--prime", "3", "--mode", "sample",
      "--trials", "2000", "--seed", "4"):
         "1010af49b1db21f2cbffba6fa3ad4c6bf151e2db6eaff3bd7fe0c325dd64c23f",
+    # 100,000 samples (the default), 18302 of them hits: a wrong sample shows
+    ("residual", "--scenario", "sl2_fixed_flag", "--prime", "11", "--mode", "sample",
+     "--seed", "3"):
+        "efca8ab77394ea18f686f419652960fe60d2ffa2e1cb478dccc31bb79432c564",
     ("scenarios",):
         "eb9e75d24b7409b5e3cee93cfd2c96ec99dd4a83107811944302efd58f371afb",
     ("scenarios", "--format", "json"):

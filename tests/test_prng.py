@@ -92,6 +92,31 @@ def test_tiled_block_matches_scalar_rows(seed, trial0, ntrials, nsteps, bound):
         assert block[t].tolist() == prng.draw_indices(seed, trial0 + t, nsteps, bound)
 
 
+# unsorted trials with repeats and a far-out one; every bound past
+# draw_block's cap, the largest int64 bound's neighbourhood and past 2^64
+TRIALS = [9, 0, 3, 2**40 + 3, 3, 17]
+
+
+@pytest.mark.parametrize("bound", [1, 5, 65537, 2**61 - 1, 2**63, 2**63 + 1, 2**64 + 2])
+@pytest.mark.parametrize("start", [0, 18])
+def test_draw_rows_match_scalar_rows(bound, start):
+    rows = prng.draw_rows(2024, np.array(TRIALS), 9, bound, start=start)
+    assert rows.shape == (len(TRIALS), 9)
+    assert rows.dtype == (np.int64 if bound <= 2**63 else object)
+    for row, t in zip(rows, TRIALS):
+        assert row.tolist() == prng.draw_indices(2024, t, 9, bound, start=start)
+    if rows.dtype == object:
+        assert {type(x) for x in rows.ravel()} == {int}
+
+
+def test_draw_rows_take_the_largest_seed_and_no_trials():
+    rows = prng.draw_rows(2**64 - 1, [5, 1], 4, 7, start=3)
+    assert rows.tolist() == [prng.draw_indices(2**64 - 1, t, 4, 7, start=3) for t in (5, 1)]
+    assert prng.draw_rows(1, np.arange(0), 4, 7).shape == (0, 4)
+    with pytest.raises(DomainError):
+        prng.draw_rows(0, [0], 1, 0)
+
+
 def test_block_peak_memory_is_near_its_output():
     # one 4096 x 1024 chunk of a walk to n = 1024 is 4 MiB of uint8
     tracemalloc.start()

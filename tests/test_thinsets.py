@@ -11,6 +11,7 @@ from helpers import (
     brute_reducible,
     elements,
     residual_contains,
+    sample_element,
     to_poly,
     walk_elements,
 )
@@ -38,7 +39,7 @@ from sievelab.thinsets import (
     TorusSquaresOracle,
     coordinate_polynomial,
     residual,
-    sample_element,
+    sample_rows,
     trace_polynomial,
 )
 
@@ -555,6 +556,49 @@ def test_sampled_digit_rows_stay_exact_past_int64():
     want = sum(all(e % 2 == 0 for e in sample_element(q, 4, t)) for t in range(200))
     assert 0 < want < 200
     assert residual(TorusSquaresOracle(2), q, mode="sample", samples=200, seed=4).hits == want
+
+
+# (quotient, samples): redraws on SL_2(F_2) and SL_3(F_2), where most
+# trials redraw; a pair; a prime past draw_block's cap; object-dtype
+# determinants; abelian draws, one of them past int64
+SAMPLE_CASES = [
+    (MatrixQuotient(2, (2,)), 300),
+    (MatrixQuotient(3, (2,)), 300),
+    (MatrixQuotient(3, (5,)), 300),
+    (MatrixQuotient(2, (3, 5)), 300),
+    (MatrixQuotient(2, (65537,)), 200),
+    (MatrixQuotient(3, (2 ** 61 - 1,)), 40),
+    (AbelianQuotient(1, 5), 300),
+    (AbelianQuotient(2, 2 ** 64 + 2), 200),
+]
+
+
+@pytest.mark.parametrize("q,samples", SAMPLE_CASES,
+                         ids=[f"{getattr(q, 'dimension', 'ab')}-{q.label}" for q, _ in SAMPLE_CASES])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_sample_rows_equal_the_scalar_sampler(q, samples, seed):
+    want = np.array([sample_element(q, seed, t) for t in range(samples)], dtype=q.dtype)
+    got = sample_rows(q, seed, samples)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    assert {type(x) for x in got.ravel()} == {type(x) for x in want.ravel()}
+
+
+@pytest.mark.parametrize("attempt", [63, 64])
+def test_sample_rows_take_up_to_64_draws(monkeypatch, attempt):
+    # every draw singular but the one at the given attempt
+    def draw_rows(seed, trials, n, bound, start=0):
+        row = [2, 0, 0, 1] if start == attempt * n else [0] * n
+        return np.array([row] * len(trials), dtype=np.int64)
+
+    monkeypatch.setattr(prng, "draw_rows", draw_rows)
+    q = MatrixQuotient(2, (5,))
+    if attempt < 64:
+        # det 2, inverse 3 mod 5: the first row becomes (1, 0)
+        assert sample_rows(q, 0, 3).tolist() == [[1, 0, 0, 1]] * 3
+    else:
+        with pytest.raises(DomainError, match="invertible matrix mod 5"):
+            sample_rows(q, 0, 3)
 
 
 # ----- global/residual compatibility on walk samples -----
