@@ -515,7 +515,7 @@ def _det_mod(m, dim: int, p: int):
 
 def _sample_sl_block(p: int, dim: int, seed: int, samples: int) -> np.ndarray:
     """Uniform elements of SL_dim(F_p) for trials 0..samples-1, one row
-    each: the first of 64 draws of dim^2 entries with a nonzero
+    each: the first of up to 64 draws of dim^2 entries with a nonzero
     determinant, first row rescaled by the inverse determinant. Entries
     are Python ints where dim * p^2 would pass int64."""
     need = dim * dim

@@ -92,8 +92,8 @@ def test_tiled_block_matches_scalar_rows(seed, trial0, ntrials, nsteps, bound):
         assert block[t].tolist() == prng.draw_indices(seed, trial0 + t, nsteps, bound)
 
 
-# unsorted trials with repeats and a far-out one; every bound past
-# draw_block's cap, the largest int64 bound's neighbourhood and past 2^64
+# unsorted trials with a repeat and a far-out one; bounds from 1 past
+# draw_block's cap to past 2^64, on both sides of the int64/object edge 2^63
 TRIALS = [9, 0, 3, 2**40 + 3, 3, 17]
 
 
