@@ -55,8 +55,6 @@ from .walker import (
 from .spectra import (
     AdjacencySpectrum,
     exact_deviation_sweep,
-    expander_certify,
-    mixing_bound,
     mixing_bound_squared,
     mixing_rate,
     second_eigenvalue,
@@ -72,19 +70,13 @@ from .thinsets import (
     TorusSquaresOracle,
     coordinate_polynomial,
     residual,
-    trace_polynomial,
 )
 from .sieve import (
-    AlphaEstimate,
     SieveBound,
     chebyshev_bound,
-    estimate_alpha,
-    intersection_bound,
-    pairwise_delta,
     plan_for_n,
     sieve_threshold_and_bound,
     single_prime_bound,
-    single_prime_bound_exact,
 )
 from .lab import (
     CSV_HEADER,
@@ -98,7 +90,6 @@ from .lab import (
     list_scenarios,
     run_experiment,
     theory_bound,
-    xi_envelope,
 )
 
 __version__ = "0.1.0"

@@ -122,7 +122,7 @@ def _cmd_bound(args):
     for n in grid:
         bnd = sieve.plan_for_n(n, args.a_size, C, args.D, alpha)
         rows.append({"n": n, "t": bnd.t, "n_min": str(bnd.n_min),
-                     "bound": bnd.bound_float, "regime": bnd.regime})
+                     "bound": float(bnd.bound), "regime": bnd.regime})
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -42,16 +42,6 @@ REGIMES = ("exponential", "polynomial", "non-decaying")
 UNKNOWN_CAP = 0.5  # largest share of UNKNOWN verdicts a Monte Carlo row may have
 
 
-def xi_envelope(C: float, n: int, dim_g: int = 3, regime: str = "exponential") -> float:
-    """The decay envelope: e^{-n/C} in the expander regime, else
-    C * n^{-1/(10*dim_g)}."""
-    if C <= 0 or n < 1:
-        raise DomainError("need C > 0 and n >= 1")
-    if regime == "exponential":
-        return math.exp(-n / C)
-    return C * n ** (-1.0 / (10 * dim_g))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One named walk-vs-thin-set experiment setup."""

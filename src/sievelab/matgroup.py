@@ -154,9 +154,6 @@ class MatrixElement:
                          // m[k][k] for c in range(n))
         return MatrixElement._det_one(tuple(x))
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.dimension))
-
     def flat(self) -> Tuple[int, ...]:
         return tuple(x for row in self.entries for x in row)
 

@@ -30,11 +30,6 @@ def trial_key(seed: int, trial: int) -> int:
     return mix64((seed + (trial + 1) * _GAMMA) & _MASK)
 
 
-def draw(seed: int, trial: int, step: int) -> int:
-    """The raw 64-bit value for one (seed, trial, step) coordinate."""
-    return mix64((trial_key(seed, trial) + (step + 1) * _GAMMA) & _MASK)
-
-
 def draw_indices(seed: int, trial: int, n: int, bound: int, start: int = 0) -> list:
     """n draws uniform on [0, bound), for steps start..start+n-1."""
     key = trial_key(seed, trial)

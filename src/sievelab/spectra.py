@@ -217,14 +217,6 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
                              method="iterative", residual=max(res_1, res_min))
 
 
-def expander_certify(A: GeneratorMultiset, quotient, eps: float) -> bool:
-    """Whether pi_1 <= 1 - eps, conservatively (residual counts against)."""
-    if not 0 < eps < 1:
-        raise DomainError("eps must be in (0, 1)")
-    spec = second_eigenvalue(A, quotient)
-    return spec.pi_1 + spec.residual <= 1.0 - eps
-
-
 # ----- mixing bounds -----
 
 def mixing_rate(order: int, a_size: int) -> Fraction:
@@ -232,18 +224,6 @@ def mixing_rate(order: int, a_size: int) -> Fraction:
     if order < 1 or a_size < 1:
         raise DomainError("order and a_size must be positive")
     return 1 - Fraction(1, a_size * order * order)
-
-
-def mixing_bound(order: int, a_size: int, n: int, rate: float = None) -> float:
-    """sqrt(|G|) * rate^n, bounding max_g |P(omega_n = g) - 1/|G||.
-
-    rate defaults to the worst-case mixing_rate; pass a measured
-    pi_star (plus its residual) for the sharp version.
-    """
-    r = float(mixing_rate(order, a_size)) if rate is None else rate
-    if not 0 <= r <= 1:
-        raise DomainError("rate must be in [0, 1]")
-    return order ** 0.5 * r ** n
 
 
 def mixing_bound_squared(order: int, a_size: int, n: int) -> Fraction:

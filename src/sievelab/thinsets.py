@@ -321,20 +321,6 @@ class EntryPolynomial:
                 "monomials": [[c, list(e)] for c, e in self.monomials]}
 
 
-def trace_polynomial(dimension: int, shift: int = 0) -> EntryPolynomial:
-    """trace - shift, in the dim^2 matrix entry coordinates."""
-    arity = dimension * dimension
-    unit = [0] * arity
-    mons = []
-    for i in range(dimension):
-        e = list(unit)
-        e[i * dimension + i] = 1
-        mons.append((1, tuple(e)))
-    if shift:
-        mons.append((-shift, tuple(unit)))
-    return EntryPolynomial(arity, tuple(mons))
-
-
 def coordinate_polynomial(arity: int, index: int, shift: int = 0) -> EntryPolynomial:
     """x_index - shift."""
     e = [0] * arity

@@ -1,16 +1,18 @@
 """Independent brute-force oracles for cross-checking, sympy-backed."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from sympy import Matrix, Poly, Symbol
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from sievelab import prng
+from sievelab import prng, sieve
 from sievelab.errors import DomainError
 from sievelab.matgroup import MatrixElement, det
 from sievelab.quotients import AbelianQuotient
+from sievelab.thinsets import EntryPolynomial
 
 _X = Symbol("x")
 
@@ -139,3 +141,38 @@ def sample_element(quotient, seed, trial):
     # separate counter lanes per block via the seed
     return tuple(e for bi, p in enumerate(quotient.moduli)
                  for e in _sample_matrix_block(p, quotient.dimension, seed + 1000003 * bi, trial))
+
+
+def trace_polynomial(dimension, shift=0):
+    """trace - shift, in the dim^2 matrix entry coordinates."""
+    arity = dimension * dimension
+    unit = [0] * arity
+    mons = []
+    for i in range(dimension):
+        e = list(unit)
+        e[i * dimension + i] = 1
+        mons.append((1, tuple(e)))
+    if shift:
+        mons.append((-shift, tuple(unit)))
+    return EntryPolynomial(arity, tuple(mons))
+
+
+def pairwise_delta(a_size, C, D, t, n):
+    """The pairwise-correlation term 3 C^3 t^{3D} (1 - 1/(|A| C^4 t^{4D}))^n."""
+    C = Fraction(C)
+    if a_size < 1 or D < 1 or t < 1 or n < 0:
+        raise DomainError("need a_size >= 1, D >= 1, t >= 1, n >= 0")
+    denom = a_size * C ** 4 * t ** (4 * D)
+    if denom < 1:
+        raise DomainError("|A| C^4 t^{4D} must be at least 1")
+    return 3 * C ** 3 * t ** (3 * D) * (1 - 1 / denom) ** n
+
+
+def intersection_bound(a_size, C, D, alpha, t, n):
+    """The full chain at one (t, n): sieve.chebyshev_bound with the
+    pairwise delta and beta = alpha/2, the reference for
+    sieve.sieve_threshold_and_bound. Exact; not clamped."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise DomainError("alpha must lie strictly between 0 and 1")
+    return sieve.chebyshev_bound(alpha / 2, pairwise_delta(a_size, C, D, t, n), t)

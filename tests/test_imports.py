@@ -1,5 +1,5 @@
 """No module of the package imports a name it never reads, or a private
-name of another package module.
+name of another package module, and no public name is read only by tests.
 
 No linter is installed, and a deletion easily leaves an import behind.
 The unread-import check skips __init__.py: its imports are the public API.
@@ -11,6 +11,7 @@ from pathlib import Path
 import sievelab
 
 PACKAGE = Path(sievelab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unread_imports(source):
@@ -58,3 +59,60 @@ def test_no_module_imports_a_private_name_of_another():
     found = {path.name: private_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def references(node):
+    """Every name, attribute name and imported name under node, and every
+    string that spells an identifier: the benchmark's tracer wraps
+    functions by name, through getattr."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and str(sub.value).isidentifier():
+            found.add(sub.value)
+    return found
+
+
+def unread_public_names(modules, readers):
+    """"module.name" of each public top-level function or class of modules
+    ({module: source}) that neither readers (sources) nor any module reads,
+    outside the name's own definition."""
+    bodies = {mod: ast.parse(source).body for mod, source in modules.items()}
+    refs = {mod: [references(stmt) for stmt in body] for mod, body in bodies.items()}
+    outside = set().union(*(references(ast.parse(source)) for source in readers))
+    found = []
+    for mod, body in bodies.items():
+        read = outside.union(*(r for other, rs in refs.items() if other != mod for r in rs))
+        for i, stmt in enumerate(body):
+            elsewhere = read.union(*(r for j, r in enumerate(refs[mod]) if j != i))
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_") and stmt.name not in elsewhere):
+                found.append(f"{mod}.{stmt.name}")
+    return sorted(found)
+
+
+def test_unread_public_names_are_found():
+    modules = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                    "def h():\n    return h()\n\nclass K:\n    pass\n\n"
+                    "def _p():\n    pass\n",
+               "b": "import a\n\ndef j():\n    return a.K()\n"}
+    assert unread_public_names(modules, ["from sievelab.a import f\nimport b.j\n"]) == ["a.h"]
+    assert unread_public_names(modules, ["import a\na.f\ngetattr(b, 'j')\nprint('h ')\n"]) == [
+        "a.h"]
+    assert unread_public_names(modules, []) == ["a.f", "a.h", "b.j"]
+
+
+def test_no_public_name_is_read_only_by_tests():
+    """Readers are the package modules but __init__.py, the benchmark but
+    its own tests, and the acceptance criteria."""
+    modules = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if path.name != "test_perfbench.py"]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_public_names(modules, readers) == []

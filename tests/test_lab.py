@@ -35,27 +35,6 @@ def make_rows(pairs, scenario="synthetic", trials=1000, regime="exponential"):
     return rows
 
 
-# ----- envelope -----
-
-def test_xi_envelope_exponential():
-    assert abs(lab.xi_envelope(7.0, 7) - math.exp(-1)) < 1e-15
-    assert abs(lab.xi_envelope(2.0, 10) - math.exp(-5)) < 1e-15
-
-
-def test_xi_envelope_polynomial():
-    val = lab.xi_envelope(3.0, 1024, dim_g=3, regime="polynomial")
-    assert abs(val - 3.0 * 1024 ** (-1.0 / 30)) < 1e-15
-    val2 = lab.xi_envelope(1.0, 2 ** 20, dim_g=1, regime="polynomial")
-    assert abs(val2 - 2 ** -2.0) < 1e-12
-
-
-def test_xi_envelope_validation():
-    with pytest.raises(DomainError):
-        lab.xi_envelope(0.0, 5)
-    with pytest.raises(DomainError):
-        lab.xi_envelope(1.0, 0)
-
-
 # ----- scenario registry -----
 
 def test_builtin_scenario_names():

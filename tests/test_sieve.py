@@ -5,15 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import intersection_bound, pairwise_delta
 from sievelab import sieve
 from sievelab.errors import DomainError
 from sievelab.matgroup import z_generators
-from sievelab.quotients import prime_schedule
-from sievelab.thinsets import (
-    EntryPolynomial,
-    RationalFixedFlagOracle,
-    SubvarietyOracle,
-)
 from sievelab.walker import exact_distribution
 
 
@@ -62,7 +57,7 @@ def test_threshold_bound_one_fifth():
 def test_threshold_alpha_near_one():
     b = sieve.sieve_threshold_and_bound(3, 1, 2, Fraction(999, 1000), 300)
     assert b.bound == Fraction(3 * 1000, 999 * 300)
-    assert abs(b.bound_float - 0.01) < 1e-4
+    assert abs(float(b.bound) - 0.01) < 1e-4
 
 
 def test_threshold_exactness_and_json():
@@ -70,9 +65,8 @@ def test_threshold_exactness_and_json():
     assert isinstance(b.n_min, Fraction)
     assert isinstance(b.bound, Fraction)
     assert b.n_min == 10 * 5 * Fraction(3, 2) ** 5 * 4 ** 5 * 3
-    obj = b.to_json_obj()
-    assert obj["regime"] == "polynomial"
-    assert Fraction(obj["n_min"]) == b.n_min
+    assert b.regime == "polynomial"
+    assert Fraction(str(b.n_min)) == b.n_min  # the CLI's JSON form is exact
 
 
 def test_threshold_validation():
@@ -94,17 +88,17 @@ def test_threshold_validation():
 
 def test_pairwise_delta_values():
     # n = 0: delta = 3 C^3 t^{3D}
-    assert sieve.pairwise_delta(3, 1, 1, 2, 0) == 24
-    d = sieve.pairwise_delta(3, 1, 1, 2, 10)
+    assert pairwise_delta(3, 1, 1, 2, 0) == 24
+    d = pairwise_delta(3, 1, 1, 2, 10)
     assert d == 24 * Fraction(47, 48) ** 10
     assert isinstance(d, Fraction)
 
 
 def test_pairwise_delta_validation():
     with pytest.raises(DomainError):
-        sieve.pairwise_delta(0, 1, 1, 2, 5)
+        pairwise_delta(0, 1, 1, 2, 5)
     with pytest.raises(DomainError):
-        sieve.pairwise_delta(3, Fraction(1, 10), 1, 1, 5)  # |A| C^4 < 1
+        pairwise_delta(3, Fraction(1, 10), 1, 1, 5)  # |A| C^4 < 1
 
 
 def test_intersection_bound_honest_points():
@@ -112,13 +106,13 @@ def test_intersection_bound_honest_points():
     for a, C, D, t, alpha in ((1, 1, 1, 2, Fraction(1, 2)),
                               (3, 1, 2, 2, Fraction(1, 2))):
         n_min = sieve.sieve_threshold_and_bound(a, C, D, alpha, t).n_min
-        chain = sieve.intersection_bound(a, C, D, alpha, t, int(n_min))
+        chain = intersection_bound(a, C, D, alpha, t, int(n_min))
         assert isinstance(chain, Fraction)
         assert chain <= 3 / (alpha * t)
 
 
 def test_intersection_bound_decreases_in_n():
-    vals = [sieve.intersection_bound(3, 1, 1, Fraction(1, 2), 2, n)
+    vals = [intersection_bound(3, 1, 1, Fraction(1, 2), 2, n)
             for n in (0, 50, 100, 400)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
 
@@ -201,82 +195,6 @@ def test_single_prime_bound_validation():
         sieve.single_prime_bound(24, 0.5, 7, pi_star=1.5)
 
 
-def test_single_prime_bound_exact_validation():
-    with pytest.raises(DomainError):
-        sieve.single_prime_bound_exact(10, 0.5, 3, -2)
-
-
-def test_single_prime_bound_exact_dominates_float():
-    from sievelab.spectra import mixing_rate
-
-    rate = float(mixing_rate(24, 5))
-    for n in (0, 1, 5, 40):
-        exact = sieve.single_prime_bound_exact(24, Fraction(1, 4), 5, n)
-        assert isinstance(exact, Fraction)
-        approx = sieve.single_prime_bound(24, 0.25, n, pi_star=rate)
-        assert float(exact) >= approx - 1e-12
-    # and it decreases to the residual density floor once the tail term
-    # beats the clamp (rate = 2879/2880 here, so that takes n ~ 10^4)
-    vals = [sieve.single_prime_bound_exact(24, Fraction(1, 4), 5, n)
-            for n in (20000, 40000, 80000)]
-    assert vals[0] > vals[1] > vals[2] > Fraction(1, 4)
-
-
-# ----- alpha estimation -----
-
-def test_estimate_alpha_empty_thin_set():
-    # a never-vanishing constant polynomial: empty residual everywhere
-    one = EntryPolynomial(1, ((1, (0,)),))
-    oracle = SubvarietyOracle([one], domain="abelian")
-    est = sieve.estimate_alpha(oracle, prime_schedule(3, 2))
-    assert est.alpha == 1
-    assert all(d == 0 for _, d in est.densities)
-
-
-def test_estimate_alpha_empty_schedule():
-    with pytest.raises(DomainError, match="empty"):
-        sieve.estimate_alpha(RationalFixedFlagOracle(2), [])
-
-
-def test_estimate_alpha_full_thin_set():
-    oracle = SubvarietyOracle([EntryPolynomial(1, ())], domain="abelian")
-    est = sieve.estimate_alpha(oracle, prime_schedule(3, 2))
-    assert est.alpha == 0
-    with pytest.raises(DomainError):
-        sieve.sieve_threshold_and_bound(3, 1, 2, est.alpha, 2)
-
-
-def test_estimate_alpha_reducible_sl2():
-    # the fixed-flag oracle decides the reducible set; its residual set
-    # mod p is {chi(1) = 0 or chi(-1) = 0}
-    est = sieve.estimate_alpha(RationalFixedFlagOracle(2), prime_schedule(3, 5))
-    dens = dict(est.densities)
-    assert dens[5] == Fraction(5, 12)
-    assert dens[7] == Fraction(7, 24)
-    assert dens[11] == Fraction(11, 60)
-    assert est.alpha == Fraction(7, 12)
-    obj = est.to_json_obj()
-    assert obj["alpha"] == "7/12"
-    assert obj["densities"]["5"] == "5/12"
-
-
-def test_estimate_alpha_sample_mode_widens_down():
-    est = sieve.estimate_alpha(RationalFixedFlagOracle(2), prime_schedule(1, 5),
-                               mode="sample", samples=2000, seed=3)
-    assert est.mode == "sample"
-    assert est.alpha <= 1 - 5 / 12 + 0.05  # widened by the half-width
-
-
-def test_estimate_alpha_sample_mode_never_sampled_set_is_widened():
-    # no sample hits the empty residual set, so the rule-of-three
-    # half-width 3/samples keeps alpha below 1, where the threshold holds
-    one = EntryPolynomial(1, ((1, (0,)),))
-    oracle = SubvarietyOracle([one], domain="abelian")
-    est = sieve.estimate_alpha(oracle, prime_schedule(1, 5), mode="sample", samples=1000)
-    assert est.alpha == 1 - 3 / 1000
-    assert sieve.sieve_threshold_and_bound(3, 1, 2, est.alpha, 2).bound == Fraction(1)
-
-
 # ----- soundness legs -----
 
 def _parity_probability(n):
@@ -307,7 +225,7 @@ def test_soundness_parity_leg_at_threshold():
     assert p_hit <= b.bound  # bound clamps to 1 at t = 1
     assert p_hit <= 3 / (alpha * t)  # and the unclamped form holds too
     # the exact chain at the same point stays under the lemma value
-    chain = sieve.intersection_bound(a, C, D, alpha, t, n)
+    chain = intersection_bound(a, C, D, alpha, t, n)
     assert chain <= 3 / (alpha * t)
 
 
@@ -326,9 +244,9 @@ def test_soundness_unclamped_chain_at_small_honest_point():
     # a = 1, C = 1, D = 1, t = 2, alpha = 1/2: n_min = 640, chain <= 3
     b = sieve.sieve_threshold_and_bound(1, 1, 1, Fraction(1, 2), 2)
     assert b.n_min == 640
-    chain = sieve.intersection_bound(1, 1, 1, Fraction(1, 2), 2, 640)
+    chain = intersection_bound(1, 1, 1, Fraction(1, 2), 2, 640)
     assert chain <= 3
     # and it keeps shrinking toward the floor 2/(alpha t) = beta/t / beta^2
-    chain2 = sieve.intersection_bound(1, 1, 1, Fraction(1, 2), 2, 6400)
+    chain2 = intersection_bound(1, 1, 1, Fraction(1, 2), 2, 6400)
     assert chain2 < chain
     assert chain2 > 2 / (Fraction(1, 2) * 2)

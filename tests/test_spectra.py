@@ -6,7 +6,7 @@ from scipy.linalg import eigh
 
 from helpers import elements
 from sievelab import lab, spectra
-from sievelab.errors import ConvergenceFailure, DomainError, MissingIdentity, NotSymmetric
+from sievelab.errors import ConvergenceFailure, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
     AbelianElement,
     GeneratorMultiset,
@@ -18,8 +18,6 @@ from sievelab.matgroup import (
 from sievelab.quotients import AbelianQuotient, MatrixQuotient
 from sievelab.spectra import (
     exact_deviation_sweep,
-    expander_certify,
-    mixing_bound,
     mixing_bound_squared,
     mixing_rate,
     second_eigenvalue,
@@ -120,17 +118,6 @@ def test_pair_quotient_spectrum():
     assert abs(pair.pi_1 - 0.9768953080102957) < 1e-9  # frozen measurement
 
 
-def test_expander_certify():
-    A = sl2_st_generators()
-    assert expander_certify(A, MatrixQuotient(2, (5,)), eps=0.05)
-    assert not expander_certify(A, MatrixQuotient(2, (11,)), eps=0.05)
-    try:
-        expander_certify(A, MatrixQuotient(2, (3,)), eps=1.5)
-        assert False
-    except DomainError:
-        pass
-
-
 def test_reduced_pairs_validation():
     # a directly built multiset skips validate_generators' checks, so the
     # reduced steps are checked again
@@ -163,7 +150,6 @@ def test_mixing_bound_example():
     assert mass0 == Fraction(41, 81)
     dev = abs(mass0 - Fraction(1, 2))
     assert dev == Fraction(1, 162)
-    assert float(dev) <= mixing_bound(2, 3, 4)
     assert dev ** 2 <= mixing_bound_squared(2, 3, 4)
 
 
@@ -189,7 +175,7 @@ def test_exact_deviation_sharper_with_measured_rate():
     s = second_eigenvalue(A, q)
     devs = exact_deviation_sweep(A, q, [5, 10, 20])
     for n, dev in devs.items():
-        assert float(dev) <= mixing_bound(6, 3, n, rate=s.pi_star + 1e-12)
+        assert float(dev) <= 6 ** 0.5 * (s.pi_star + 1e-12) ** n
 
 
 def test_deviation_counts_unreached_elements():

@@ -13,6 +13,7 @@ from helpers import (
     residual_contains,
     sample_element,
     to_poly,
+    trace_polynomial,
     walk_elements,
 )
 import sievelab
@@ -40,7 +41,6 @@ from sievelab.thinsets import (
     coordinate_polynomial,
     residual,
     sample_rows,
-    trace_polynomial,
 )
 
 T = MatrixElement(((1, 1), (0, 1)))
@@ -638,11 +638,11 @@ def test_triple_coincidence_on_walks():
     elems = walk_elements(sl2_st_generators(), 10_000, seed=23, length=14)
     for g in elems:
         flat = g.flat()
-        hit = g.trace() in (-2, 2)
+        hit = flat[0] + flat[3] in (-2, 2)
         assert gal.hit_raw(flat) == hit
         assert flag.hit_raw(flat) == hit
     for g in elems[:300]:
-        hit = g.trace() in (-2, 2)
+        hit = g.entries[0][0] + g.entries[1][1] in (-2, 2)
         assert (gal.global_verdict(g).status == IN) == hit
         assert (flag.global_verdict(g).status == IN) == hit
 

@@ -53,7 +53,7 @@ class TraceOracle:
         class V:
             pass
         v = V()
-        v.status = "IN" if g.trace() in (-2, 2) else "OUT"
+        v.status = "IN" if g.entries[0][0] + g.entries[1][1] in (-2, 2) else "OUT"
         v.reason = ""
         return v
 
