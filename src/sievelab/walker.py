@@ -3,7 +3,10 @@
 Walk states are exact: big-integer matrix entries or exponent vectors.
 Monte Carlo estimation runs one kernel for every multiset: trials are
 batched into int64 lanes that step by the draw table alone and continue
-in Python ints before they could overflow. The exact law of omega_n is
+in Python ints before they could overflow. Matrix lanes take one batched
+product per step; abelian lanes move once per checkpoint segment, by
+their histogram of draw values times the step table, lanes (seg + |A|
+rank) work per segment. The exact law of omega_n is
 an array of flat states with integer path counts (implicit denominator
 |A|^n), in order of first reach. One pass over the walk lengths gives
 it at every length of a grid: each step multiplies every state by every
@@ -56,8 +59,8 @@ class WalkConfig:
 
 def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
     """Trajectory omega_0..omega_n, deterministic in (seed, trial_index)."""
-    if trial_index >= config.m:
-        raise DomainError("trial_index must be < m")
+    if not 0 <= trial_index < config.m:
+        raise DomainError(f"trial_index {trial_index} outside [0, m = {config.m})")
     table = config.generators.draw_table()
     draws = prng.draw_indices(config.seed, trial_index, config.n, len(table))
     state = config.generators.identity_element()
@@ -335,18 +338,23 @@ class MCEstimate:
 
 
 _CHUNK = 1 << 14
+_KEYS = 1 << 16  # most draw keys, and most histogram bins, in one abelian tile
 
 
 def _sweep_lanes(A, oracle, grid, m, seed):
     """Hits and UNKNOWNs per n of the sorted grid, up to _CHUNK trials at once.
 
     Each trial is one lane, and steps come from A.draw_table() alone.
-    Matrix lanes take one batched product per step, abelian lanes one
-    gathered sum per checkpoint segment. Lanes are exact: a lane steps in
-    int64 while max|entry| x (largest column abs-sum of a generator), or
-    max|coord| + segment x max|increment|, stays below 2^62, which bounds
-    every partial sum of the step; past that it continues in Python ints
-    and the other lanes stay in int64. At each checkpoint an oracle with
+    Matrix lanes take one batched product per step. Abelian lanes take
+    one histogram step per checkpoint segment (_advance): the counts of
+    each draw value in the segment times the (|A|, rank) step table,
+    lanes (seg + |A| rank) work in place of lanes seg rank gathers. Lanes
+    are exact: a lane steps in int64 while max|entry| x (largest column
+    abs-sum of a generator), or max|coord| + segment x max|increment|,
+    stays below 2^62, which bounds every partial sum of the step (no
+    count exceeds the segment); past that it continues in Python ints,
+    whose counts multiply the object step table, and the other lanes
+    stay in int64. At each checkpoint an oracle with
     hit_raw_batch decides each non-empty group of lanes, int64 or Python
     ints, in one call; any other oracle gets one hit_raw call per lane.
     """
@@ -354,9 +362,8 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     gens = np.array([g.flat() for g in table], dtype=object)
     abelian = isinstance(table[0], AbelianElement)
     if abelian:
-        gens = gens.T  # gens[r][d] is coordinate r of step d
         growth = int(abs(gens).max())
-        start = np.zeros((1, len(gens)), dtype=np.int64)
+        start = np.zeros((1, gens.shape[1]), dtype=np.int64)
     else:
         dim = table[0].dimension
         gens = gens.reshape(-1, dim, dim)
@@ -417,12 +424,34 @@ def _hit_mask(oracle, flat):
 
 
 def _advance(st, gens, draws, abelian):
-    """Lanes after one matrix step, or one abelian segment, of their draws."""
+    """Lanes after one matrix step, or one abelian segment, of their draws.
+
+    A matrix step is one batched product. An abelian segment adds to each
+    lane sum_d N_d step_d, where N_d counts the draws d of its segment:
+    a tile of lanes at a time takes one bincount of the keys lane|A| +
+    draw, and the counts times the (|A|, rank) step table. That is
+    lanes (seg + |A| rank) work per segment, against lanes seg rank
+    gathers of each draw. A tile holds at most _KEYS keys and _KEYS bins;
+    a segment longer than _KEYS is counted a tile of columns at a time.
+    No count exceeds seg, so the caller's int64 guard bounds every partial
+    sum, and Python-int lanes take the int64 counts @ the object table.
+    """
     if not len(st):
         return st
-    if abelian:
-        return st + np.stack([c[draws].sum(axis=1) for c in gens], axis=1)
-    return st @ gens[draws]
+    if not abelian:
+        return st @ gens[draws]
+    size, seg = gens.shape[0], draws.shape[1]
+    width = min(seg, _KEYS)
+    rows = max(1, _KEYS // max(width, size))
+    offsets = np.arange(0, rows * size, size)[:, None]
+    out = np.empty_like(st)
+    for r0 in range(0, len(st), rows):
+        part = draws[r0:r0 + rows]
+        bins = len(part) * size
+        counts = sum(np.bincount((part[:, c0:c0 + width] + offsets[:len(part)]).ravel(),
+                                 minlength=bins) for c0 in range(0, seg, width))
+        out[r0:r0 + rows] = st[r0:r0 + rows] + counts.reshape(len(part), size) @ gens
+    return out
 
 
 def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int,

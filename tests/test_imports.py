@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never reads, or a private
-name of another package module, and no public name is read only by tests.
+"""No module of the package or test file imports a name it never reads,
+no package module imports a private name of another, and no public name
+is read only by tests.
 
 No linter is installed, and a deletion easily leaves an import behind.
-The unread-import check skips __init__.py: its imports are the public API.
+The unread-import check skips the package's __init__.py: its imports are
+the public API.
 """
 
 import ast
@@ -12,6 +14,7 @@ import sievelab
 
 PACKAGE = Path(sievelab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 
 def unread_imports(source):
@@ -43,8 +46,9 @@ def test_unread_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    found = {path.name: unread_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    found = {str(path.relative_to(ROOT)): unread_imports(path.read_text())
+             for path in paths + sorted(TESTS.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 

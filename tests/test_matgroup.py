@@ -15,7 +15,6 @@ from sievelab.errors import (
 )
 from sievelab.matgroup import (
     AbelianElement,
-    GeneratorMultiset,
     MatrixElement,
     charpoly_coefficients,
     compose,

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dict_laws
 from sievelab import lab, walker
@@ -90,12 +92,11 @@ def test_run_walk_shape_and_determinism():
 
 def test_run_walk_trial_bounds():
     cfg = WalkConfig(generators=z_generators(), n=5, m=2, seed=0)
+    run_walk(cfg, 0)
     run_walk(cfg, 1)
-    try:
-        run_walk(cfg, 2)
-        assert False
-    except DomainError:
-        pass
+    for bad in (2, -1):
+        with pytest.raises(DomainError):
+            run_walk(cfg, bad)
 
 
 def test_walk_config_validation():
@@ -441,7 +442,7 @@ def reference_counts(A, oracle, grid, m, seed):
 
 def swept_counts(A, oracle, grid, m, seed):
     ests = mc_sweep(A, oracle, grid, m, seed)
-    assert [e.n for e in ests] == list(grid)
+    assert [e.n for e in ests] == sorted(set(grid))
     return tuple(e.hits for e in ests), tuple(e.unknown for e in ests)
 
 
@@ -642,3 +643,81 @@ def test_sweep_more_than_256_generators():
     grid = [1, 3, 6]
     oracle = CornerSignOracle()
     assert swept_counts(A, oracle, grid, 12, 5) == reference_counts(A, oracle, grid, 12, 5)
+
+
+# ----- abelian segments step by per-lane histograms of draw values -----
+
+@st.composite
+def symmetric_abelian_tables(draw):
+    """A symmetric abelian multiset of rank 1-3 with steps in [-3, 3],
+    multiplicities 1-3, and its elements in any order, so that the
+    identity may sit anywhere in the draw table."""
+    rank = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-3, 3)] * rank)
+    steps = draw(st.lists(coords.filter(any), max_size=5,
+                          unique_by=lambda v: max(v, tuple(-x for x in v))))
+    pairs = [((0,) * rank, draw(st.integers(1, 3)))]
+    for v in steps:
+        mult = draw(st.integers(1, 3))
+        pairs += [(v, mult), (tuple(-x for x in v), mult)]
+    pairs = draw(st.permutations(pairs))
+    return validate_generators([AbelianElement(v) for v, mult in pairs for _ in range(mult)])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(A=symmetric_abelian_tables(),
+       grid=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 1000))
+def test_histogram_step_equals_run_walk_verdicts(A, grid, seed):
+    # a repeated checkpoint, and a segment of one step past the last
+    grid = grid + [grid[0], max(grid) + 1]
+    rank = A.pairs[0][0].rank
+    for oracle in (OriginOracle(), TorusSquaresOracle(rank)):
+        assert swept_counts(A, oracle, grid, 30, seed) == reference_counts(
+            A, oracle, sorted(set(grid)), 30, seed)
+
+
+def _wide_torus():
+    """265 steps of rank 2: the identity and +-(a, b), 1 <= a <= 12, 0 <= b <= 10."""
+    vecs = [(a, b) for a in range(1, 13) for b in range(11)]
+    return validate_generators([AbelianElement((0, 0))] + [AbelianElement(v) for v in vecs]
+                               + [AbelianElement((-a, -b)) for a, b in vecs])
+
+
+def _spy_bincount(monkeypatch):
+    """Record (keys, bins) of every bincount call."""
+    calls, bincount = [], np.bincount
+
+    def spy(keys, minlength=0):
+        calls.append((len(keys), max(minlength, int(keys.max(initial=-1)) + 1)))
+        return bincount(keys, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return calls
+
+
+def test_histogram_step_with_uint16_draws(monkeypatch):
+    # 265 draw values: uint16 draws, and tiles of 2^16 // 265 = 247 lanes,
+    # bounded by |A| rather than by the segment
+    A = _wide_torus()
+    assert len(A.draw_table()) == 265
+    grid, m = [1, 2, 3, 6], 300
+    calls = _spy_bincount(monkeypatch)
+    for oracle in (OriginOracle(), TorusSquaresOracle(2)):
+        assert swept_counts(A, oracle, grid, m, 9) == reference_counts(A, oracle, grid, m, 9)
+    assert max(bins for _, bins in calls) == 247 * 265 <= 1 << 16
+    assert max(keys for keys, _ in calls) <= 1 << 16
+
+
+def test_histogram_tiles_split_lanes_and_long_segments(monkeypatch):
+    # with tiles of at most 16 keys, a segment of 21 steps is counted in
+    # two tiles of columns, and segments of 1 and 5 steps take three lanes
+    # a tile
+    monkeypatch.setattr(walker, "_KEYS", 16)
+    calls = _spy_bincount(monkeypatch)
+    A = torus_generators()
+    grid, m = [5, 26, 27, 40], 50
+    for oracle in (OriginOracle(), TorusSquaresOracle(2)):
+        assert swept_counts(A, oracle, grid, m, 2) == reference_counts(A, oracle, grid, m, 2)
+    assert max(keys for keys, _ in calls) == 16
+    assert max(bins for _, bins in calls) == 15
