@@ -6,9 +6,9 @@ batched into int64 lanes that step by the draw table alone and continue
 in Python ints before they could overflow. Matrix lanes take one batched
 product per step; abelian lanes move once per checkpoint segment, by
 their histogram of draw values times the step table, lanes (seg + |A|
-rank) work per segment. The exact law of omega_n is
-an array of flat states with integer path counts (implicit denominator
-|A|^n), in order of first reach. One pass over the walk lengths gives
+rank) work per segment. The exact law of omega_n is an array of flat
+states with integer path counts (implicit denominator |A|^n), in order
+of first reach. One pass over the walk lengths gives
 it at every length of a grid: each step multiplies every state by every
 generator, packs each product into one exact int64 key, and merges equal
 keys by a sort. States are int64 while that is exact and Python ints
