@@ -44,8 +44,6 @@ from .quotients import (
 from .walker import (
     MCEstimate,
     WalkConfig,
-    WalkDistribution,
-    exact_distribution,
     exact_laws,
     exact_origin_scan_z,
     hit_probabilities_exact,

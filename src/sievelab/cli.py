@@ -53,10 +53,10 @@ def parse_grid(text: str) -> List[int]:
 
 
 def _emit(text: str, out: Optional[str]):
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -69,9 +69,11 @@ def _moduli(args):
 def _cmd_walk(args):
     scenario = lab.get_scenario(args.scenario)
     if args.exact:
-        dist = walker.exact_distribution(scenario.generators, args.n)
+        (_, rows, counts), = walker.exact_laws(scenario.generators, [args.n])
+        total = scenario.generators.size ** args.n
         return {"scenario": scenario.name, "n": args.n, "mode": "exact",
-                "distribution": dist.to_json_obj()}
+                "distribution": [{"element": [str(x) for x in row], "probability": f"{c}/{total}"}
+                                 for row, c in zip(rows.tolist(), counts.tolist())]}
     config = walker.WalkConfig(generators=scenario.generators, n=args.n,
                                m=args.trials, seed=args.seed)
     trials = []

@@ -150,7 +150,7 @@ def _lanczos_extremes(maps, dim: int):
     # an entry of P y - theta y sums len(maps) + 1 products; P is
     # nonnegative with ||P|| = 1, so the rounding of the vector is below
     # 2 (len(maps) + 1) eps in norm, which this floor covers
-    floor = 4 * len(maps) * np.finfo(float).eps
+    floor = 4 * len(maps) * float(np.finfo(float).eps)
     u = np.full(dim, 1.0 / np.sqrt(dim))
     steps = min(dim - 1, _KRYLOV_BYTES // (8 * dim))
     if steps < 1:

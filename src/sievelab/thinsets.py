@@ -91,6 +91,16 @@ def _sl3_ts(f):
 
 # ----- oracle classes -----
 
+def _same_kind(x, attr: str, size: int):
+    """Refuse an element or quotient whose dimension (a matrix oracle,
+    DimensionMismatch) or rank (an abelian one, ArityMismatch) is not the
+    oracle's size."""
+    if getattr(x, attr, None) != size:
+        raise (DimensionMismatch if attr == "dimension" else ArityMismatch)(
+            f"{type(x).__name__} of {attr} {getattr(x, attr, None)} "
+            f"given to an oracle of {attr} {size}")
+
+
 class _CharpolyOracle:
     """A thin set of SL_dim(Z), dim 2 or 3, read off the characteristic
     polynomial chi.
@@ -112,18 +122,11 @@ class _CharpolyOracle:
                 f"characteristic-polynomial oracles cover dimensions 2 and 3, not {dimension}")
         self.dimension = dimension
 
-    def _same_dimension(self, x):
-        """Refuse an element or quotient of another dimension."""
-        if getattr(x, "dimension", None) != self.dimension:
-            raise DimensionMismatch(
-                f"{type(x).__name__} of dimension {getattr(x, 'dimension', None)} "
-                f"given to an oracle of dimension {self.dimension}")
-
     def quotient_for_prime(self, p: int) -> MatrixQuotient:
         return MatrixQuotient(self.dimension, (p,))
 
     def global_verdict(self, g: MatrixElement) -> OracleVerdict:
-        self._same_dimension(g)
+        _same_kind(g, "dimension", self.dimension)
         flat = g.flat()
         return self._verdict_from_coeffs(charpoly_coefficients(flat, self.dimension), flat)
 
@@ -132,7 +135,7 @@ class _CharpolyOracle:
         block) passes the test in every block, as the reduction of a
         member does. The test reads only chi mod p, so each block sorts
         its rows into classes of chi mod p and decides once per class."""
-        self._same_dimension(quotient)
+        _same_kind(quotient, "dimension", self.dimension)
         d = self.dimension
         mask = np.ones(len(digits), dtype=bool)
         for b, p in enumerate(quotient.moduli):
@@ -354,28 +357,18 @@ class SubvarietyOracle:
                 raise ArityMismatch(
                     f"arity {self.arity} is not a square of a dimension >= 2")
             self.dimension = d
+            self._kind = ("dimension", d)
         else:
             self.dimension = None
+            self._kind = ("rank", self.arity)
 
     def quotient_for_prime(self, p: int):
         if self.domain == "matrix":
             return MatrixQuotient(self.dimension, (p,))
         return AbelianQuotient(self.arity, p)
 
-    def _same_domain(self, x):
-        """Refuse an element or quotient of the other kind or size, with
-        the errors the characteristic-polynomial and torus oracles raise."""
-        if self.domain == "matrix":
-            if getattr(x, "dimension", None) != self.dimension:
-                raise DimensionMismatch(
-                    f"{type(x).__name__} of dimension {getattr(x, 'dimension', None)} "
-                    f"given to an oracle of dimension {self.dimension}")
-        elif getattr(x, "rank", None) != self.arity:
-            raise ArityMismatch(f"{type(x).__name__} of rank {getattr(x, 'rank', None)} "
-                                f"given to an oracle of arity {self.arity}")
-
     def global_verdict(self, g) -> OracleVerdict:
-        self._same_domain(g)
+        _same_kind(g, *self._kind)
         values = g.flat() if self.domain == "matrix" else g.exponents
         for i, q in enumerate(self.polys):
             v = q.evaluate(values)
@@ -391,7 +384,7 @@ class SubvarietyOracle:
         })
 
     def residual_mask(self, digits, quotient) -> np.ndarray:
-        self._same_domain(quotient)
+        _same_kind(quotient, *self._kind)
         moduli = quotient.moduli if self.domain == "matrix" else (quotient.modulus,)
         mask = np.ones(len(digits), dtype=bool)
         for block, p in zip(np.hsplit(digits, len(moduli)), moduli):
@@ -421,8 +414,7 @@ class TorusSquaresOracle:
         return AbelianQuotient(self.rank, p)
 
     def global_verdict(self, g: AbelianElement) -> OracleVerdict:
-        if g.rank != self.rank:
-            raise ArityMismatch(f"element rank {g.rank} != oracle rank {self.rank}")
+        _same_kind(g, "rank", self.rank)
         if all(e % 2 == 0 for e in g.exponents):
             return OracleVerdict(IN, {
                 "root_exponents": [e // 2 for e in g.exponents],
@@ -435,9 +427,7 @@ class TorusSquaresOracle:
         })
 
     def residual_mask(self, digits, quotient: AbelianQuotient) -> np.ndarray:
-        if getattr(quotient, "rank", None) != self.rank:
-            raise ArityMismatch(f"quotient of rank {getattr(quotient, 'rank', None)} "
-                                f"given to an oracle of rank {self.rank}")
+        _same_kind(quotient, "rank", self.rank)
         # the image of doubling in Z/q is everything for odd q, evens else
         return np.all(digits % math.gcd(2, quotient.modulus) == 0, axis=1)
 

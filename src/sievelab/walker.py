@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .matgroup import (
     AbelianElement,
     GeneratorMultiset,
     GroupElement,
-    MatrixElement,
     z_generators,
 )
 from .quotients import AbelianQuotient, walk_permutations
@@ -114,30 +113,20 @@ def exact_laws(A: GeneratorMultiset, grid: Sequence[int]):
     the states omega_n reaches, as flat rows in order of first reach, and
     their path counts over |A|^n.
 
-    Rows are int64 while a step is exact in int64, that is while
-    max|entry| x (largest column abs-sum of a generator), or max|coord| +
-    max|step|, is below 2^62, which bounds every partial sum; past that
-    they continue as Python ints. Counts are int64 while |A|^n < 2^63,
-    then Python ints.
+    Rows are int64 while a step is exact in int64 (_int64_cap) and
+    continue as Python ints past that. Counts are int64 while |A|^n <
+    2^63, then Python ints.
     """
     grid = law_grid(grid)
-    identity = A.identity_element()
-    abelian = isinstance(identity, AbelianElement)
-    gens = np.array([g.flat() for g, _ in A.pairs], dtype=object)
-    if abelian:
-        growth = int(abs(gens).max())
-    else:
-        gens = gens.reshape(-1, identity.dimension, identity.dimension)
-        growth = int(abs(gens).sum(axis=1).max())  # largest column abs-sum
-    fast = gens.astype(np.int64) if growth < _LIMIT else None
+    gens, fast, growth, abelian = _step_table(A.support)
+    cap = _int64_cap(growth, abelian, 1)
     mults = np.array([m for _, m in A.pairs], dtype=np.int64)
-    rows = np.array([identity.flat()], dtype=np.int64)
+    rows = np.array([A.identity_element().flat()], dtype=np.int64)
     counts = np.ones(1, dtype=np.int64)
     done = 0
     for n in grid:
         for k in range(done + 1, n + 1):
-            big = int(abs(rows).max())
-            if rows.dtype != object and (big + growth if abelian else big * growth) >= _LIMIT:
+            if rows.dtype != object and int(abs(rows).max()) > cap:
                 rows = rows.astype(object)
             if counts.dtype != object and A.size ** k >= 1 << 63:
                 counts = counts.astype(object)
@@ -145,6 +134,30 @@ def exact_laws(A: GeneratorMultiset, grid: Sequence[int]):
             rows, counts = _law_step(rows, counts, step, mults, abelian)
         done = n
         yield n, rows, counts
+
+
+def _step_table(steps):
+    """(gens, fast, growth, abelian) of a sequence of steps: the flat
+    steps as an object array, (k, rank) or (k, d, d); its int64 twin, or
+    None where a step passes int64; the growth bound, max|coord| of a
+    step or the largest column abs-sum of a matrix; and whether the steps
+    are abelian."""
+    abelian = isinstance(steps[0], AbelianElement)
+    gens = np.array([g.flat() for g in steps], dtype=object)
+    if abelian:
+        growth = int(abs(gens).max())
+    else:
+        dim = steps[0].dimension
+        gens = gens.reshape(-1, dim, dim)
+        growth = int(abs(gens).sum(axis=1).max())  # largest column abs-sum
+    return gens, (gens.astype(np.int64) if growth < _LIMIT else None), growth, abelian
+
+
+def _int64_cap(growth, abelian, seg):
+    """The largest max|entry| of int64 states that may take seg more
+    steps in int64: every partial sum of a step, max|coord| + seg x
+    growth or max|entry| x growth, then stays below 2^62."""
+    return _LIMIT - 1 - seg * growth if abelian else (_LIMIT - 1) // growth
 
 
 def _law_step(rows, counts, gens, mults, abelian):
@@ -220,37 +233,6 @@ def _row_keys(columns, size):
     return key
 
 
-@dataclass(frozen=True)
-class WalkDistribution:
-    """Exact law of omega_n: path counts over |A|^n."""
-
-    counts: Tuple[Tuple[GroupElement, int], ...]
-    a_size: int
-    n: int
-
-    def to_json_obj(self):
-        total = self.a_size ** self.n
-        return [
-            {"element": e.to_json_obj(), "probability": f"{c}/{total}"}
-            for e, c in self.counts
-        ]
-
-
-def exact_distribution(A: GeneratorMultiset, n: int) -> WalkDistribution:
-    """Exact law of n uniform steps from A, in order of first reach."""
-    (_, rows, counts), = exact_laws(A, [n])
-    identity = A.identity_element()
-    if isinstance(identity, AbelianElement):
-        elements = [AbelianElement(tuple(row)) for row in rows.tolist()]
-    else:
-        dim = identity.dimension
-        # every state is a product of generators, so det = 1 needs no check
-        elements = [MatrixElement._det_one(tuple(tuple(row[i:i + dim])
-                                                 for i in range(0, dim * dim, dim)))
-                    for row in rows.tolist()]
-    return WalkDistribution(tuple(zip(elements, counts.tolist())), A.size, n)
-
-
 def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
                             oracle) -> Dict[int, Fraction]:
     """P(omega_n in Z) as an exact rational at each n of grid, in one pass.
@@ -282,28 +264,19 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
     return out
 
 
-def _z_line_counts(nmax: int):
-    """Path counts of the walk on Z with steps {0, +1, -1}: after k steps,
-    for k = 0..nmax, the list of counts at positions 0..k. The law is
-    symmetric, so position -x has the count of x."""
-    counts = [1]
-    yield counts
-    for _ in range(nmax):
-        # position x after k steps sums positions x-1, x, x+1 after k-1,
-        # and position -1 has the count of 1
-        pad = [counts[1] if len(counts) > 1 else 0, *counts, 0, 0]
-        counts = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
-        yield counts
-
-
 def _z_line_laws(grid: Sequence[int]):
-    """exact_laws of the walk on Z with steps {0, +1, -1}, from the line
-    scan: positions -n..n in order, counts as Python ints."""
-    grid = law_grid(grid)
-    wanted = set(grid)
-    for k, half in enumerate(_z_line_counts(grid[-1] if grid else 0)):
-        if k in wanted:
-            yield k, np.arange(-k, k + 1).reshape(-1, 1), np.array(half[:0:-1] + half, dtype=object)
+    """exact_laws of the walk on Z with steps {0, +1, -1}, by a line scan
+    to max(grid): positions -n..n in order, counts as Python ints. The law
+    is symmetric, so the scan holds the counts at positions 0..n only."""
+    half, done = [1], 0
+    for n in law_grid(grid):
+        for _ in range(done, n):
+            # position x after k steps sums positions x-1, x, x+1 after
+            # k-1, and position -1 has the count of 1
+            pad = [half[1] if len(half) > 1 else 0, *half, 0, 0]
+            half = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
+        done = n
+        yield n, np.arange(-n, n + 1).reshape(-1, 1), np.array(half[:0:-1] + half, dtype=object)
 
 
 def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
@@ -349,27 +322,17 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     one histogram step per checkpoint segment (_advance): the counts of
     each draw value in the segment times the (|A|, rank) step table,
     lanes (seg + |A| rank) work in place of lanes seg rank gathers. Lanes
-    are exact: a lane steps in int64 while max|entry| x (largest column
-    abs-sum of a generator), or max|coord| + segment x max|increment|,
-    stays below 2^62, which bounds every partial sum of the step (no
-    count exceeds the segment); past that it continues in Python ints,
+    are exact: a lane steps in int64 while its max|entry| is within
+    _int64_cap of the segment, which bounds every partial sum of the step
+    (no count exceeds the segment); past that it continues in Python ints,
     whose counts multiply the object step table, and the other lanes
     stay in int64. At each checkpoint an oracle with
     hit_raw_batch decides each non-empty group of lanes, int64 or Python
     ints, in one call; any other oracle gets one hit_raw call per lane.
     """
     table = A.draw_table()
-    gens = np.array([g.flat() for g in table], dtype=object)
-    abelian = isinstance(table[0], AbelianElement)
-    if abelian:
-        growth = int(abs(gens).max())
-        start = np.zeros((1, gens.shape[1]), dtype=np.int64)
-    else:
-        dim = table[0].dimension
-        gens = gens.reshape(-1, dim, dim)
-        growth = int(abs(gens).sum(axis=1).max())  # largest column abs-sum
-        start = np.eye(dim, dtype=np.int64)[None]
-    fast = gens.astype(np.int64) if growth < _LIMIT else None
+    gens, fast, growth, abelian = _step_table(table)
+    start = np.array(A.identity_element().flat(), dtype=np.int64).reshape(1, *gens.shape[1:])
     hits, unknown = dict.fromkeys(grid, 0), dict.fromkeys(grid, 0)
     chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
     for t0 in range(0, m, chunk):
@@ -381,7 +344,7 @@ def _sweep_lanes(A, oracle, grid, m, seed):
         big, k = int(start.max()), 0  # big bounds max|entry| of int64 lanes
         for cp in grid:
             for s in ([k] if abelian else range(k, cp)):
-                cap = _LIMIT - 1 - (cp - k) * growth if abelian else (_LIMIT - 1) // growth
+                cap = _int64_cap(growth, abelian, cp - k)
                 if big > cap:
                     (ids, st), (bids, bst) = lanes
                     big = int(abs(st).max(initial=0))

@@ -8,7 +8,7 @@ from sympy import Matrix, Poly, Symbol
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from sievelab import prng, sieve
+from sievelab import prng, sieve, walker
 from sievelab.errors import DomainError
 from sievelab.matgroup import MatrixElement, det
 from sievelab.quotients import AbelianQuotient
@@ -117,6 +117,12 @@ def dict_laws(generators, nmax):
                 nxt[t] = nxt.get(t, 0) + c * mult
         counts = nxt
         yield list(counts.items())
+
+
+def exact_law(A, n):
+    """P(omega_n = g) from the rows of walker.exact_laws, keyed by g.flat()."""
+    (_, rows, counts), = walker.exact_laws(A, [n])
+    return {tuple(r): Fraction(c, A.size ** n) for r, c in zip(rows.tolist(), counts.tolist())}
 
 
 def _sample_matrix_block(p, dim, seed, trial):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import exact_law
 from sievelab import lab, walker
 from sievelab.errors import DomainError, InsufficientData
 from sievelab.matgroup import (
@@ -127,8 +128,7 @@ def test_exact_probability_decides_every_reachable_position():
     line = lab.Scenario(name="z_one", group="z_additive", generators=z_generators(),
                         oracle=one, regime="polynomial", description="{x = 1}")
     for n in (1, 2, 5):
-        dist = dict(walker.exact_distribution(z_generators(), n).counts)
-        assert lab.exact_probability(line, n) == Fraction(dist[AbelianElement((1,))], 3 ** n)
+        assert lab.exact_probability(line, n) == exact_law(z_generators(), n)[(1,)]
     assert lab.exact_probability(line, 5) == Fraction(45, 243)
     # steps {0, +-2} never reach an odd position
     steps = validate_generators([AbelianElement((x,)) for x in (0, 2, -2)])
@@ -168,6 +168,15 @@ def test_theory_bound_floors_at_density():
     near = lab.theory_bound(s, 64)
     assert near >= far
     assert lab.theory_bound(s, 32) >= near
+
+
+def test_theory_bound_is_a_python_float():
+    # mod 17 the rate comes from an iterative spectrum; the bound's CSV
+    # cell must be a number that fit reads back
+    s = dataclasses.replace(lab.get_scenario("sl2_trace"), bound_spec=("single_prime", 17))
+    assert type(lab.theory_bound(s, 2048)) is float
+    row = lab.run_experiment(s, [2048], 10, 0).rows[0]
+    assert float(row.csv_cells()[7]) == row.theory_bound < 1
 
 
 def test_theory_bound_is_cached(monkeypatch):

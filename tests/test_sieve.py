@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import intersection_bound, pairwise_delta
+from helpers import exact_law, intersection_bound, pairwise_delta
 from sievelab import sieve
 from sievelab.errors import DomainError
 from sievelab.matgroup import z_generators
-from sievelab.walker import exact_distribution
 
 
 # ----- chebyshev bound: exact substitutions -----
@@ -209,9 +208,8 @@ def _parity_probability(n):
 def test_parity_closed_form_matches_convolution():
     A = z_generators()
     for n in range(0, 13):
-        dist = exact_distribution(A, n)
-        even = sum(c for e, c in dist.counts if e.exponents[0] % 2 == 0)
-        assert Fraction(even, 3 ** n) == _parity_probability(n)
+        even = sum(p for (x,), p in exact_law(A, n).items() if x % 2 == 0)
+        assert even == _parity_probability(n)
 
 
 def test_soundness_parity_leg_at_threshold():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from helpers import elements
+from helpers import elements, exact_law
 from sievelab import lab, spectra
 from sievelab.errors import ConvergenceFailure, MissingIdentity, NotSymmetric
 from sievelab.matgroup import (
@@ -23,7 +23,7 @@ from sievelab.spectra import (
     second_eigenvalue,
     spectrum_csv,
 )
-from sievelab.walker import exact_distribution, hit_probabilities_exact
+from sievelab.walker import hit_probabilities_exact
 
 
 def scipy_extremes(A, q):
@@ -142,11 +142,9 @@ def test_mixing_rate_exact():
 
 def test_mixing_bound_example():
     # Z mod 2 at n=4: exact P(omega_4 = 0) = 41/81, dev = 1/162
-    d = exact_distribution(z_generators(), 4)
     q = AbelianQuotient(1, 2)
-    mass0 = sum(
-        Fraction(c, 3 ** 4)
-        for e, c in d.counts if q.reduce(e) == (0,))
+    mass0 = sum(p for x, p in exact_law(z_generators(), 4).items()
+                if q.reduce(AbelianElement(x)) == (0,))
     assert mass0 == Fraction(41, 81)
     dev = abs(mass0 - Fraction(1, 2))
     assert dev == Fraction(1, 162)
@@ -196,6 +194,16 @@ def test_spectrum_csv_format():
     assert cells[6] == "dense"
     # repr round-trip: parsing the cell recovers the float exactly
     assert float(cells[3]) == s.pi_1
+
+
+def test_iterative_spectrum_csv_cells_are_plain_numbers():
+    # the residual of an iterative spectrum is a Python float, so its CSV
+    # cell is a number and not np.float64(...)
+    s = second_eigenvalue(lab.get_scenario("sl2_trace").generators, MatrixQuotient(2, (17,)))
+    assert s.method == "iterative" and type(s.residual) is float
+    cells = spectrum_csv([s]).strip().split("\n")[1].split(",")
+    assert [int(c) for c in cells[:3]] == [17, 4896, 5] and cells[6] == "iterative"
+    assert [float(c) for c in cells[3:6] + cells[7:]] == [s.pi_1, s.pi_min, s.pi_star, s.residual]
 
 
 @pytest.mark.parametrize("quotient,A", [

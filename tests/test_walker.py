@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_laws
+from helpers import dict_laws, exact_law
 from sievelab import lab, walker
 from sievelab.errors import (
     BudgetExceeded,
@@ -34,18 +34,12 @@ from sievelab.thinsets import (
 from sievelab.walker import (
     MCEstimate,
     WalkConfig,
-    exact_distribution,
     exact_laws,
     exact_origin_scan_z,
     hit_probabilities_exact,
     mc_sweep,
     run_walk,
 )
-
-
-def mass(dist, g):
-    """P(omega_n = g), read off the path counts of an exact distribution."""
-    return Fraction(dict(dist.counts).get(g, 0), dist.a_size ** dist.n)
 
 
 class TraceOracle:
@@ -115,22 +109,21 @@ def test_walk_config_validation():
 def test_exact_distribution_sums_to_one():
     for A, nmax in ((z_generators(), 12), (sl2_st_generators(), 5)):
         for n in range(nmax + 1):
-            d = exact_distribution(A, n)
-            assert sum(c for _, c in d.counts) == A.size ** n
+            assert sum(exact_law(A, n).values()) == 1
 
 
 def test_exact_nine_paths():
     # Z walk, n=2: 9 equally likely paths, 3 end at the origin
-    d = exact_distribution(z_generators(), 2)
-    assert mass(d, AbelianElement((0,))) == Fraction(1, 3)
-    assert mass(d, AbelianElement((2,))) == Fraction(1, 9)
-    assert mass(d, AbelianElement((5,))) == 0
+    d = exact_law(z_generators(), 2)
+    assert d[(0,)] == Fraction(1, 3)
+    assert d[(2,)] == Fraction(1, 9)
+    assert d.get((5,), 0) == 0
 
 
 def test_exact_symmetry_z():
-    d = exact_distribution(z_generators(), 9)
+    d = exact_law(z_generators(), 9)
     for k in range(10):
-        assert mass(d, AbelianElement((k,))) == mass(d, AbelianElement((-k,)))
+        assert d[(k,)] == d[(-k,)]
 
 
 def test_exact_origin_scan_matches_trinomial_and_convolution():
@@ -138,8 +131,7 @@ def test_exact_origin_scan_matches_trinomial_and_convolution():
     scan = exact_origin_scan_z(grid)
     for n in grid:
         assert scan[n] == trinomial_origin(n)
-        d = exact_distribution(z_generators(), n)
-        assert scan[n] == mass(d, AbelianElement((0,)))
+        assert scan[n] == exact_law(z_generators(), n)[(0,)]
 
 
 def test_exact_laws_refuse_negative_n():
@@ -156,7 +148,7 @@ def test_exact_laws_refuse_negative_n():
 def test_exact_budget(monkeypatch):
     monkeypatch.setattr(walker, "EXACT_BUDGET", 100)
     try:
-        exact_distribution(sl2_st_generators(), 12)
+        exact_law(sl2_st_generators(), 12)
         assert False
     except BudgetExceeded:
         pass
@@ -420,8 +412,7 @@ def test_identity_multiplicity_lazy_walk():
     A = validate_generators(
         [AbelianElement((0,)), AbelianElement((0,)),
          AbelianElement((1,)), AbelianElement((-1,))])
-    d = exact_distribution(A, 1)
-    assert mass(d, AbelianElement((0,))) == Fraction(1, 2)
+    assert exact_law(A, 1)[(0,)] == Fraction(1, 2)
 
 
 # ----- the lane kernel against the exact path -----
