@@ -16,7 +16,8 @@ past it. Both the lanes and the exact states are decided by the oracle's
 one Monte Carlo test. On a finite quotient the law is one count array
 over the element indices, and a step is one gather by the index
 permutations of the generators and one dot product with their
-multiplicities; the squares of a torus are decided on that law mod 2.
+multiplicities. The torus parity law and the line law on Z are closed
+forms: a character sum mod 2, and trinomial coefficients by recurrence.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .matgroup import (
     GroupElement,
     z_generators,
 )
-from .quotients import AbelianQuotient, walk_permutations
 from .thinsets import TorusSquaresOracle, halfwidth
 
 EXACT_BUDGET = 5_000_000  # most distinct states one step of an exact law may hold
@@ -76,8 +76,8 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 
 def convolve_counts(maps, start: int, grid: Sequence[int]) -> Dict[int, np.ndarray]:
     """Integer path counts of a walk on a quotient's element indices, one
-    array over |A|^n per n of the grid, from the index start; the torus
-    parity law and the quotient laws use it.
+    array over |A|^n per n of the grid, from the index start; the quotient
+    laws use it.
 
     maps are the (permutation, multiplicity) steps of walk_permutations,
     whose multiset is symmetric, so the count of y after a step sums the
@@ -237,19 +237,15 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
                             oracle) -> Dict[int, Fraction]:
     """P(omega_n in Z) as an exact rational at each n of grid, in one pass.
 
-    The squares of a torus oracle take the parity law: the law on
-    (Z/2)^rank by convolve_counts, whose states are the digit rows. The
-    walk on the integers with steps {0, +1, -1} takes the dense line
-    scan, any other multiset the rows of exact_laws. Either way the
-    oracle's one Monte Carlo test decides every reachable state, and a
-    state it leaves undecided raises UndecidedMembership.
+    The squares of a torus oracle take the parity law (_parity_laws), whose
+    states are the digit rows of (Z/2)^rank. The walk on the integers with
+    steps {0, +1, -1} takes the line law (_z_line_laws), any other
+    multiset the rows of exact_laws. Either way the oracle's one Monte
+    Carlo test decides every reachable state, and a state it leaves
+    undecided raises UndecidedMembership.
     """
     if isinstance(oracle, TorusSquaresOracle):
-        q = AbelianQuotient(oracle.rank, 2)
-        codes, _, maps = walk_permutations(A, q)
-        digits = q.decode(codes)
-        parity = convolve_counts(maps, q.index(q.identity()), grid)
-        laws = ((n, digits, counts) for n, counts in parity.items())
+        laws = _parity_laws(A, oracle.rank, grid)
     elif dict(A.pairs) == dict(z_generators().pairs):
         laws = _z_line_laws(grid)
     else:
@@ -264,24 +260,41 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
     return out
 
 
-def _z_line_laws(grid: Sequence[int]):
-    """exact_laws of the walk on Z with steps {0, +1, -1}, by a line scan
-    to max(grid): positions -n..n in order, counts as Python ints. The law
-    is symmetric, so the scan holds the counts at positions 0..n only."""
-    half, done = [1], 0
+def _parity_laws(A: GeneratorMultiset, rank: int, grid: Sequence[int]):
+    """The law of omega_n mod 2 at each n of the sorted grid: every digit
+    row y of (Z/2)^rank, first digit most significant, and its path count
+    count_n(y) = 2^-rank sum_u (-1)^(u.y) lambda_u^n over the characters
+    u, lambda_u = sum_g m_g (-1)^(u.g): one Walsh-Hadamard product of
+    Python ints, divided exactly. Raises DomainError unless every step
+    is an exponent vector of that rank."""
+    if any(getattr(g, "rank", None) != rank for g in A.support):
+        raise DomainError(f"the parity law needs exponent vectors of rank {rank}")
+    rows = (np.arange(1 << rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
+    parity = np.array([g.exponents for g in A.support], dtype=object) % 2
+    signs = 1 - 2 * (rows @ parity.T % 2)  # (-1)^(u.g), (-1)^(u.y) alike
+    lam = signs @ np.array([m for _, m in A.pairs], dtype=object)
+    hadamard = (1 - 2 * (rows @ rows.T % 2)).astype(object)
     for n in law_grid(grid):
-        for _ in range(done, n):
-            # position x after k steps sums positions x-1, x, x+1 after
-            # k-1, and position -1 has the count of 1
-            pad = [half[1] if len(half) > 1 else 0, *half, 0, 0]
-            half = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
-        done = n
-        yield n, np.arange(-n, n + 1).reshape(-1, 1), np.array(half[:0:-1] + half, dtype=object)
+        yield n, rows, (hadamard @ lam ** n) >> rank
+
+
+def _z_line_laws(grid: Sequence[int]):
+    """exact_laws of the walk on Z with steps {0, +1, -1} at each n of the
+    sorted grid: positions -n..n in order, counts as Python ints. The
+    count at k - n is the coefficient a_k of (1 + x + x^2)^n, from
+    (k + 1) a_{k+1} = (n - k) a_k + (2n - k + 1) a_{k-1}, an exact
+    division; the law is symmetric, so k runs to n and the rest mirrors."""
+    for n in law_grid(grid):
+        half, prev = [1], 0
+        for k in range(n):
+            half.append(((n - k) * half[-1] + (2 * n - k + 1) * prev) // (k + 1))
+            prev = half[-2]
+        yield n, np.arange(-n, n + 1).reshape(-1, 1), np.array(half + half[-2::-1], dtype=object)
 
 
 def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
     """P(omega_n = 0) for Gamma = Z, A = {0,+1,-1}, at each grid n: the
-    middle count of the line scan _z_line_laws, one pass to max(grid).
+    middle count of the line law _z_line_laws.
     """
     return {n: Fraction(int(counts[n]), 3 ** n) for n, _, counts in _z_line_laws(grid)}
 
@@ -402,7 +415,7 @@ def _advance(st, gens, draws, abelian):
     if not len(st):
         return st
     if not abelian:
-        return st @ gens[draws]
+        return st @ gens.take(draws, axis=0)
     size, seg = gens.shape[0], draws.shape[1]
     width = min(seg, _KEYS)
     rows = max(1, _KEYS // max(width, size))

@@ -119,6 +119,22 @@ def dict_laws(generators, nmax):
         yield list(counts.items())
 
 
+def line_scan_laws(grid):
+    """The law of the walk on Z with steps {0, +1, -1} at each n of the
+    sorted grid by a line scan to max(grid), one step at a time: the
+    reference for walker._z_line_laws. Positions -n..n in order, counts as
+    Python ints; the law is symmetric, so the scan holds positions 0..n."""
+    half, done = [1], 0
+    for n in walker.law_grid(grid):
+        for _ in range(done, n):
+            # position x after k steps sums positions x-1, x, x+1 after
+            # k-1, and position -1 has the count of 1
+            pad = [half[1] if len(half) > 1 else 0, *half, 0, 0]
+            half = [a + b + c for a, b, c in zip(pad, pad[1:], pad[2:])]
+        done = n
+        yield n, np.arange(-n, n + 1).reshape(-1, 1), np.array(half[:0:-1] + half, dtype=object)
+
+
 def exact_law(A, n):
     """P(omega_n = g) from the rows of walker.exact_laws, keyed by g.flat()."""
     (_, rows, counts), = walker.exact_laws(A, [n])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_laws, exact_law
+from helpers import dict_laws, exact_law, line_scan_laws
 from sievelab import lab, walker
 from sievelab.errors import (
     BudgetExceeded,
@@ -25,6 +25,7 @@ from sievelab.matgroup import (
     validate_generators,
     z_generators,
 )
+from sievelab.quotients import AbelianQuotient, walk_permutations
 from sievelab.thinsets import (
     NongenericGaloisOracle,
     SubvarietyOracle,
@@ -134,6 +135,18 @@ def test_exact_origin_scan_matches_trinomial_and_convolution():
         assert scan[n] == exact_law(z_generators(), n)[(0,)]
 
 
+def test_line_law_equals_line_scan():
+    # every row and count of the coefficient recurrence against the scan,
+    # at every n <= 64 and on the doubling grid 16..1024
+    for grid in (range(65), [16 << k for k in range(7)]):
+        got, want = list(walker._z_line_laws(grid)), list(line_scan_laws(grid))
+        assert [n for n, *_ in got] == [n for n, *_ in want] == list(grid)
+        for (n, rows, counts), (_, ref_rows, ref_counts) in zip(got, want):
+            assert rows.tolist() == ref_rows.tolist(), n
+            assert counts.tolist() == ref_counts.tolist(), n
+            assert all(type(c) is int for c in counts.tolist())
+
+
 def test_exact_laws_refuse_negative_n():
     from sievelab import cli
 
@@ -206,9 +219,17 @@ def test_torus_squares_take_the_parity_law(monkeypatch):
     got = hit_probabilities_exact(torus_generators(), [64, 2048], TorusSquaresOracle(2))
     assert got == {n: (1 + 2 * Fraction(1, 5) ** n + Fraction(-3, 5) ** n) / 4
                    for n in (64, 2048)}
-    # a torus oracle on matrix generators is a configuration error
-    with pytest.raises(DomainError):
-        hit_probabilities_exact(sl2_st_generators(), [3], TorusSquaresOracle(2))
+    # a torus oracle on matrix generators, or on exponent vectors of
+    # another rank, is a configuration error
+    for A, rank in ((sl2_st_generators(), 2), (torus_generators(), 3), (z_generators(), 2)):
+        with pytest.raises(DomainError):
+            hit_probabilities_exact(A, [3], TorusSquaresOracle(rank))
+
+
+def test_torus_squares_parity_law_at_large_n():
+    n = 10 ** 5
+    assert hit_probabilities_exact(torus_generators(), [n], TorusSquaresOracle(2)) == {
+        n: (1 + 2 * Fraction(1, 5) ** n + Fraction(-3, 5) ** n) / 4}
 
 
 def sl2_with_translation(k):
@@ -666,6 +687,22 @@ def test_histogram_step_equals_run_walk_verdicts(A, grid, seed):
     for oracle in (OriginOracle(), TorusSquaresOracle(rank)):
         assert swept_counts(A, oracle, grid, 30, seed) == reference_counts(
             A, oracle, sorted(set(grid)), 30, seed)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(A=symmetric_abelian_tables())
+def test_parity_law_equals_quotient_convolution(A):
+    # the character sums against the step-by-step law on (Z/2)^rank
+    rank = A.pairs[0][0].rank
+    q = AbelianQuotient(rank, 2)
+    codes, _, maps = walk_permutations(A, q)
+    grid = range(13)
+    want = walker.convolve_counts(maps, q.index(q.identity()), grid)
+    got = list(walker._parity_laws(A, rank, grid))
+    assert [n for n, *_ in got] == list(grid)
+    for n, rows, counts in got:
+        assert rows.tolist() == q.decode(codes).tolist()
+        assert counts.tolist() == want[n].tolist(), n
 
 
 def _wide_torus():
