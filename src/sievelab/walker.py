@@ -76,8 +76,8 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 
 def convolve_counts(maps, start: int, grid: Sequence[int]) -> Dict[int, np.ndarray]:
     """Integer path counts of a walk on a quotient's element indices, one
-    array over |A|^n per n of the grid, from the index start; the quotient
-    laws use it.
+    array over |A|^n per n of the grid, from the index start; the
+    deviation sweep of spectra uses it.
 
     maps are the (permutation, multiplicity) steps of walk_permutations,
     whose multiset is symmetric, so the count of y after a step sums the
@@ -271,9 +271,8 @@ def _parity_laws(A: GeneratorMultiset, rank: int, grid: Sequence[int]):
         raise DomainError(f"the parity law needs exponent vectors of rank {rank}")
     rows = (np.arange(1 << rank)[:, None] >> np.arange(rank - 1, -1, -1)) & 1
     parity = np.array([g.exponents for g in A.support], dtype=object) % 2
-    signs = 1 - 2 * (rows @ parity.T % 2)  # (-1)^(u.g), (-1)^(u.y) alike
-    lam = signs @ np.array([m for _, m in A.pairs], dtype=object)
-    hadamard = (1 - 2 * (rows @ rows.T % 2)).astype(object)
+    lam = (1 - 2 * (rows @ parity.T % 2)) @ np.array([m for _, m in A.pairs], dtype=object)
+    hadamard = (1 - 2 * (rows @ rows.T % 2)).astype(object)  # (-1)^(u.y)
     for n in law_grid(grid):
         yield n, rows, (hadamard @ lam ** n) >> rank
 
