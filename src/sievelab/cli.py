@@ -58,8 +58,11 @@ def _emit(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _moduli(args):

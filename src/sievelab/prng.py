@@ -3,8 +3,9 @@
 Every draw is a pure function of its key, so trials are reproducible under
 any execution order and a walk prefix never depends on how many further
 steps will be taken. The mixer is the standard splitmix64 finalizer; the
-same stream is exposed scalar (Python ints) and vectorized (numpy uint64),
-and the two are tested to agree bit for bit.
+same stream is exposed scalar (draw_indices, Python ints) and vectorized
+(draw_block, one numpy array of any trials), and the two are tested to
+agree bit for bit.
 """
 
 import numpy as np
@@ -45,50 +46,34 @@ def _mix64_np(z):
     return z ^ (z >> np.uint64(31))
 
 
-def draw_rows(seed: int, trials, n: int, bound: int, start: int = 0) -> np.ndarray:
-    """(len(trials), n) array of draws in [0, bound) for any bound >= 1.
-
-    Row i equals draw_indices(seed, trials[i], n, bound, start), for trials
-    in any order. The dtype is int64 while every draw fits (bound <= 2^63)
-    and object (Python ints) past that.
-    """
-    if bound < 1:
-        raise DomainError(f"draw bound {bound} is not positive")
-    trials = np.asarray(trials, dtype=np.uint64)
-    keys = _mix64_np(np.uint64(seed & _MASK) + (trials + np.uint64(1)) * np.uint64(_GAMMA))
-    steps = (np.arange(start, start + n, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-    z = _mix64_np(keys[:, None] + steps)
-    if bound < 1 << 64:
-        b = np.uint64(bound)
-        z -= z // b * b
-    return z.astype(np.int64 if bound <= 1 << 63 else object)
-
-
 _TILE = 1 << 15  # uint64 values per scratch tile: 256 KiB, inside a 2 MiB L2
 _ROUNDS = ((np.uint64(30), np.uint64(_MUL1)), (np.uint64(27), np.uint64(_MUL2)))
 
 
-def draw_block(seed: int, trial0: int, ntrials: int, nsteps: int, bound: int):
-    """(ntrials, nsteps) array of draws in [0, bound), trials trial0...
+def draw_block(seed: int, trials, nsteps: int, bound: int, start: int = 0):
+    """(len(trials), nsteps) array of draws in [0, bound) for any bound >= 1.
 
-    Row t equals draw_indices(seed, trial0+t, nsteps, bound). The dtype is
-    uint8 for bound <= 256 and uint16 up to 65536. The block is mixed a
-    tile of at most _TILE draws at a time, in place in two uint64 scratch
-    tiles, so no uint64 array of the whole block is ever made; x % bound is
-    taken as x - (x // bound) * bound, since numpy divides a uint64 array
-    by a scalar without a hardware divide per element.
+    Row i equals draw_indices(seed, trials[i], nsteps, bound, start), for
+    any array of trial ids. The dtype is the narrowest that holds a draw:
+    uint8 for bound <= 256, uint16 up to 65536, int64 up to 2^63 and
+    object (Python ints) past that. The block is mixed a tile of at most
+    _TILE draws at a time, in place in two uint64 scratch tiles sized to
+    the block, so no uint64 array of the whole block is ever made; x %
+    bound is taken as x - (x // bound) * bound, since numpy divides a
+    uint64 array by a scalar without a hardware divide per element.
     """
-    if not 1 <= bound <= 1 << 16:
-        raise DomainError(f"draw bound {bound} outside [1, 65536]")
-    out = np.empty((ntrials, nsteps), dtype=np.uint8 if bound <= 256 else np.uint16)
-    trials = np.arange(trial0, trial0 + ntrials, dtype=np.uint64)
+    if bound < 1:
+        raise DomainError(f"draw bound {bound} is not positive")
+    trials = np.asarray(trials, dtype=np.uint64)
+    out = np.empty((len(trials), nsteps), dtype=np.uint8 if bound <= 1 << 8 else np.uint16
+                   if bound <= 1 << 16 else np.int64 if bound <= 1 << 63 else object)
     keys = _mix64_np(np.uint64(seed & _MASK) + (trials + np.uint64(1)) * np.uint64(_GAMMA))
-    steps = (np.arange(nsteps, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    steps = (np.arange(start, start + nsteps, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
     width = max(1, min(nsteps, _TILE))
-    height = _TILE // width
+    height = max(1, min(len(trials), _TILE // width))
     zbuf, ybuf = np.empty(height * width, np.uint64), np.empty(height * width, np.uint64)
-    b = np.uint64(bound)
-    for r0 in range(0, ntrials, height):
+    b = np.uint64(bound) if bound <= _MASK else None  # draws below 2^64 need no reduction
+    for r0 in range(0, len(trials), height):
         for c0 in range(0, nsteps, width):
             dst = out[r0:r0 + height, c0:c0 + width]
             z = zbuf[:dst.size].reshape(dst.shape)
@@ -98,6 +83,7 @@ def draw_block(seed: int, trial0: int, ntrials: int, nsteps: int, bound: int):
                 np.bitwise_xor(z, np.right_shift(z, shift, out=y), out=z)
                 np.multiply(z, mul, out=z)
             np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=y), out=z)
-            np.subtract(z, np.multiply(np.floor_divide(z, b, out=y), b, out=y), out=z)
+            if b is not None:
+                np.subtract(z, np.multiply(np.floor_divide(z, b, out=y), b, out=y), out=z)
             np.copyto(dst, z, casting="unsafe")
     return out

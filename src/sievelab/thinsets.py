@@ -292,7 +292,8 @@ class EntryPolynomial:
             raise ArityMismatch(
                 f"expected {self.arity} coordinates, got {len(coords)}")
         big = max(int(abs(arr).max(initial=0)) for arr in coords)
-        if sum(abs(c) * big ** sum(e) for c, e in self.monomials) >= 1 << 63:
+        # at big = 0, a coefficient past int64 would still overflow np.full_like
+        if sum(abs(c) * max(big, 1) ** sum(e) for c, e in self.monomials) >= 1 << 63:
             coords = [arr.astype(object) for arr in coords]
         total = None
         for coeff, exps in self.monomials:
@@ -499,9 +500,8 @@ def _sample_sl_block(p: int, dim: int, seed: int, samples: int) -> np.ndarray:
     out = np.empty((samples, need), dtype=object if big else np.int64)
     pending = np.arange(samples)
     for attempt in range(64):
-        entries = prng.draw_rows(seed, pending, need, p, start=attempt * need)
-        if big:
-            entries = entries.astype(object)
+        # uint8 products would wrap: entries are int64, or Python ints if big
+        entries = prng.draw_block(seed, pending, need, p, start=attempt * need).astype(out.dtype)
         d = _det_mod(entries, dim, p)
         ok = d != 0
         rows = entries[ok]
@@ -520,7 +520,7 @@ def sample_rows(quotient, seed: int, samples: int) -> np.ndarray:
     0..samples-1, deterministic in (seed, trial), in the quotient's dtype.
     A matrix quotient draws each block with its own seed."""
     if isinstance(quotient, AbelianQuotient):
-        rows = prng.draw_rows(seed, np.arange(samples), quotient.rank, quotient.modulus)
+        rows = prng.draw_block(seed, np.arange(samples), quotient.rank, quotient.modulus)
     else:
         rows = np.hstack([_sample_sl_block(p, quotient.dimension, seed + 1000003 * bi, samples)
                           for bi, p in enumerate(quotient.moduli)])

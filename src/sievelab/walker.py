@@ -349,7 +349,7 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
     for t0 in range(0, m, chunk):
         cnt = min(chunk, m - t0)
-        draws = prng.draw_block(seed, t0, cnt, grid[-1], len(table))
+        draws = prng.draw_block(seed, np.arange(t0, t0 + cnt), grid[-1], len(table))
         # (trial ids, states) of the int64 lanes, then of the Python-int lanes
         lanes = [(slice(None), np.repeat(start, cnt, axis=0)),
                  (np.arange(0), np.repeat(start, 0, axis=0).astype(object))]

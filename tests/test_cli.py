@@ -67,6 +67,12 @@ def test_scenarios_describe_unknown_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert cli.main(["scenarios", "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 # ----- walk -----
 
 def test_walk_exact_distribution(tmp_path):

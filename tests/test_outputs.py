@@ -47,6 +47,10 @@ GOLDEN = {
     ("residual", "--scenario", "sl3_galois", "--prime", "3", "--mode", "sample",
      "--trials", "2000", "--seed", "4"):
         "f49c0cedd5f3f44a985967e329d71391fd05c1e357a4b8a93b3445d9d9db54e1",
+    # p = 65537 draws int64 entries, past the uint16 edge of draw_block
+    ("residual", "--scenario", "sl2_trace", "--prime", "65537", "--mode", "sample",
+     "--trials", "2000"):
+        "5dbc0c4667ca5f2eb8cb404fd58eef95e8301dcca26f808011a04765b9a9b7ee",
     # 100,000 samples (the default), 18302 of them hits: a wrong sample shows
     ("residual", "--scenario", "sl2_fixed_flag", "--prime", "11", "--mode", "sample",
      "--seed", "3"):

@@ -66,7 +66,7 @@ def test_draw_indices_range():
 def test_block_matches_scalar_rows():
     seed, trial0 = 2024, 5
     for bound, dtype in ((5, np.uint8), (256, np.uint8), (265, np.uint16), (65536, np.uint16)):
-        block = prng.draw_block(seed, trial0, 8, 33, bound)
+        block = prng.draw_block(seed, np.arange(trial0, trial0 + 8), 33, bound)
         assert block.shape == (8, 33)
         assert block.dtype == dtype
         for t in range(8):
@@ -90,24 +90,25 @@ BLOCKS = [
 
 @pytest.mark.parametrize("seed,trial0,ntrials,nsteps,bound", BLOCKS)
 def test_tiled_block_matches_scalar_rows(seed, trial0, ntrials, nsteps, bound):
-    block = prng.draw_block(seed, trial0, ntrials, nsteps, bound)
+    block = prng.draw_block(seed, np.arange(trial0, trial0 + ntrials), nsteps, bound)
     assert block.shape == (ntrials, nsteps)
     assert block.dtype == (np.uint8 if bound <= 256 else np.uint16)
     for t in range(ntrials):
         assert block[t].tolist() == prng.draw_indices(seed, trial0 + t, nsteps, bound)
 
 
-# unsorted trials with a repeat and a far-out one; bounds from 1 past
-# draw_block's cap to past 2^64, on both sides of the int64/object edge 2^63
+# unsorted trials with a repeat and a far-out one; bounds from 1 past the
+# uint16 edge to past 2^64, on both sides of the int64/object edge 2^63
 TRIALS = [9, 0, 3, 2**40 + 3, 3, 17]
 
 
 @pytest.mark.parametrize("bound", [1, 5, 65537, 2**61 - 1, 2**63, 2**63 + 1, 2**64 + 2])
 @pytest.mark.parametrize("start", [0, 18])
 def test_draw_rows_match_scalar_rows(bound, start):
-    rows = prng.draw_rows(2024, np.array(TRIALS), 9, bound, start=start)
+    rows = prng.draw_block(2024, np.array(TRIALS), 9, bound, start=start)
     assert rows.shape == (len(TRIALS), 9)
-    assert rows.dtype == (np.int64 if bound <= 2**63 else object)
+    assert rows.dtype == (np.uint8 if bound <= 2**8 else np.uint16 if bound <= 2**16
+                          else np.int64 if bound <= 2**63 else object)
     for row, t in zip(rows, TRIALS):
         assert row.tolist() == prng.draw_indices(2024, t, 9, bound, start=start)
     if rows.dtype == object:
@@ -115,18 +116,18 @@ def test_draw_rows_match_scalar_rows(bound, start):
 
 
 def test_draw_rows_take_the_largest_seed_and_no_trials():
-    rows = prng.draw_rows(2**64 - 1, [5, 1], 4, 7, start=3)
+    rows = prng.draw_block(2**64 - 1, [5, 1], 4, 7, start=3)
     assert rows.tolist() == [prng.draw_indices(2**64 - 1, t, 4, 7, start=3) for t in (5, 1)]
-    assert prng.draw_rows(1, np.arange(0), 4, 7).shape == (0, 4)
+    assert prng.draw_block(1, np.arange(0), 4, 7).shape == (0, 4)
     with pytest.raises(DomainError):
-        prng.draw_rows(0, [0], 1, 0)
+        prng.draw_block(0, [0], 1, 0)
 
 
 def test_block_peak_memory_is_near_its_output():
     # one 4096 x 1024 chunk of a walk to n = 1024 is 4 MiB of uint8
     tracemalloc.start()
     try:
-        block = prng.draw_block(3, 0, 4096, 1024, 3)
+        block = prng.draw_block(3, np.arange(4096), 1024, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -134,12 +135,10 @@ def test_block_peak_memory_is_near_its_output():
 
 
 def test_block_bound_validation():
-    for bound in (0, 65537):
-        try:
-            prng.draw_block(0, 0, 1, 1, bound)
-            assert False
-        except DomainError:
-            pass
+    # every bound >= 1 draws (a table wider than 65536 walks on int64
+    # draws, see test_walker.py); only a bound below 1 is refused
+    with pytest.raises(DomainError, match="draw bound 0 is not positive"):
+        prng.draw_block(0, [0], 1, 0)
 
 
 def test_rough_uniformity():

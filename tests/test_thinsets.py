@@ -330,6 +330,10 @@ def test_entry_polynomial_batch_matches_scalar():
     batch = poly.evaluate_batch((xs, ys))
     for i in range(len(xs)):
         assert batch[i] == poly.evaluate((int(xs[i]), int(ys[i])))
+    # a coefficient past int64 at zero coordinates must not stay on int64
+    wide = EntryPolynomial(1, ((2 ** 63, (1,)),))
+    zeros = np.zeros(3, np.int64)
+    assert wide.evaluate_batch([zeros]).tolist() == [wide.evaluate((0,))] * 3
 
 
 def test_entry_polynomial_batch_exact_past_int64():
@@ -559,7 +563,7 @@ def test_sampled_digit_rows_stay_exact_past_int64():
 
 
 # (quotient, samples): redraws on SL_2(F_2) and SL_3(F_2), where most
-# trials redraw; a pair; a prime past draw_block's cap; object-dtype
+# trials redraw; a pair; a prime past uint16 draws; object-dtype
 # determinants; abelian draws, one of them past int64
 SAMPLE_CASES = [
     (MatrixQuotient(2, (2,)), 300),
@@ -587,11 +591,12 @@ def test_sample_rows_equal_the_scalar_sampler(q, samples, seed):
 @pytest.mark.parametrize("attempt", [63, 64])
 def test_sample_rows_take_up_to_64_draws(monkeypatch, attempt):
     # every draw singular but the one at the given attempt
-    def draw_rows(seed, trials, n, bound, start=0):
-        row = [2, 0, 0, 1] if start == attempt * n else [0] * n
-        return np.array([row] * len(trials), dtype=np.int64)
+    # uint8, as draw_block gives below 256
+    def draw_block(seed, trials, nsteps, bound, start=0):
+        row = [2, 0, 0, 1] if start == attempt * nsteps else [0] * nsteps
+        return np.array([row] * len(trials), dtype=np.uint8)
 
-    monkeypatch.setattr(prng, "draw_rows", draw_rows)
+    monkeypatch.setattr(prng, "draw_block", draw_block)
     q = MatrixQuotient(2, (5,))
     if attempt < 64:
         # det 2, inverse 3 mod 5: the first row becomes (1, 0)

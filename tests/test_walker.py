@@ -657,6 +657,17 @@ def test_sweep_more_than_256_generators():
     assert swept_counts(A, oracle, grid, 12, 5) == reference_counts(A, oracle, grid, 12, 5)
 
 
+def test_sweep_draw_table_wider_than_65536():
+    # +-1 with multiplicity 2^15 each and the identity: 65537 draw values,
+    # past uint16, so the lanes step by int64 draws
+    A = GeneratorMultiset(((AbelianElement((0,)), 1), (AbelianElement((1,)), 1 << 15),
+                           (AbelianElement((-1,)), 1 << 15)))
+    assert len(A.draw_table()) == 65537
+    grid = [1, 2, 5]
+    for oracle in (OriginOracle(), TorusSquaresOracle(1)):
+        assert swept_counts(A, oracle, grid, 40, 6) == reference_counts(A, oracle, grid, 40, 6)
+
+
 # ----- abelian segments step by per-lane histograms of draw values -----
 
 @st.composite
