@@ -6,9 +6,13 @@ self-adjoint, so its spectrum is real: 1 = lambda_1 >= lambda_2 >= ...
 pi_1 is lambda_2, pi_min the bottom eigenvalue, pi_star the largest
 modulus away from the top eigenvector.
 
-Small quotients get a dense route: P commutes with left translations,
-so it splits over the characters of a cyclic subgroup <h> into Hermitian
-blocks of order |G|/ord(h), each solved by a dense eigensolver. Past
+Small quotients get a dense route: P acts on the right, so it commutes
+with every left translation L_n, (L_n v)(x) = v(n x), and splits over
+the characters of a cyclic subgroup <h> into Hermitian blocks of order
+|G|/ord(h). An n of the normaliser of <h>, n h n^-1 = h^a, carries the
+block of character k onto the block of k a through L_n, and complex
+conjugation carries it onto the block of -k, so the blocks of one orbit
+share a spectrum: one block per orbit goes to a dense eigensolver. Past
 DENSE_THRESHOLD one Lanczos run on P, deflated by the constant vector,
 extracts both extremes with a residual: the 2-norm ||Py - theta y|| of
 each Ritz pair plus a rounding floor, which bounds |lambda - theta| for
@@ -65,33 +69,59 @@ class AdjacencySpectrum:
 
 
 def _cyclic_translation(quotient, codes):
-    """(h, L): the element h whose left translations split the dense
-    route, and the index permutation L of x -> h x over the sorted codes.
+    """(h, L, mults): the element h whose left translations split the
+    dense route, the index permutation L of x -> h x over the sorted
+    codes, and multipliers a with n h n^-1 = h^a for elements n of the
+    normaliser of <h>.
 
     h is c E_1d(1) in each prime's block of a matrix quotient, with c = -1
     when d is even and p odd (so <h> holds -I) and c = 1 otherwise; it is
     e_1 in an abelian quotient, where left and right translation agree.
+    Each odd prime's block gives one n: diag(x, x^-1, 1, ..., 1) there, x
+    a generator of F_p^x, and the identity in the other blocks; a is the
+    index of n h n^-1 among the powers of h. Abelian quotients and p = 2
+    give no multiplier.
     """
+    mults = []
     if isinstance(quotient, AbelianQuotient):
         h = (1,) + (0,) * (quotient.rank - 1)
     else:
         d = quotient.dimension
         h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
                   for p in quotient.moduli for i in range(d) for j in range(d))
+        one = quotient.identity()
+        powers = [one]
+        while (nxt := quotient.multiply(powers[-1], h)) != one:
+            powers.append(nxt)
+        for b, p in enumerate(quotient.moduli):
+            if p == 2:
+                continue
+            x = next(x for x in range(2, p) if all(pow(x, k, p) != 1 for k in range(1, p - 1)))
+            at, x_inv = b * d * d, pow(x, -1, p)
+            n, n_inv = list(one), list(one)
+            n[at], n[at + d + 1] = x, x_inv
+            n_inv[at], n_inv[at + d + 1] = x_inv, x
+            mults.append(powers.index(quotient.multiply(quotient.multiply(n, h), n_inv)))
     hx = quotient.multiply_digits(np.array([h], dtype=quotient.dtype), quotient.decode(codes))
-    return h, np.searchsorted(codes, quotient.encode(hx))
+    return h, np.searchsorted(codes, quotient.encode(hx)), tuple(mults)
 
 
-def _dense_spectrum(maps, left) -> np.ndarray:
+def _dense_spectrum(maps, left, mults) -> np.ndarray:
     """All eigenvalues of P = sum of its (permutation, weight) maps, ascending.
 
     left permutes x -> h x for an h of order r. P moves by right
-    multiplication, so it commutes with left translations and splits over
-    the characters of <h>. Write x = h^a(x) r_c(x), with r_c the least
-    index of the coset <h>x; with omega = e^(2 pi i/r), block k is the
-    Hermitian B_k[i, c(r_i g)] += w_g omega^(k a(r_i g)) of order |G|/r.
-    B_(r-k) = conj(B_k) has the same spectrum, so blocks 0..r//2 are
-    solved and the others counted twice.
+    multiplication, (Pv)(x) = sum_g w_g v(x g), and so commutes with every
+    left translation (L_n v)(x) = v(n x): both sides send v to
+    x -> sum_g w_g v(n x g). So P splits over the characters of <h>. Write
+    x = h^a(x) r_c(x), with r_c the least index of the coset <h>x; with
+    omega = e^(2 pi i/r), block k is the Hermitian
+    B_k[i, c(r_i g)] += w_g omega^(k a(r_i g)) of order |G|/r, P on the
+    functions with v(h x) = omega^k v(x). An n with n h n^-1 = h^m, m in
+    mults, maps that space onto the one of k m by L_n, which commutes
+    with P, and complex conjugation maps it onto the one of -k; so blocks
+    whose k share an orbit of the group generated by -1 and mults have
+    one spectrum. One block per orbit is solved, and its eigenvalues are
+    counted once per member.
     """
     ell = left.size
     best, shift = np.arange(ell), np.zeros(ell, dtype=np.int64)
@@ -103,15 +133,20 @@ def _dense_spectrum(maps, left) -> np.ndarray:
         cur, r = left[cur], r + 1
     rows = np.flatnonzero(best == np.arange(ell))
     coset = np.searchsorted(rows, best)
-    ks = np.arange(r // 2 + 1)
+    # the group generated by -1 and mults, and its orbits on Z/r, each
+    # keyed by its least member
+    group = {1}
+    while not (grown := {g * a % r for g in group for a in (-1,) + mults}) <= group:
+        group |= grown
+    orbits = {min(o): len(o) for o in ({k * g % r for g in group} for k in range(r))}
+    ks = np.array(list(orbits))
     # x = h^(-shift(x)) r_c(x), so a(x) = -shift(x) mod r
     phase = np.exp(-2j * np.pi * np.arange(r) / r)
     blocks = np.zeros((ks.size, rows.size, rows.size), dtype=complex)
     for perm, w in maps:
         t = perm[rows]
         blocks[:, np.arange(rows.size), coset[t]] += w * phase[np.outer(ks, shift[t]) % r]
-    copies = np.where((ks == 0) | (2 * ks == r), 1, 2)
-    return np.sort(np.repeat(np.linalg.eigvalsh(blocks), copies, axis=0).ravel())
+    return np.sort(np.repeat(np.linalg.eigvalsh(blocks), list(orbits.values()), axis=0).ravel())
 
 
 def _orthogonalise(w, u, blocks):
@@ -206,7 +241,8 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
     if ell <= DENSE_THRESHOLD:
-        eig = _dense_spectrum(maps, _cyclic_translation(quotient, codes)[1])
+        _, left, mults = _cyclic_translation(quotient, codes)
+        eig = _dense_spectrum(maps, left, mults)
         return AdjacencySpectrum(quotient.label, ell, a_size,
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)

@@ -225,7 +225,7 @@ def test_neighbor_permutations_match_multiply(quotient, A):
     for g, idx in pairs:
         assert sorted(idx) == list(range(ell))
         assert all(els[j] == quotient.multiply(x, g) for x, j in zip(els, idx))
-    h, left = spectra._cyclic_translation(quotient, codes)
+    h, left, _ = spectra._cyclic_translation(quotient, codes)
     assert sorted(left) == list(range(ell))
     assert all(els[j] == quotient.multiply(h, x) for x, j in zip(els, left))
 
@@ -243,7 +243,8 @@ BLOCK_CASES = (
 def test_block_spectrum_equals_dense_eigvalsh(quotient, A):
     codes, a_size, maps = spectra.walk_permutations(A, quotient)
     maps = [(perm, m / a_size) for perm, m in maps]
-    blocks = spectra._dense_spectrum(maps, spectra._cyclic_translation(quotient, codes)[1])
+    _, left, mults = spectra._cyclic_translation(quotient, codes)
+    blocks = spectra._dense_spectrum(maps, left, mults)
     want = np.linalg.eigvalsh(_walk_matrix(quotient, A))
     assert blocks.shape == want.shape
     assert np.max(np.abs(blocks - want)) <= 1e-12
@@ -253,10 +254,12 @@ def test_block_spectrum_equals_dense_eigvalsh(quotient, A):
                                             ((2,), 2, 3), ((2, 3), 6, 24)])
 def test_dense_route_splits_by_the_order_of_h(moduli, r, order, monkeypatch):
     # h = -E12(1) has order 2p for odd p, E12(1) order 2 for p = 2, and a
-    # pair takes the lcm; blocks 0..r//2 of order |G|/r reach eigvalsh
+    # pair takes the lcm; one block of order |G|/r per normaliser orbit of
+    # characters reaches eigvalsh
+    orbits = {(13,): 6, (3, 5): 12, (2,): 2, (2, 3): 4}[moduli]
     q = MatrixQuotient(2, moduli)
     codes = q.element_codes()
-    h, left = spectra._cyclic_translation(q, codes)
+    h, left, _ = spectra._cyclic_translation(q, codes)
     assert h == tuple(e for p in moduli
                       for e in ((1, 1, 0, 1) if p == 2 else (p - 1, p - 1, 0, p - 1)))
     cur, steps = left, 1
@@ -267,7 +270,53 @@ def test_dense_route_splits_by_the_order_of_h(moduli, r, order, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     assert second_eigenvalue(sl2_st_generators(), q).method == "dense"
-    assert shapes == [(r // 2 + 1, order, order)]
+    assert shapes == [(orbits, order, order)]
+
+
+def _character_blocks(maps, left):
+    """Every block B_0 .. B_(r-1) of P over the characters of <h>, built
+    one by one as the dense route built them before it solved one block
+    per orbit."""
+    ell = left.size
+    best, shift = np.arange(ell), np.zeros(ell, dtype=np.int64)
+    cur, r = left, 1
+    while cur[0] != 0:
+        lower = cur < best
+        best[lower], shift[lower] = cur[lower], r
+        cur, r = left[cur], r + 1
+    rows = np.flatnonzero(best == np.arange(ell))
+    coset = np.searchsorted(rows, best)
+    phase = np.exp(-2j * np.pi * np.arange(r) / r)
+    blocks = np.zeros((r, rows.size, rows.size), dtype=complex)
+    for perm, w in maps:
+        t = perm[rows]
+        for k in range(r):
+            blocks[k, np.arange(rows.size), coset[t]] += w * phase[k * shift[t] % r]
+    return blocks
+
+
+@pytest.mark.parametrize("moduli,orbits", [((5,), 6), ((13,), 6), ((7,), 4), ((11,), 4),
+                                           ((2, 7), 4), ((3, 5), 12), ((2,), 2)])
+def test_blocks_in_one_orbit_share_a_spectrum(moduli, orbits):
+    # 6 orbits for p = 1 mod 4, where -1 is a square mod p, and 4 for
+    # p = 3 mod 4, where it is not
+    q = MatrixQuotient(2, moduli)
+    codes, a_size, maps = spectra.walk_permutations(sl2_st_generators(), q)
+    _, left, mults = spectra._cyclic_translation(q, codes)
+    blocks = _character_blocks([(perm, m / a_size) for perm, m in maps], left)
+    r = len(blocks)
+    rep = {}
+    for k in range(r):
+        if k not in rep:
+            frontier = [k]
+            while frontier:
+                j = frontier.pop()
+                rep.setdefault(j, k)
+                frontier += [j * a % r for a in (-1,) + mults if j * a % r not in rep]
+    eig = np.linalg.eigvalsh(blocks)
+    for k in range(r):
+        assert np.max(np.abs(eig[k] - eig[rep[k]])) <= 1e-12
+    assert len(set(rep.values())) == orbits
 
 
 @pytest.mark.parametrize("quotient,A", [
