@@ -24,7 +24,6 @@ from .matgroup import (
     AbelianElement,
     GeneratorMultiset,
     MatrixElement,
-    charpoly_coefficients,
     compose,
     elementary_generators,
     sl2_st_generators,

@@ -213,9 +213,12 @@ def _add_common(p, trials_default=None, formats=False):
 
 def _prime_arg(text: str) -> int:
     p = int(text)
-    if not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
-    return p
+    try:
+        if is_prime(p):
+            return p
+    except DomainError as exc:  # argparse reports only its own error types
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    raise argparse.ArgumentTypeError(f"{p} is not prime")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,9 @@
 
 Two element kinds: integer matrices with determinant 1 (the SL_n walks)
 and integer exponent vectors (the additive demo Z and the rank-2
-multiplicative lattice); characteristic polynomials are coefficient
-tuples. Everything is immutable and arbitrary precision; no rounding
-ever occurs.
+multiplicative lattice). Everything is immutable and arbitrary
+precision; no rounding ever occurs. The characteristic-polynomial
+oracles read chi off the entries themselves (thinsets).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import (
-    DegreeUnsupported,
     DimensionMismatch,
     DomainError,
     MissingIdentity,
@@ -87,18 +86,6 @@ def kernel_vector(flat: Sequence[int], dim: int, eigenvalue: int) -> Tuple[int, 
     if any(sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)):
         raise SievelabError(f"{list(v)} is not in the kernel of g - {eigenvalue} I")
     return v
-
-
-def discriminant(coeffs: Sequence[int]) -> int:
-    """Discriminant of a monic polynomial given constant term first;
-    degrees 2 and 3 only (all the oracles need)."""
-    if len(coeffs) == 3:
-        c, b, _ = coeffs
-        return b * b - 4 * c
-    if len(coeffs) == 4:
-        d, c, b, _ = coeffs
-        return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
-    raise DegreeUnsupported("discriminant implemented for degrees 2 and 3")
 
 
 @dataclass(frozen=True)
@@ -210,37 +197,6 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
             for ra in a.entries
         ))
     raise DimensionMismatch("cannot compose elements of different kinds")
-
-
-def charpoly_coefficients(flat: Sequence[int], dimension: int) -> Tuple[int, ...]:
-    """Coefficients of det(X*I - a), constant term first, for any square
-    integer matrix given as a flat row-major tuple.
-
-    Exact trace recursion; every division by k comes out even for integer
-    entries, and DomainError is raised where one does not.
-    """
-    n = dimension
-    if len(flat) != n * n:
-        raise DimensionMismatch("flat entry count must be dimension squared")
-    a = [[flat[i * n + j] for j in range(n)] for i in range(n)]
-    coeffs_desc = [1]  # X^n downward
-    m = [[0] * n for _ in range(n)]
-    c = 1
-    for k in range(1, n + 1):
-        # m <- a @ (m + c*I)
-        for i in range(n):
-            m[i][i] += c
-        m = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(m[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        if r:
-            raise DomainError(f"trace {-tr} not divisible by {k}: entries must be integers")
-        c = q
-        coeffs_desc.append(c)
-    return tuple(reversed(coeffs_desc))
 
 
 @dataclass(frozen=True)

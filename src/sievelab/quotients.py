@@ -37,11 +37,15 @@ from .matgroup import (
 ENUM_BUDGET = 10_000_000  # most elements an enumeration or closure may hold
 _SLICE_ROWS = 1 << 17  # most products a closure computes in one batch
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all n below 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41: exact below psi_13 =
+    3317044064679887385961981, the least strong pseudoprime to them all
+    (Sorenson and Webster, Math. Comp. 2017). DomainError from there up."""
+    if n >= 3317044064679887385961981:
+        raise DomainError(f"{n} is past the range where the primality test is exact")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

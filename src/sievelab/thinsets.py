@@ -12,8 +12,8 @@ Every oracle answers three ways:
   * residual_mask(digits, quotient): a mod-p test on a whole array of
     quotient elements, one digit row each, whose residual set contains
     the reduction of the global set (never excludes a genuine member).
-    The characteristic-polynomial oracles decide once per class of chi
-    mod p.
+    The characteristic-polynomial oracles test chi(+-1) mod p, or Euler's
+    criterion on the discriminant mod p.
   * exactly one Monte Carlo test: hit_raw(state), the global test on one
     raw flat state (None where undecided), or hit_raw_batch(coords),
     the same test on one array per coordinate, int64 or Python ints.
@@ -29,15 +29,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gfpoly, prng
+from . import prng
 from .errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
-from .matgroup import (
-    AbelianElement,
-    MatrixElement,
-    charpoly_coefficients,
-    discriminant,
-    kernel_vector,
-)
+from .matgroup import AbelianElement, MatrixElement, kernel_vector
 from .quotients import AbelianQuotient, MatrixQuotient
 
 IN = "IN"
@@ -76,17 +70,32 @@ class OracleVerdict:
         return out
 
 
-def _at_pm1(coeffs: Sequence[int]) -> Tuple[int, int]:
-    """(chi(1), chi(-1)) for chi given constant term first."""
-    return sum(coeffs), sum(coeffs[::2]) - sum(coeffs[1::2])
-
-
 def _sl3_ts(f):
     """(t, s) of chi = X^3 - tX^2 + sX - 1 on SL_3, s the sum of the
     principal 2x2 minors; f is a flat row or the columns of a digit array."""
     t = f[0] + f[4] + f[8]
     s = f[0] * f[4] - f[1] * f[3] + f[0] * f[8] - f[2] * f[6] + f[4] * f[8] - f[5] * f[7]
     return t, s
+
+
+def _chi_pm1(f, dim: int):
+    """(chi(1), chi(-1)) on SL_dim, dim 2 or 3: (2 - t, 2 + t), or
+    (s - t, -s - t - 2); f is a flat row or the columns of a digit array."""
+    if dim == 2:
+        t = f[0] + f[3]
+        return 2 - t, 2 + t
+    t, s = _sl3_ts(f)
+    return s - t, -s - t - 2
+
+
+def _discriminant(flat, dim: int) -> int:
+    """disc(chi) of one flat element: t^2 - 4, or 18ts - 4t^3 + t^2 s^2 -
+    4s^3 - 27, in Python ints (on SL_3 it passes int64 past entries ~2^10)."""
+    if dim == 2:
+        t = flat[0] + flat[3]
+        return t * t - 4
+    t, s = _sl3_ts(flat)
+    return 18 * t * s - 4 * t ** 3 + t * t * s * s - 4 * s ** 3 - 27
 
 
 # ----- oracle classes -----
@@ -105,10 +114,10 @@ class _CharpolyOracle:
     """A thin set of SL_dim(Z), dim 2 or 3, read off the characteristic
     polynomial chi.
 
-    The base computes chi once per element and holds everything the sets
-    share; a subclass gives only its decision over Z with certificates
-    (_verdict_from_coeffs) and its test on one block mod p
-    (_block_contains).
+    Each set is written once, on chi(1), chi(-1) and disc(chi). A
+    subclass gives its decision over Z with certificates from those three
+    values (_verdict), and its test on one block mod p as array tests on
+    the block's columns (_block_mask).
     """
 
     # the Galois set also holds the irreducible cubics of square discriminant
@@ -128,13 +137,13 @@ class _CharpolyOracle:
     def global_verdict(self, g: MatrixElement) -> OracleVerdict:
         _same_kind(g, "dimension", self.dimension)
         flat = g.flat()
-        return self._verdict_from_coeffs(charpoly_coefficients(flat, self.dimension), flat)
+        return self._verdict(flat, *_chi_pm1(flat, self.dimension),
+                             _discriminant(flat, self.dimension))
 
     def residual_mask(self, digits, quotient) -> np.ndarray:
         """Whether each row of digits (quotient elements, block after
         block) passes the test in every block, as the reduction of a
-        member does. The test reads only chi mod p, so each block sorts
-        its rows into classes of chi mod p and decides once per class."""
+        member does. The test reads only chi mod p."""
         _same_kind(quotient, "dimension", self.dimension)
         d = self.dimension
         mask = np.ones(len(digits), dtype=bool)
@@ -142,14 +151,7 @@ class _CharpolyOracle:
             m = digits[:, b * d * d:(b + 1) * d * d] % p
             if 3 * p * p >= 1 << 62:
                 m = m.astype(object)  # the SL_3 minors would pass int64
-            if d == 2:
-                key, inverse = np.unique((m[:, 0] + m[:, 3]) % p, return_inverse=True)
-                polys = [(1, -t, 1) for t in key.tolist()]
-            else:
-                t, s = _sl3_ts(m.T)
-                key, inverse = np.unique(t % p * p + s % p, return_inverse=True)
-                polys = [(-1, k % p, -(k // p), 1) for k in key.tolist()]
-            mask &= np.array([self._block_contains(c, p) for c in polys], dtype=bool)[inverse]
+            mask &= self._block_mask(m.T, p)
         return mask
 
     def hit_raw(self, flat):
@@ -183,46 +185,43 @@ class NongenericGaloisOracle(_CharpolyOracle):
     kind = "NONGENERIC_GALOIS"
     _square_discriminant = True
 
-    def _verdict_from_coeffs(self, coeffs, flat) -> OracleVerdict:
-        if len(coeffs) == 3:
-            disc = discriminant(coeffs)
-            if is_perfect_square(disc):
-                return OracleVerdict(IN, {
-                    "square_discriminant": disc,
-                    "sqrt": math.isqrt(disc),
-                    "witness": f"discriminant {disc} is a perfect square",
-                })
-            return OracleVerdict(OUT, {
-                "galois_group": "S2",
-                "discriminant": disc,
-                "witness": f"discriminant {disc} is not a perfect square",
-            })
+    def _verdict(self, flat, at_one, at_minus_one, disc) -> OracleVerdict:
         # a root of a monic integer cubic with constant term -1 is +-1
-        for root, value in zip((1, -1), _at_pm1(coeffs)):
-            if value == 0:
-                return OracleVerdict(IN, {
-                    "degeneracy": "reducible",
-                    "rational_root": root,
-                    "witness": "characteristic polynomial has a rational root",
-                })
-        disc = discriminant(coeffs)
-        if is_perfect_square(disc):
+        if self.dimension == 3 and 0 in (at_one, at_minus_one):
             return OracleVerdict(IN, {
-                "degeneracy": "square_discriminant",
-                "square_discriminant": disc,
-                "witness": f"irreducible with square discriminant {disc}: group A3",
+                "degeneracy": "reducible",
+                "rational_root": 1 if at_one == 0 else -1,
+                "witness": "characteristic polynomial has a rational root",
             })
-        return OracleVerdict(OUT, {
-            "galois_group": "S3",
-            "discriminant": disc,
-            "witness": "irreducible cubic with non-square discriminant",
+        if not is_perfect_square(disc):
+            return OracleVerdict(OUT, {
+                "galois_group": f"S{self.dimension}",
+                "discriminant": disc,
+                "witness": (f"discriminant {disc} is not a perfect square" if self.dimension == 2
+                            else "irreducible cubic with non-square discriminant"),
+            })
+        if self.dimension == 2:
+            return OracleVerdict(IN, {
+                "square_discriminant": disc,
+                "sqrt": math.isqrt(disc),
+                "witness": f"discriminant {disc} is a perfect square",
+            })
+        return OracleVerdict(IN, {
+            "degeneracy": "square_discriminant",
+            "square_discriminant": disc,
+            "witness": f"irreducible with square discriminant {disc}: group A3",
         })
 
-    def _block_contains(self, coeffs, p) -> bool:
-        if not gfpoly.is_irreducible(gfpoly.from_int_coeffs(coeffs, p), p):
+    def _block_mask(self, f, p):
+        # the reduction of a member is reducible or of square discriminant.
+        # Stickelberger: mod an odd p a squarefree chi has a square
+        # discriminant iff its count of irreducible factors has the parity
+        # of its degree. So every cubic passes, and a quadratic iff it splits
+        if self.dimension == 3 or p == 2:
             return True
-        # squares persist under reduction; Euler criterion, 0 counts
-        return p == 2 or pow(discriminant(coeffs) % p, (p - 1) // 2, p) <= 1
+        key, inverse = np.unique((f[0] + f[3]) % p, return_inverse=True)
+        return np.array([pow((t * t - 4) % p, (p - 1) // 2, p) <= 1
+                         for t in key.tolist()])[inverse]
 
 
 class RationalFixedFlagOracle(_CharpolyOracle):
@@ -233,28 +232,26 @@ class RationalFixedFlagOracle(_CharpolyOracle):
 
     kind = "RATIONAL_FIXED_FLAG"
 
-    def _verdict_from_coeffs(self, coeffs, flat) -> OracleVerdict:
-        dim = len(coeffs) - 1
-        at_one, at_minus_one = _at_pm1(coeffs)
+    def _verdict(self, flat, at_one, at_minus_one, disc) -> OracleVerdict:
         for lam, value in ((1, at_one), (-1, at_minus_one)):
             if value == 0:
-                v = list(kernel_vector(flat, dim, lam))
+                v = list(kernel_vector(flat, self.dimension, lam))
                 return OracleVerdict(IN, {
                     "eigenvalue": lam,
                     "fixed_vector": v,
                     "witness": (f"g fixes the line through {v}" if lam == 1 else
                                 f"g maps the line through {v} to itself (eigenvalue -1)"),
                 })
-        sign = (-1) ** dim
+        sign = (-1) ** self.dimension
         return OracleVerdict(OUT, {
             "det_g_minus_identity": sign * at_one,
             "det_g_plus_identity": sign * at_minus_one,
             "witness": "neither +1 nor -1 is an eigenvalue",
         })
 
-    def _block_contains(self, coeffs, p) -> bool:
-        at_one, at_minus_one = _at_pm1(coeffs)
-        return at_one % p == 0 or at_minus_one % p == 0
+    def _block_mask(self, f, p):
+        at_one, at_minus_one = _chi_pm1(f, self.dimension)
+        return (at_one % p == 0) | (at_minus_one % p == 0)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,74 @@ def brute_charpoly(g):
     return tuple(int(c) for c in reversed(Matrix(g.entries).charpoly(_X).all_coeffs()))
 
 
+def brute_residual_block(kind, block, p):
+    """Whether one block of a quotient element, its dim*dim entries mod p
+    row-major, passes the residual test of the characteristic-polynomial
+    oracle of this kind: the reference for residual_mask, written from
+    chi(x) = det(xI - g) alone.
+
+    The fixed-flag set asks for a zero of chi at x = 1 or -1. The Galois
+    set asks for chi reducible mod p, that is a zero at some x of F_p
+    (sympy's irreducibility test on sympy's chi where p is too large to
+    try every x), or else for p = 2, or for a square discriminant mod p,
+    0 counted. The discriminant is the determinant of the Hankel matrix of
+    the power sums tr(g^(i+j)), the square of the roots' Vandermonde."""
+    dim = math.isqrt(len(block))
+    rows = [[int(x) for x in block[i * dim:(i + 1) * dim]] for i in range(dim)]
+
+    def chi(x):
+        return det([[x * (i == j) - rows[i][j] for j in range(dim)] for i in range(dim)]) % p
+
+    if kind == "RATIONAL_FIXED_FLAG":
+        return chi(1) == 0 or chi(-1) == 0
+    if p < 1000:
+        reducible = any(chi(x) == 0 for x in range(p))
+    else:
+        coeffs = Matrix(rows).charpoly(_X).all_coeffs()
+        reducible = not gf_irreducible_p([ZZ(int(c) % p) for c in coeffs], p, ZZ)
+    if reducible or p == 2:
+        return True
+    power, sums = [[int(i == j) for j in range(dim)] for i in range(dim)], []
+    for _ in range(2 * dim - 1):
+        sums.append(sum(power[i][i] for i in range(dim)))
+        power = [[sum(power[i][k] * rows[k][j] for k in range(dim)) for j in range(dim)]
+                 for i in range(dim)]
+    disc = det([[sums[i + j] for j in range(dim)] for i in range(dim)])
+    return pow(disc % p, (p - 1) // 2, p) <= 1
+
+
+def check_charpoly_certificate(kind, g, verdict):
+    """Assert that the verdict of the characteristic-polynomial oracle of
+    this kind on g proves itself. Every value is rebuilt by sympy from the
+    entries of g, with no package code: chi = det(xI - g), its
+    discriminant and factorization, and det(g -+ I)."""
+    m = Matrix(g.entries)
+    dim = m.rows
+    chi = m.charpoly(_X)
+    disc = int(chi.discriminant())
+    irreducible = not brute_reducible(tuple(int(c) for c in reversed(chi.all_coeffs())))
+    cert = verdict.certificate
+    if kind == "RATIONAL_FIXED_FLAG" and verdict.status == "IN":
+        lam, v = cert["eigenvalue"], Matrix(cert["fixed_vector"])
+        assert lam in (1, -1) and any(v) and math.gcd(*v) == 1
+        assert m * v == lam * v
+    elif kind == "RATIONAL_FIXED_FLAG":
+        assert verdict.status == "OUT"
+        assert cert["det_g_minus_identity"] == (m - Matrix.eye(dim)).det() != 0
+        assert cert["det_g_plus_identity"] == (m + Matrix.eye(dim)).det() != 0
+    elif "rational_root" in cert:
+        assert verdict.status == "IN" and chi.eval(cert["rational_root"]) == 0
+    elif "square_discriminant" in cert:
+        assert verdict.status == "IN" and cert["square_discriminant"] == disc >= 0
+        assert math.isqrt(disc) ** 2 == disc
+        if "sqrt" in cert:
+            assert cert["sqrt"] ** 2 == disc
+    else:
+        assert verdict.status == "OUT" and cert["galois_group"] == f"S{dim}"
+        assert cert["discriminant"] == disc and irreducible
+        assert disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
 def from_json_entries(arr):
     """The matrix whose to_json_obj() is arr: flat row-major entries as strings."""
     vals = [int(x) for x in arr]

@@ -26,12 +26,7 @@ from helpers import (
     walk_elements,
 )
 from sievelab import lab, sieve
-from sievelab.matgroup import (
-    charpoly_coefficients,
-    elementary_generators,
-    sl2_st_generators,
-    z_generators,
-)
+from sievelab.matgroup import elementary_generators, sl2_st_generators, z_generators
 from sievelab.quotients import AbelianQuotient, MatrixQuotient, bfs_closure
 from sievelab.spectra import (
     exact_deviation_sweep,
@@ -221,8 +216,7 @@ def test_criterion_08_galois_oracle_equivalence(capsys):
     checks = 0
     for g in els:
         checks += 1
-        coeffs = charpoly_coefficients(g.flat(), 2)
-        tr = -coeffs[1]
+        tr = g.entries[0][0] + g.entries[1][1]
         disc = tr * tr - 4
         square = disc >= 0 and math.isqrt(disc) ** 2 == disc
         if (oracle.global_verdict(g).status == "IN") != square:
@@ -231,7 +225,7 @@ def test_criterion_08_galois_oracle_equivalence(capsys):
     # must imply a generic verdict, and sympy's full factorization must
     # agree with the discriminant test
     for g in els[:500]:
-        coeffs = charpoly_coefficients(g.flat(), 2)
+        coeffs = brute_charpoly(g)
         witness = brute_irreducible_witness_mod_p(coeffs)
         v = oracle.global_verdict(g)
         checks += 2

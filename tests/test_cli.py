@@ -162,6 +162,18 @@ def test_spectrum_rejects_composite_prime(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("prime,message", [
+    ("318665857834031151167461", "is not prime"),
+    ("3317044064679887385961981", "primality test is exact"),
+], ids=["psi_12", "psi_13"])
+def test_residual_rejects_the_strong_pseudoprimes(prime, message, capsys):
+    # both pass Miller-Rabin to the bases 2..37
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["residual", "--scenario", "sl2_trace", "--prime", prime])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 # ----- closure -----
 
 def test_closure_single_prime(tmp_path):

@@ -1,6 +1,6 @@
 """No module of the package or test file imports a name it never reads,
 no package module imports a private name of another, and no public name
-is read only by tests.
+or package module is read only by tests.
 
 No linter is installed, and a deletion easily leaves an import behind.
 The unread-import check skips the package's __init__.py: its imports are
@@ -111,12 +111,65 @@ def test_unread_public_names_are_found():
     assert unread_public_names(modules, []) == ["a.f", "a.h", "b.j"]
 
 
-def test_no_public_name_is_read_only_by_tests():
-    """Readers are the package modules but __init__.py, the benchmark but
-    its own tests, and the acceptance criteria."""
-    modules = {path.stem: path.read_text()
-               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+def package_modules():
+    """{name: source} of every package module but __init__.py."""
+    return {path.stem: path.read_text()
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def outside_readers():
+    """The sources that read the package from outside it: the benchmark
+    but its own tests, and the acceptance criteria."""
     readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
                if path.name != "test_perfbench.py"]
     readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
-    assert unread_public_names(modules, readers) == []
+    return readers
+
+
+def test_no_public_name_is_read_only_by_tests():
+    """Readers are the package modules but __init__.py, the benchmark but
+    its own tests, and the acceptance criteria."""
+    assert unread_public_names(package_modules(), outside_readers()) == []
+
+
+def imported_modules(source):
+    """The package modules that source imports: `from . import m`,
+    `from .m import x`, `from sievelab import m`, `from sievelab.m import
+    x` and `import sievelab.m` all give m. (`from sievelab import x` also
+    gives x where x is not a module, which names no module here.)"""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [f"sievelab.{node.module or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("sievelab."))
+    return found
+
+
+def unimported_modules(modules, readers):
+    """Each module of modules ({name: source}) that neither another module
+    nor any of readers (sources) imports."""
+    imports = {mod: imported_modules(source) for mod, source in modules.items()}
+    outside = set().union(*map(imported_modules, readers))
+    return sorted(mod for mod in modules
+                  if mod not in outside.union(*(imports[o] for o in modules if o != mod)))
+
+
+def test_unimported_modules_are_found():
+    modules = {"a": "from . import b\nimport a\n", "b": "from .c import f\n", "c": "",
+               "d": "", "e": "", "f": "", "g": "from .a import x\n"}
+    readers = ["from sievelab import d\n", "import sievelab.e as e\n",
+               "from sievelab.f import y\nimport os.g\nfrom os import g\n"]
+    assert unimported_modules(modules, readers) == ["g"]
+    assert unimported_modules(modules, []) == ["d", "e", "f", "g"]
+
+
+def test_no_package_module_is_imported_only_by_tests():
+    """A module no package module, benchmark file or acceptance criterion
+    imports is code that only its own tests run."""
+    assert unimported_modules(package_modules(), outside_readers()) == []

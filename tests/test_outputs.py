@@ -44,6 +44,15 @@ GOLDEN = {
         "985665e8cf9fe1648211e883cd403c5c5f18e4df438970694e00463f4e078619",
     ("residual", "--scenario", "sl2_trace", "--prime", "7"):
         "d2e4346133586844b7fbc67a93cb6ef3fcf4c5447afbd5c6932f76fa2d9f3416",
+    # enumerated fixed flag: 98 of 336 elements have chi(1) or chi(-1) = 0 mod 7
+    ("residual", "--scenario", "sl2_fixed_flag", "--prime", "7"):
+        "c6d677fc954c28825363a3e6b7fbc1429704486e3e15ee52aff5226b3f188534",
+    # enumerated SL_3: every cubic mod p is reducible or of square discriminant
+    ("residual", "--scenario", "sl3_galois", "--prime", "3"):
+        "eb1d167a7857f23bf9f24a76b47f5e159e9cc3718cff7d27986aeed57ae2d2bd",
+    # p = 2: every element passes the Galois test
+    ("residual", "--scenario", "sl2_trace", "--prime", "2"):
+        "98aa7010ffcd8f581731655d3733fa52b0b7a5695b724d8a8eacf4f13c3784dd",
     ("residual", "--scenario", "sl3_galois", "--prime", "3", "--mode", "sample",
      "--trials", "2000", "--seed", "4"):
         "f49c0cedd5f3f44a985967e329d71391fd05c1e357a4b8a93b3445d9d9db54e1",

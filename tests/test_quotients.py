@@ -72,6 +72,22 @@ def test_is_prime():
     assert is_prime(2 ** 61 - 1)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_prime_is_exact_below_psi_13_and_refuses_from_there():
+    # psi_12 is a strong pseudoprime to the prime bases 2..37, and psi_13
+    # to the bases 2..41 (Sorenson and Webster, Math. Comp. 2017)
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    assert is_prime(3317044064679887385961813)  # the last prime below psi_13
+    for n in (PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(DomainError, match="primality test is exact"):
+            is_prime(n)
+
+
 def test_group_order_formula_vs_bruteforce():
     assert group_order(2, 3) == count_sl_bruteforce(2, 3) == 24
     assert group_order(2, 5) == count_sl_bruteforce(2, 5) == 120

@@ -1,14 +1,25 @@
 """Thin-set oracles: exact verdicts, certificates, residual densities."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import primerange
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_discriminant
+from sympy.polys.galoistools import gf_irreducible_p
 
 from helpers import (
+    brute_charpoly,
     brute_disc_is_square,
     brute_nongeneric,
     brute_reducible,
+    brute_residual_block,
+    check_charpoly_certificate,
     elements,
     residual_contains,
     sample_element,
@@ -22,7 +33,6 @@ from sievelab.errors import ArityMismatch, DegreeUnsupported, DimensionMismatch,
 from sievelab.matgroup import (
     AbelianElement,
     MatrixElement,
-    charpoly_coefficients,
     elementary_generators,
     kernel_vector,
     sl2_st_generators,
@@ -73,7 +83,7 @@ def test_companion_matches_charpoly():
     for coeffs in ((-1, 1, -1, 1), (-1, 1, -3, 1), (1, 1, 0, 0, 1),
                    (-1, -1, 0, 0, 0, 1)):
         g = companion(coeffs)
-        assert charpoly_coefficients(g.flat(), g.dimension) == coeffs
+        assert brute_charpoly(g) == coeffs
 
 
 # ----- reducible characteristic polynomial: the fixed-flag set over Z -----
@@ -83,14 +93,14 @@ def test_companion_matches_charpoly():
 def test_reducible_trace_three_is_out():
     v = RationalFixedFlagOracle(2).global_verdict(FIB)
     assert v.status == OUT
-    assert not brute_reducible(charpoly_coefficients(FIB.flat(), 2))
+    assert not brute_reducible(brute_charpoly(FIB))
 
 
 def test_reducible_negative_identity():
     v = RationalFixedFlagOracle(2).global_verdict(NEG_I)
     assert v.status == IN
     assert v.certificate["eigenvalue"] == -1
-    assert brute_reducible(charpoly_coefficients(NEG_I.flat(), 2))
+    assert brute_reducible(brute_charpoly(NEG_I))
 
 
 def test_reducible_sl3_companion_root():
@@ -228,8 +238,7 @@ def test_fixed_flag_iff_linear_factor():
     # (X -+ 1) divides the characteristic polynomial exactly on IN
     for g in (walk_elements(sl2_st_generators(), 150, seed=5, length=14)
               + walk_elements(elementary_generators(3), 150, seed=6, length=14)):
-        coeffs = charpoly_coefficients(g.flat(), g.dimension)
-        poly = to_poly(coeffs)
+        poly = to_poly(brute_charpoly(g))
         has_flag = poly.eval(1) == 0 or poly.eval(-1) == 0
         assert (RationalFixedFlagOracle(g.dimension).global_verdict(g).status == IN) == has_flag
 
@@ -457,10 +466,9 @@ def blocks(x, quotient):
 
 
 def per_element_hits(oracle, quotient, elems):
-    """The residual test run on every element on its own: chi of each
-    block, then the oracle's test on that block."""
-    d = quotient.dimension
-    return sum(all(oracle._block_contains(charpoly_coefficients(block, d), p)
+    """The residual test run on every element on its own, block by block,
+    by the reference of tests/helpers.py."""
+    return sum(all(brute_residual_block(oracle.kind, block, p)
                    for block, p in blocks(x, quotient)) for x in elems)
 
 
@@ -498,6 +506,24 @@ def test_residual_class_keys_stay_exact_at_a_large_prime(cls, dim):
     assert rep.hits == per_element_hits(oracle, q, [sample_element(q, 2, t) for t in range(20)])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_galois_mask_is_reducibility_or_a_square_discriminant(dim):
+    # every class of chi mod p, p < 60, by one companion matrix each: t in
+    # degree 2, (t, s) in degree 3. The reference is the rule the mask
+    # replaced: sympy's irreducibility test, then Euler's criterion on
+    # sympy's discriminant, 0 counted, with every chi passing at p = 2
+    oracle = NongenericGaloisOracle(dim)
+    for p in primerange(2, 60):
+        polys = [(1, -t, 1) if dim == 2 else (-1, s, -t, 1)
+                 for t, s in itertools.product(range(p), range(p if dim == 3 else 1))]
+        rows = np.array([[x % p for x in companion(c).flat()] for c in polys])
+        dense = [[ZZ(c) for c in reversed(chi)] for chi in polys]  # leading first
+        want = [not gf_irreducible_p([c % p for c in f], p, ZZ) or p == 2
+                or pow(int(dup_discriminant(f, ZZ)) % p, (p - 1) // 2, p) <= 1
+                for f in dense]
+        assert oracle.residual_mask(rows, MatrixQuotient(dim, (p,))).tolist() == want, p
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_sl3_galois_residual_is_the_whole_group(p):
     # an irreducible cubic over F_p has a cyclic Galois group, so its
@@ -516,8 +542,7 @@ def per_element_reference(oracle, quotient):
     if isinstance(oracle, SubvarietyOracle):
         return lambda x: all(q.evaluate(block) % p == 0 for block, p in blocks(x, quotient)
                              for q in oracle.polys)
-    d = quotient.dimension
-    return lambda x: all(oracle._block_contains(charpoly_coefficients(block, d), p)
+    return lambda x: all(brute_residual_block(oracle.kind, block, p)
                          for block, p in blocks(x, quotient))
 
 
@@ -660,13 +685,36 @@ def test_brute_force_galois_agreement():
         flag = RationalFixedFlagOracle(dim)
         gal = NongenericGaloisOracle(dim)
         for g in elems:
-            coeffs = charpoly_coefficients(g.flat(), dim)
+            coeffs = brute_charpoly(g)
             rv = flag.global_verdict(g)
             gv = gal.global_verdict(g)
             assert rv.status in (IN, OUT)
             assert gv.status in (IN, OUT)
             assert (rv.status == IN) == brute_reducible(coeffs)
             assert (gv.status == IN) == brute_nongeneric(coeffs)
+
+
+@pytest.mark.parametrize("cls", CHARPOLY_ORACLES, ids=lambda c: c.kind)
+def test_every_certificate_checks_out_on_walk_endpoints(cls):
+    for dim, elems in ((2, walk_elements(sl2_st_generators(), 150, seed=33, length=14)),
+                       (3, walk_elements(elementary_generators(3), 150, seed=34, length=10))):
+        oracle = cls(dim)
+        for g in elems:
+            check_charpoly_certificate(oracle.kind, g, oracle.global_verdict(g))
+
+
+def words(generators, max_size):
+    """Products of short words in the support of the generators."""
+    return st.lists(st.sampled_from(generators.support), max_size=max_size).map(
+        lambda steps: functools.reduce(lambda g, h: g * h, steps, generators.identity_element()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(g=st.one_of(words(sl2_st_generators(), 16), words(elementary_generators(3), 8)))
+def test_every_certificate_checks_out_on_short_words(g):
+    for cls in CHARPOLY_ORACLES:
+        oracle = cls(g.dimension)
+        check_charpoly_certificate(oracle.kind, g, oracle.global_verdict(g))
 
 
 # ----- hit_raw consistency and metadata -----
