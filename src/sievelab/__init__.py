@@ -10,7 +10,6 @@ from .errors import (
     DegreeUnsupported,
     DimensionMismatch,
     DomainError,
-    EnumerationIncomplete,
     EnumerationUnavailable,
     InsufficientData,
     MissingIdentity,

@@ -62,10 +62,6 @@ class EnumerationUnavailable(ResourceError):
     """Operation needs a full quotient enumeration that is not available."""
 
 
-class EnumerationIncomplete(SievelabError):
-    """A quotient enumeration did not reach the group order."""
-
-
 class ConvergenceFailure(ResourceError):
     """Iterative eigensolver did not reach the residual tolerance."""
 

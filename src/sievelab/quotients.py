@@ -7,10 +7,16 @@ a matrix quotient the flat row-major entries of each prime's block,
 block after block, for an abelian one the exponents. Enumeration hands
 out all elements at once as an array of those digit rows, and integer
 codes number them in sorted order.
+
+Element sets are built without a closure: SL_dim(F_p) is solved from
+det = 1 (_sl_codes), and (Z/q)^rank is every digit tuple.
+Closures of generator images (bfs_closure) grow an abelian subgroup by
+cosets and run a batched BFS in a matrix quotient.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,20 +28,14 @@ from .errors import (
     BudgetExceeded,
     CompositeModulus,
     DomainError,
-    EnumerationIncomplete,
     EnumerationUnavailable,
     MissingIdentity,
     NotSymmetric,
 )
-from .matgroup import (
-    AbelianElement,
-    GeneratorMultiset,
-    MatrixElement,
-    elementary_generators,
-)
+from .matgroup import AbelianElement, GeneratorMultiset, MatrixElement
 
 ENUM_BUDGET = 10_000_000  # most elements an enumeration or closure may hold
-_SLICE_ROWS = 1 << 17  # most products a closure computes in one batch
+_SLICE_ROWS = 1 << 17  # most products or codes a closure or _sl_codes forms in one batch
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -210,20 +210,12 @@ class MatrixQuotient(_Coded):
         return (digits.reshape(-1, 1, b, d, d) @ g % mods).reshape(-1, digits.shape[1])
 
     def _codes(self) -> np.ndarray:
-        # per prime, the closure of the elementary generators, checked
-        # against the group order; a pair's codes are c0 * p1^(d^2) + c1
+        # a pair's codes are c0 * p1^(d^2) + c1
         d = self.dimension
-        codes = np.zeros(1, dtype=self.dtype)
-        for p in self.moduli:
-            single = MatrixQuotient(d, (p,))
-            gens = [single.reduce(g) for g in elementary_generators(d).support]
-            want = group_order(d, p)
-            block = _closure_codes(single, gens, want)
-            if block.size != want:
-                raise EnumerationIncomplete(
-                    f"elementary generators reach {block.size} of {want} elements of "
-                    f"SL_{d}(F_{p})")
-            codes = (codes[:, None] * p ** (d * d) + block.astype(codes.dtype)).ravel()
+        first, *rest = self.moduli
+        codes = _sl_codes(d, first).astype(self.dtype, copy=False)
+        for p in rest:
+            codes = (codes[:, None] * p ** (d * d) + _sl_codes(d, p)).ravel()
         return codes
 
 
@@ -270,6 +262,65 @@ class AbelianQuotient(_Coded):
         return np.arange(self.order(), dtype=np.int64)
 
 
+def cofactors(bottom, dim: int, p: int) -> List:
+    """The cofactors c_0..c_{dim-1} mod p of the first-row entries of
+    dim x dim matrices, one array each with values in (-p, p), read off
+    their bottom dim - 1 rows: bottom holds those rows flat and
+    row-major, one matrix per row, entries in [0, p) as int64 or Python
+    ints. det = sum_j first_row[j] * c_j mod p. Laplace expansion from
+    the bottom row up keeps the minors on the last rows per set of
+    columns, each reduced mod p, so no sum passes dim * p^2."""
+    d = dim
+    minors = {(j,): bottom[:, (d - 2) * d + j] for j in range(d)}
+    for r in range(d - 3, -1, -1):
+        nxt = {}
+        for cols in itertools.combinations(range(d), d - 1 - r):
+            total = 0
+            for k, j in enumerate(cols):
+                term = bottom[:, r * d + j] * minors[cols[:k] + cols[k + 1:]]
+                total = total - term if k % 2 else total + term
+            nxt[cols] = total % p
+        minors = nxt
+    minors = [minors[tuple(k for k in range(d) if k != j)] for j in range(d)]
+    return [-m if j % 2 else m for j, m in enumerate(minors)]
+
+
+def _sl_codes(d: int, p: int) -> np.ndarray:
+    """Sorted codes of SL_d(F_p), solved from det = 1.
+
+    Each choice of the bottom d - 1 rows whose first-row cofactor vector
+    c is nonzero takes the p^(d-1) first rows r with c . r = 1: the
+    coordinates other than the first j with c_j != 0 run freely, and r_j
+    is solved with an inverse of c_j from one table. Bottom rows go in
+    batches of at most _SLICE_ROWS elements, and a batch's codes are
+    summed from the bottom rows' code, the free coordinates' share and
+    r_j's, so no array of every digit of a batch is held. Codes are
+    int64: the code space p^(d^2) is under 2p times the group order, so
+    within ENUM_BUDGET it stays far below 2^62.
+    """
+    place = p ** np.arange(d * d - 1, -1, -1)  # of each digit, first row first
+    low, free = p ** ((d - 1) * d), p ** (d - 1)
+    grid = np.arange(free)[:, None] // p ** np.arange(d - 2, -1, -1) % p  # the free tuples
+    others = np.array([[k for k in range(d) if k != j] for j in range(d)])
+    free_codes = place[others] @ grid.T  # per pivot j, the free coordinates' share
+    inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)])
+    out = np.empty(group_order(d, p), dtype=np.int64)
+    done, batch = 0, max(1, _SLICE_ROWS // free)
+    for start in range(0, low, batch):
+        bottom = np.arange(start, min(start + batch, low))
+        c = np.stack(cofactors(bottom[:, None] // place[d:] % p, d, p), axis=1) % p
+        keep = c.any(axis=1)
+        c, bottom = c[keep], bottom[keep]
+        j = np.argmax(c != 0, axis=1)
+        pivot = inverse[c[np.arange(len(c)), j]]
+        solved = (1 - np.take_along_axis(c, others[j], axis=1) @ grid.T) % p * pivot[:, None] % p
+        codes = solved * place[j, None] + free_codes[j] + bottom[:, None]
+        out[done:done + codes.size] = codes.ravel()
+        done += codes.size
+    out.sort()
+    return out
+
+
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct codes, sorted."""
     codes = np.sort(codes)
@@ -309,9 +360,40 @@ def _closure_codes(quotient, gens, budget: int) -> np.ndarray:
     return np.sort(np.concatenate(levels))
 
 
+def _coset_closure_codes(quotient, gens, budget: int) -> np.ndarray:
+    """Sorted codes of the subgroup gens generate in an abelian quotient,
+    grown one generator at a time: H + <g> is the union of the cosets
+    H + k g for k below n, the first k >= 1 with k g in H.
+
+    n is looked for among k < 2, 4, 8, ..., never past budget // |H|, so
+    BudgetExceeded is raised before a union of more than budget elements
+    is formed. The union's codes are summed one coordinate at a time.
+    Multiples k g are formed in Python ints where k times the modulus
+    could pass 2^62; codes keep the quotient's dtype.
+    """
+    m = quotient.modulus
+    place = quotient._basis[1]
+    codes = quotient.encode([quotient.identity()])
+    for g in gens:
+        cap, size, n = budget // codes.size, 1, 0
+        while not n:
+            if size > cap:
+                raise BudgetExceeded(f"closure in {quotient.label} exceeded budget {budget}")
+            size = min(2 * size, cap + 1)
+            k = np.arange(size, dtype=np.int64 if size * m <= 2 ** 62 else object)
+            steps = (k[:, None] * np.array(g, dtype=k.dtype) % m).astype(codes.dtype)
+            mult = quotient.encode(steps[1:])
+            found = np.isin(mult, codes)
+            n = int(np.argmax(found)) + 1 if found.any() else 0
+        digits = quotient.decode(codes)
+        codes = np.sort(sum((digits[:, i] + steps[:n, i, None]) % m * place[i]
+                            for i in range(quotient.rank)).ravel())
+    return codes
+
+
 @dataclass(frozen=True)
 class ClosureReport:
-    """BFS closure of reduced generators inside a finite quotient."""
+    """Closure of reduced generators inside a finite quotient."""
 
     quotient_label: str
     generator_tag: str
@@ -334,10 +416,12 @@ class ClosureReport:
 
 def bfs_closure(A: GeneratorMultiset, quotient) -> ClosureReport:
     """Subgroup generated by the image of A: in a finite quotient the
-    reachable set under right multiplication by A and its inverses."""
+    reachable set under right multiplication by A and its inverses. An
+    abelian quotient grows it by cosets, a matrix quotient by a BFS."""
     gens = dict.fromkeys(quotient.reduce(h)
                          for g in A.support for h in (g, g.inverse()))
-    codes = _closure_codes(quotient, list(gens), ENUM_BUDGET)
+    closure = _coset_closure_codes if isinstance(quotient, AbelianQuotient) else _closure_codes
+    codes = closure(quotient, list(gens), ENUM_BUDGET)
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 
 

@@ -21,7 +21,6 @@ Every oracle answers three ways:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ import numpy as np
 from . import prng
 from .errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from .matgroup import AbelianElement, MatrixElement, kernel_vector
-from .quotients import AbelianQuotient, MatrixQuotient
+from .quotients import AbelianQuotient, MatrixQuotient, cofactors
 
 IN = "IN"
 OUT = "OUT"
@@ -470,28 +469,12 @@ class ResidualReport:
         }
 
 
-def _det_mod(m, dim: int, p: int):
-    """det mod p of each row of m, a dim x dim matrix row-major. Laplace
-    expansion from the bottom row up keeps the minors on the last rows
-    per set of columns, each reduced mod p, so no sum passes dim * p^2."""
-    minors = {(j,): m[:, (dim - 1) * dim + j] for j in range(dim)}
-    for r in range(dim - 2, -1, -1):
-        nxt = {}
-        for cols in itertools.combinations(range(dim), dim - r):
-            total = 0
-            for k, j in enumerate(cols):
-                term = m[:, r * dim + j] * minors[cols[:k] + cols[k + 1:]]
-                total = total - term if k % 2 else total + term
-            nxt[cols] = total % p
-        minors = nxt
-    return minors[tuple(range(dim))]
-
-
 def _sample_sl_block(p: int, dim: int, seed: int, samples: int) -> np.ndarray:
     """Uniform elements of SL_dim(F_p) for trials 0..samples-1, one row
     each: the first of up to 64 draws of dim^2 entries with a nonzero
-    determinant, first row rescaled by the inverse determinant. Entries
-    are Python ints where dim * p^2 would pass int64."""
+    determinant, first row rescaled by the inverse determinant. The
+    determinant is the first row times its cofactors. Entries are Python
+    ints where dim * p^2 would pass int64."""
     need = dim * dim
     big = dim * p * p >= 1 << 62
     out = np.empty((samples, need), dtype=object if big else np.int64)
@@ -499,7 +482,8 @@ def _sample_sl_block(p: int, dim: int, seed: int, samples: int) -> np.ndarray:
     for attempt in range(64):
         # uint8 products would wrap: entries are int64, or Python ints if big
         entries = prng.draw_block(seed, pending, need, p, start=attempt * need).astype(out.dtype)
-        d = _det_mod(entries, dim, p)
+        d = sum(entries[:, j] * c
+                for j, c in enumerate(cofactors(entries[:, dim:], dim, p))) % p
         ok = d != 0
         rows = entries[ok]
         keys, inverse = np.unique(d[ok], return_inverse=True)

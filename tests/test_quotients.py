@@ -1,21 +1,18 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import deque
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
-import sievelab
 from sievelab import prng, quotients
 from sievelab.errors import (
     BudgetExceeded,
     CompositeModulus,
     DomainError,
-    EnumerationIncomplete,
     EnumerationUnavailable,
 )
 from sievelab.matgroup import (
@@ -282,12 +279,15 @@ def test_code_enumeration_equals_bfs_by_multiply(dim, moduli):
 
 def test_element_codes_are_closed_once_and_read_only(monkeypatch):
     calls = []
-    closure = quotients._closure_codes
-    monkeypatch.setattr(quotients, "_closure_codes", lambda *a: calls.append(a) or closure(*a))
+    build = quotients._sl_codes
+    monkeypatch.setattr(quotients, "_sl_codes", lambda *a: calls.append(a) or build(*a))
+    monkeypatch.setattr(quotients, "_closure_codes", None)  # a closure would raise
     q = MatrixQuotient(2, (7,))
     q.enumerate_elements()
     walk_permutations(sl2_st_generators(), q)
-    assert len(calls) == 1
+    assert calls == [(2, 7)]
+    MatrixQuotient(2, (3, 5)).element_codes()
+    assert calls[1:] == [(2, 3), (2, 5)]
     codes = q.element_codes()
     with pytest.raises(ValueError):
         codes[0] = 0
@@ -305,36 +305,6 @@ def test_abelian_codes_follow_element_order():
     assert np.array_equal(q.encode(want), np.arange(64))
 
 
-def _upper_unipotent_only(n):
-    T = MatrixElement(((1, 1), (0, 1)))
-    return validate_generators([MatrixElement.identity(2), T, T.inverse()])
-
-
-def test_enumeration_check_raises_typed_error(monkeypatch):
-    monkeypatch.setattr(quotients, "elementary_generators", _upper_unipotent_only)
-    with pytest.raises(EnumerationIncomplete):
-        MatrixQuotient(2, (5,)).enumerate_elements()
-
-
-def test_enumeration_check_survives_optimized_mode():
-    script = (
-        "from sievelab import quotients\n"
-        "from sievelab.errors import EnumerationIncomplete\n"
-        "from sievelab.matgroup import MatrixElement, validate_generators\n"
-        "T = MatrixElement(((1, 1), (0, 1)))\n"
-        "quotients.elementary_generators = lambda n: validate_generators(\n"
-        "    [MatrixElement.identity(2), T, T.inverse()])\n"
-        "try:\n"
-        "    quotients.MatrixQuotient(2, (5,)).enumerate_elements()\n"
-        "except EnumerationIncomplete:\n"
-        "    print('typed', __debug__)\n"
-    )
-    src = str(Path(sievelab.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["typed", "False"]
-
-
 def test_bfs_closure_budget_boundary(monkeypatch):
     A = sl2_st_generators()
     monkeypatch.setattr(quotients, "ENUM_BUDGET", 120)
@@ -347,6 +317,12 @@ def test_bfs_closure_budget_boundary(monkeypatch):
     monkeypatch.setattr(quotients, "ENUM_BUDGET", 6)
     with pytest.raises(BudgetExceeded):
         bfs_closure(z_generators(), AbelianQuotient(1, 7))
+    # the second generator's cosets would pass the budget
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 25)
+    assert bfs_closure(torus_generators(), AbelianQuotient(2, 5)).size == 25
+    monkeypatch.setattr(quotients, "ENUM_BUDGET", 24)
+    with pytest.raises(BudgetExceeded):
+        bfs_closure(torus_generators(), AbelianQuotient(2, 5))
 
 
 def test_closure_exact_past_int64_codes():
@@ -367,6 +343,19 @@ def test_closure_exact_past_int64_codes():
     codes = q.encode([x])
     assert codes.dtype == object and q.dtype == object
     assert tuple(q.decode(codes)[0].tolist()) == x
+    # cosets of small order in (Z/m)^2 with m^2 past 2^62
+    m = 3 * 2 ** 40
+    q = AbelianQuotient(2, m)
+    gens = [(0, 0), (2 ** 40, 3 * 2 ** 39), (m - 2 ** 40, 3 * 2 ** 39), (2 ** 38, 0),
+            (m - 2 ** 38, 0)]
+    codes = quotients._coset_closure_codes(q, gens, quotients.ENUM_BUDGET)
+    assert codes.dtype == object and codes[-1] > 2 ** 62 and codes.size == 24
+    assert np.array_equal(codes, quotients._closure_codes(q, gens, quotients.ENUM_BUDGET))
+    # int64 codes whose multiples k g pass int64: <2^59> in Z/2^61
+    q = AbelianQuotient(1, 2 ** 61)
+    gens = [(0,), (2 ** 59,), (3 * 2 ** 59,)]
+    codes = quotients._coset_closure_codes(q, gens, quotients.ENUM_BUDGET)
+    assert codes.dtype == np.int64 and codes.tolist() == [0, 2 ** 59, 2 ** 60, 3 * 2 ** 59]
 
 
 def _closure(A, q):
@@ -415,3 +404,58 @@ def test_closure_long_diameter_and_unsymmetric_generators(monkeypatch):
     assert bfs_closure(one_way, MatrixQuotient(2, (p,))).size == p
     monkeypatch.setattr(quotients, "ENUM_BUDGET", 3 * p)
     assert bfs_closure(one_way, MatrixQuotient(2, (3, p))).size == 3 * p
+
+
+@pytest.mark.parametrize("dim,moduli", [(2, (p,)) for p in (2, 3, 5, 7, 11, 13, 61)] + [
+    (3, (2,)), (3, (3,)), (3, (5,)), (4, (2,)), (2, (3, 5)), (3, (2, 3))])
+def test_codes_from_the_determinant_equal_the_closure(dim, moduli):
+    q = MatrixQuotient(dim, moduli)
+    assert np.array_equal(q.element_codes(), _closure(elementary_generators(dim), q))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_cofactors_give_the_determinant_mod_p(dim):
+    rng = np.random.default_rng(dim)
+    for p, dtype in ((13, np.int64), (2 ** 61 - 1, object)):
+        m = rng.integers(0, p, size=(40, dim * dim)).astype(dtype)
+        m[:5, :dim] = m[:5, dim:2 * dim]  # singular: two equal rows
+        det = sum(m[:, j] * c for j, c in enumerate(quotients.cofactors(m[:, dim:], dim, p))) % p
+        assert det.dtype == dtype
+        want = [int(Matrix(dim, dim, [int(e) for e in row]).det()) % p for row in m]
+        assert det.tolist() == want and want[:5] == [0] * 5
+
+
+@st.composite
+def abelian_generators(draw):
+    """(Z/m)^rank, m composite or prime, and a symmetric list of
+    generators led by the identity; each generator is a multiple of a
+    drawn scale, so that proper and non-cyclic subgroups come up."""
+    rank, m = draw(st.integers(1, 3)), draw(st.integers(2, 30))
+    gens = [(0,) * rank]
+    for _ in range(draw(st.integers(0, 3))):
+        scale = draw(st.integers(1, m))
+        g = tuple(scale * e % m for e in draw(st.tuples(*[st.integers(0, m - 1)] * rank)))
+        gens += [g, tuple(-e % m for e in g)]
+    return AbelianQuotient(rank, m), list(dict.fromkeys(gens))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=abelian_generators())
+def test_coset_closure_equals_the_bfs(case):
+    q, gens = case
+    want = quotients._closure_codes(q, gens, quotients.ENUM_BUDGET)
+    assert np.array_equal(quotients._coset_closure_codes(q, gens, quotients.ENUM_BUDGET), want)
+
+
+@pytest.mark.parametrize("dim,p,closure_mib", [(2, 131, 51.5), (3, 5, 23.2)])
+def test_element_codes_peak_below_the_closure(dim, p, closure_mib):
+    # closure_mib: the traced peak of the elementary-generator closure these
+    # codes replace. Holding every (bottom rows, first row, coordinate)
+    # digit at once peaked at 103.7 MiB on SL_2(F_131)
+    tracemalloc.start()
+    try:
+        MatrixQuotient(dim, (p,)).element_codes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < closure_mib * 2 ** 20
