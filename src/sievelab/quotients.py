@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,10 +141,11 @@ class _Coded:
                 f"order {total} of quotient {self.label} exceeds budget {ENUM_BUDGET}")
         return self._kept_codes
 
-    def enumerate_elements(self) -> np.ndarray:
-        """All elements in sorted order, one digit row each; raises when
-        the order exceeds ENUM_BUDGET."""
-        return self.decode(self.element_codes())
+    def enumerate_elements(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The elements start..stop-1 of the sorted order, all of them by
+        default, one digit row each; raises when the order exceeds
+        ENUM_BUDGET."""
+        return self.decode(self.element_codes()[start:stop])
 
     def index(self, x) -> int:
         """The index of the element x among the sorted codes."""

@@ -14,9 +14,11 @@ Every oracle answers three ways:
     the reduction of the global set (never excludes a genuine member).
     The characteristic-polynomial oracles test chi(+-1) mod p, or Euler's
     criterion on the discriminant mod p.
-  * exactly one Monte Carlo test: hit_raw(state), the global test on one
-    raw flat state (None where undecided), or hit_raw_batch(coords),
-    the same test on one array per coordinate, int64 or Python ints.
+  * exactly one Monte Carlo test: hit_raw(flat), the global test on one
+    raw flat state, a sequence of Python ints in the order of g.flat()
+    (the walker hands over tuples; None where undecided), or
+    hit_raw_batch(coords), the same test on one array per coordinate,
+    int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -508,19 +510,27 @@ def sample_rows(quotient, seed: int, samples: int) -> np.ndarray:
     return rows.astype(quotient.dtype)
 
 
+_RESIDUAL_SLICE = 1 << 17  # most enumerated elements decided in one residual_mask call
+
+
 def residual(oracle, quotient, mode: str = "enumerate", samples: int = 100_000,
              seed: int = 0) -> ResidualReport:
-    """Residual-set size and density, exactly or by uniform sampling, with
-    every element decided in one residual_mask call."""
+    """Residual-set size and density, exactly or by uniform sampling. The
+    samples are decided in one residual_mask call, the enumerated
+    elements a slice of _RESIDUAL_SLICE at a time."""
     if mode not in ("enumerate", "sample"):
         raise DomainError("mode must be 'enumerate' or 'sample'")
     if mode == "sample" and samples < 1:
         raise DomainError("samples must be positive")
-    rows = (quotient.enumerate_elements() if mode == "enumerate" else
-            sample_rows(quotient, seed, samples))
-    hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))
     if mode == "enumerate":
-        return ResidualReport(quotient.label, mode, len(rows), hits,
-                              Fraction(hits, len(rows)), None)
+        # a slice of the elements at a time: the digit rows of a whole
+        # SL_3(F_7) would take hundreds of MiB
+        order = quotient.order()
+        hits = sum(int(np.count_nonzero(oracle.residual_mask(
+            quotient.enumerate_elements(i, i + _RESIDUAL_SLICE), quotient)))
+            for i in range(0, order, _RESIDUAL_SLICE))
+        return ResidualReport(quotient.label, mode, order, hits, Fraction(hits, order), None)
+    rows = sample_rows(quotient, seed, samples)
+    hits = int(np.count_nonzero(oracle.residual_mask(rows, quotient)))
     return ResidualReport(quotient.label, mode, samples, hits, hits / samples,
                           halfwidth(hits, samples))

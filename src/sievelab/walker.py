@@ -4,7 +4,8 @@ Walk states are exact: big-integer matrix entries or exponent vectors.
 Monte Carlo estimation runs one kernel for every multiset: trials are
 batched into int64 lanes that step by the draw table alone and continue
 in Python ints before they could overflow. Matrix lanes take one batched
-product per step; abelian lanes move once per checkpoint segment, by
+product per block of up to K draws, from a table of the k-fold products
+of the draw table; abelian lanes move once per checkpoint segment, by
 their histogram of draw values times the step table, lanes (seg + |A|
 rank) work per segment. The exact law of omega_n is an array of flat
 states with integer path counts (implicit denominator |A|^n), in order
@@ -324,26 +325,27 @@ class MCEstimate:
 
 _CHUNK = 1 << 14
 _KEYS = 1 << 16  # most draw keys, and most histogram bins, in one abelian tile
+_SPAN = 1 << 10  # most products in one block table: K is the largest k with |A|^k <= this
 
 
 def _sweep_lanes(A, oracle, grid, m, seed):
     """Hits and UNKNOWNs per n of the sorted grid, up to _CHUNK trials at once.
 
     Each trial is one lane, and steps come from A.draw_table() alone.
-    Matrix lanes take one batched product per step. Abelian lanes take
-    one histogram step per checkpoint segment (_advance): the counts of
-    each draw value in the segment times the (|A|, rank) step table,
-    lanes (seg + |A| rank) work in place of lanes seg rank gathers. Lanes
-    are exact: a lane steps in int64 while its max|entry| is within
-    _int64_cap of the segment, which bounds every partial sum of the step
-    (no count exceeds the segment); past that it continues in Python ints,
-    whose counts multiply the object step table, and the other lanes
-    stay in int64. At each checkpoint an oracle with
-    hit_raw_batch decides each non-empty group of lanes, int64 or Python
-    ints, in one call; any other oracle gets one hit_raw call per lane.
+    Matrix lanes step a block of up to K draws at a time (_block_tables):
+    one Horner index of the block's draw columns, one gather from the
+    table of k-fold products and one batched product, and no block
+    crosses a checkpoint. Abelian lanes take one histogram step per
+    checkpoint segment (_advance). Lanes are exact: a lane steps in int64
+    while its max|entry| is within _int64_cap of the block's growth bound,
+    which bounds every partial sum of the step; past that it continues in
+    Python ints, which take the block's object table, and the other lanes
+    stay in int64. At each checkpoint the oracle decides each non-empty
+    group of lanes, int64 or Python ints (_hit_mask).
     """
     table = A.draw_table()
     gens, fast, growth, abelian = _step_table(table)
+    tables = [(gens, fast, growth)] if abelian else _block_tables(gens, fast, growth)
     start = np.array(A.identity_element().flat(), dtype=np.int64).reshape(1, *gens.shape[1:])
     hits, unknown = dict.fromkeys(grid, 0), dict.fromkeys(grid, 0)
     chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
@@ -355,8 +357,10 @@ def _sweep_lanes(A, oracle, grid, m, seed):
                  (np.arange(0), np.repeat(start, 0, axis=0).astype(object))]
         big, k = int(start.max()), 0  # big bounds max|entry| of int64 lanes
         for cp in grid:
-            for s in ([k] if abelian else range(k, cp)):
-                cap = _int64_cap(growth, abelian, cp - k)
+            for b0 in ([k] if abelian else range(k, cp, len(tables))):
+                b1 = cp if abelian else min(b0 + len(tables), cp)
+                objs, ints, grow = tables[0 if abelian else b1 - b0 - 1]
+                cap = _int64_cap(grow, abelian, b1 - b0)
                 if big > cap:
                     (ids, st), (bids, bst) = lanes
                     big = int(abs(st).max(initial=0))
@@ -367,10 +371,10 @@ def _sweep_lanes(A, oracle, grid, m, seed):
                              (np.concatenate([bids, ids[out]]),
                               np.concatenate([bst, st[out].astype(object)]))]
                     big = int(abs(st[~out]).max(initial=0))
-                cols = slice(k, cp) if abelian else s
-                lanes = [(ids, _advance(st, g, draws[ids, cols], abelian))
-                         for (ids, st), g in zip(lanes, (fast, gens))]
-                big = big + (cp - k) * growth if abelian else big * growth
+                cols = draws[:, b0:b1] if abelian else _block_index(draws[:, b0:b1], len(table))
+                lanes = [(ids, _advance(st, g, cols[ids], abelian))
+                         for (ids, st), g in zip(lanes, (ints, objs))]
+                big = big + (b1 - b0) * grow if abelian else big * grow
             k = cp
             for ids, st in lanes:
                 hit, undecided = _hit_mask(oracle, st.reshape(-1, start.size))
@@ -379,34 +383,65 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     return hits, unknown
 
 
+def _block_tables(gens, fast, growth):
+    """[(objs, ints, growth)] for k = 1..K: the k-fold right products
+    g_d1 ... g_dk of the (|A|, d, d) step table, in the walk's order, at
+    index d1 |A|^(k-1) + ... + dk (_block_index); as exact objects, their
+    int64 twin and their growth bound, the largest column abs-sum of a
+    product. K is the largest k with |A|^k <= _SPAN (|A| = 1 counts as
+    2), cut where a table would lose its int64 twin."""
+    tables = [(gens, fast, growth)]
+    while fast is not None and max(len(gens), 2) ** (len(tables) + 1) <= _SPAN:
+        prods = (tables[-1][0][:, None] @ gens).reshape(-1, *gens.shape[1:])
+        growth = int(abs(prods).sum(axis=1).max())
+        if growth >= _LIMIT:
+            break
+        tables.append((prods, prods.astype(np.int64), growth))
+    return tables
+
+
+def _block_index(draws, size):
+    """The index d1 size^(k-1) + ... + dk of each row of a (lanes, k) block
+    of draws into the table of k-fold products, by Horner's rule."""
+    if draws.shape[1] == 1:
+        return draws[:, 0]
+    idx = draws[:, 0].astype(np.intp)
+    for c in range(1, draws.shape[1]):
+        idx *= size
+        idx += draws[:, c]
+    return idx
+
+
 def _hit_mask(oracle, flat):
     """(hit, undecided) for the rows of flat, int64 or Python ints, by the
     oracle's one Monte Carlo test: hit_raw_batch on the columns in one
-    call where the oracle has it, else one hit_raw per row. hit is a bool
-    array; undecided counts the rows where hit_raw gave None, which are
-    not hits."""
+    call where the oracle has it, else one hit_raw per row, each row a
+    tuple of Python ints equal to g.flat(). hit is a bool array;
+    undecided counts the rows where hit_raw gave None, which are not
+    hits."""
     if not len(flat):
         return np.zeros(0, dtype=bool), 0
     batch = getattr(oracle, "hit_raw_batch", None)
     if batch is not None:
         return np.asarray(batch(tuple(flat.T)), dtype=bool), 0
-    # a chunk of rows at a time: a list of Python-int rows costs far more
-    # memory than the array
+    # a chunk of rows at a time, handed over as column lists zipped into
+    # row tuples: Python-int rows cost far more memory than the array
     verdicts = []
     for i in range(0, len(flat), _CHUNK):
-        verdicts += map(oracle.hit_raw, flat[i:i + _CHUNK].tolist())
+        verdicts += map(oracle.hit_raw, zip(*flat[i:i + _CHUNK].T.tolist()))
     return np.array(verdicts, dtype=bool), verdicts.count(None)
 
 
 def _advance(st, gens, draws, abelian):
-    """Lanes after one matrix step, or one abelian segment, of their draws.
+    """Lanes after one matrix block, or one abelian segment, of their draws.
 
-    A matrix step is one batched product. An abelian segment adds to each
-    lane sum_d N_d step_d, where N_d counts the draws d of its segment:
-    a tile of lanes at a time takes one bincount of the keys lane|A| +
-    draw, and the counts times the (|A|, rank) step table. That is
-    lanes (seg + |A| rank) work per segment, against lanes seg rank
-    gathers of each draw. A tile holds at most _KEYS keys and _KEYS bins;
+    A matrix block is one batched product by the block products gathered
+    at draws, each lane's index into the block table (_block_index). An
+    abelian segment adds to each lane sum_d N_d step_d, where N_d counts
+    the draws d of its segment: a tile of lanes at a time takes one
+    bincount of the keys lane|A| + draw, and the counts times the
+    (|A|, rank) step table. That is lanes (seg + |A| rank) work per
+    segment, against lanes seg rank gathers of each draw. A tile holds at most _KEYS keys and _KEYS bins;
     a segment longer than _KEYS is counted a tile of columns at a time.
     No count exceeds seg, so the caller's int64 guard bounds every partial
     sum, and Python-int lanes take the int64 counts @ the object table.

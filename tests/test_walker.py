@@ -3,11 +3,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dict_laws, exact_law, line_scan_laws
-from sievelab import lab, walker
+from sievelab import lab, prng, walker
 from sievelab.errors import (
     BudgetExceeded,
     DomainError,
@@ -594,7 +594,11 @@ def test_matrix_lanes_exact_past_int64():
     assert biggest >= 1 << 63  # the grid runs past int64
     for oracle in (CornerSignOracle(), NongenericGaloisOracle(2),
                    SubvarietyOracle([coordinate_polynomial(4, 1)])):
-        assert swept_counts(A, oracle, grid, m, 6) == reference_counts(A, oracle, grid, m, 6)
+        want = reference_counts(A, oracle, grid, m, 6)
+        assert swept_counts(A, oracle, grid, m, 6) == want
+        # one segment of eight steps, in blocks of three products of
+        # growth up to about 2^60
+        assert swept_counts(A, oracle, [8], m, 6) == (want[0][-1:], want[1][-1:])
 
 
 def test_abelian_lanes_exact_past_int64():
@@ -666,6 +670,142 @@ def test_sweep_draw_table_wider_than_65536():
     grid = [1, 2, 5]
     for oracle in (OriginOracle(), TorusSquaresOracle(1)):
         assert swept_counts(A, oracle, grid, 40, 6) == reference_counts(A, oracle, grid, 40, 6)
+
+
+# ----- matrix lanes step a block of draws at a time -----
+
+def _elementary(dim, i, j, c):
+    rows = [[int(r == s) for s in range(dim)] for r in range(dim)]
+    rows[i][j] = c
+    return MatrixElement(tuple(map(tuple, rows)))
+
+
+def _wide_st():
+    """I and S, S^-1 with multiplicity 16 each: |A| = 33, so K = 1."""
+    S = MatrixElement(((0, 1), (-1, 0)))
+    return validate_generators([MatrixElement.identity(2)] + [S, S.inverse()] * 16)
+
+
+@st.composite
+def symmetric_matrix_tables(draw):
+    """A symmetric multiset of SL_2(Z) or SL_3(Z): the identity with
+    multiplicity 1-3 and up to three products of two elementary matrices,
+    each with its inverse, multiplicities 1-12, in any order."""
+    dim = draw(st.sampled_from([2, 3]))
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)).filter(
+        lambda ij: ij[0] != ij[1])
+    raw = [MatrixElement.identity(dim)] * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        (i, j), (k, l) = draw(pairs), draw(pairs)
+        g = (_elementary(dim, i, j, draw(st.integers(-2, 2)))
+             * _elementary(dim, k, l, draw(st.integers(-2, 2))))
+        raw += [g, g.inverse()] * draw(st.integers(1, 12))
+    return validate_generators(draw(st.permutations(raw)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=symmetric_matrix_tables(),
+       grid=st.lists(st.integers(1, 15), min_size=1, max_size=5),
+       seed=st.integers(0, 1000))
+@example(A=validate_generators([MatrixElement.identity(3)]), grid=[5, 2], seed=1)
+@example(A=_wide_st(), grid=[3, 7], seed=2)
+@example(A=sl2_st_generators(), grid=[9, 2, 15], seed=3)
+def test_block_steps_equal_run_walk_verdicts(A, grid, seed):
+    # a repeated checkpoint, and a segment of one step past the last
+    grid = grid + [grid[0], max(grid) + 1]
+    dim = A.pairs[0][0].dimension
+    for oracle in (CornerSignOracle(), NongenericGaloisOracle(dim)):
+        assert swept_counts(A, oracle, grid, 20, seed) == reference_counts(
+            A, oracle, sorted(set(grid)), 20, seed)
+
+
+def _tables(A):
+    gens, fast, growth, _ = walker._step_table(A.draw_table())
+    return walker._block_tables(gens, fast, growth)
+
+
+def test_block_tables_follow_run_walk():
+    # K is the largest k with |A|^k <= 2^10; an identity-only table
+    # counts as |A| = 2. U's products have row abs-sums above their
+    # column abs-sums
+    U = _elementary(3, 0, 1, 2) * _elementary(3, 0, 2, 1)
+    cases = ((sl2_st_generators(), 4), (elementary_generators(2), 4),
+             (elementary_generators(3), 2), (_wide_st(), 1),
+             (validate_generators([MatrixElement.identity(2)]), 10),
+             (validate_generators([MatrixElement.identity(3), U, U.inverse()]), 6))
+    for A, K in cases:
+        tables = _tables(A)
+        assert len(tables) == K
+        table = A.draw_table()
+        for k, (objs, ints, growth) in enumerate(tables, 1):
+            assert len(objs) == len(table) ** k
+            cols = []
+            for i, flat in enumerate(objs.reshape(len(objs), -1).tolist()):
+                digits = [i // len(table) ** e % len(table) for e in range(k - 1, -1, -1)]
+                g = table[digits[0]]
+                for d in digits[1:]:
+                    g = g * table[d]
+                assert tuple(flat) == g.flat() == tuple(ints[i].ravel().tolist())
+                cols += [sum(abs(row[c]) for row in g.entries) for c in range(g.dimension)]
+            assert growth == max(cols)
+        # the Horner index of a walk's first k draws picks omega_k of run_walk
+        config = WalkConfig(generators=A, n=K, m=3, seed=8)
+        for t in range(3):
+            path = run_walk(config, t)
+            draws = prng.draw_block(8, np.arange(t, t + 1), K, len(table))
+            for k in range(1, K + 1):
+                objs = tables[k - 1][0]
+                idx = int(walker._block_index(draws[:, :k], len(table))[0])
+                assert tuple(objs[idx].ravel().tolist()) == path[k].flat()
+
+
+def test_lanes_leave_int64_inside_a_block_segment(monkeypatch):
+    # with a limit of 2^6 the guard moves lanes to Python ints block by
+    # block inside one checkpoint segment, while K stays above 1
+    monkeypatch.setattr(walker, "_LIMIT", 1 << 6)
+    groups, hit_mask = [], walker._hit_mask
+
+    def spy(oracle, flat):
+        groups.append((flat.dtype == object, len(flat)))
+        # the guard's invariant: int64 lanes stay below the limit
+        assert flat.dtype == object or abs(flat).max(initial=0) < walker._LIMIT
+        return hit_mask(oracle, flat)
+
+    monkeypatch.setattr(walker, "_hit_mask", spy)
+    for A, K, grid in ((sl2_st_generators(), 4, [41]), (elementary_generators(3), 2, [25])):
+        assert len(_tables(A)) == K
+        dim = A.pairs[0][0].dimension
+        for oracle in (CornerSignOracle(), NongenericGaloisOracle(dim)):
+            groups.clear()
+            assert swept_counts(A, oracle, grid, 60, 5) == reference_counts(A, oracle, grid, 60, 5)
+            sizes = dict(groups)
+            assert sizes[False] > 0 and sizes[True] > 0  # both kinds of lane at the checkpoint
+
+
+class CountingOracle:
+    """Records every row that hit_raw receives."""
+
+    def __init__(self):
+        self.rows = []
+
+    def hit_raw(self, flat):
+        self.rows.append(flat)
+        return flat[0] > 0
+
+
+def test_hit_mask_hands_each_row_over_once():
+    config = WalkConfig(generators=elementary_generators(3), n=6, m=40, seed=1)
+    ends = [run_walk(config, t)[6] for t in range(40)]
+    huge = MatrixElement(((1, 1 << 70), (0, 1)))
+    for elems, dtype in ((ends, np.int64), (ends, object), ([huge, huge.inverse()] * 3, object)):
+        flat = np.array([g.flat() for g in elems], dtype=dtype)
+        oracle = CountingOracle()
+        hit, undecided = walker._hit_mask(oracle, flat)
+        assert len(oracle.rows) == len(elems) and undecided == 0
+        for row, g in zip(oracle.rows, elems):
+            assert tuple(row) == g.flat()
+            assert all(type(x) is int for x in row)
+        assert hit.tolist() == [g.flat()[0] > 0 for g in elems]
 
 
 # ----- abelian segments step by per-lane histograms of draw values -----
