@@ -329,8 +329,6 @@ def _least_squares(xs, ys) -> Tuple[float, float, float]:
     xm = x.mean()
     ym = y.mean()
     sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0:
-        raise InsufficientData("all x values identical")
     slope = float(((x - xm) * (y - ym)).sum()) / sxx
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
@@ -352,9 +350,13 @@ def fit_decay(rows: Sequence[ExperimentRow], min_trials: int = 0) -> DecayFit:
         raise InsufficientData(
             f"need at least 4 usable points, have {len(usable)}")
     ns = [r.n for r in usable]
+    log_ns = [math.log(n) for n in ns]
+    # distinct log n are distinct floats n too, so neither fit divides by 0
+    if len(set(log_ns)) == 1:
+        raise InsufficientData(f"need rows at two or more walk lengths, got only n = {ns[0]}")
     logps = [math.log(r.estimate) for r in usable]
     slope_e, _, r2_e = _least_squares(ns, logps)
-    slope_p, _, r2_p = _least_squares([math.log(n) for n in ns], logps)
+    slope_p, _, r2_p = _least_squares(log_ns, logps)
     if r2_e >= r2_p:
         return DecayFit(model="exponential", value=-slope_e, r_squared=r2_e,
                         r2_exponential=r2_e, r2_polynomial=r2_p,

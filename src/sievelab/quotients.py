@@ -430,11 +430,13 @@ def walk_permutations(A: GeneratorMultiset, quotient):
     """The steps of a quotient walk as permutations of its element indices.
 
     The elements of A are reduced into the quotient, where repeated
-    images merge in order of first appearance. Returns (codes, |A|,
-    maps): the sorted element codes, and per distinct step g the index
-    permutation of x -> x g with g's multiplicity. Raises MissingIdentity
-    without the identity, and NotSymmetric unless each step's inverse has
-    its multiplicity.
+    images merge in order of first appearance. Returns (codes, perms,
+    mults): the sorted element codes, one intp row per distinct step g
+    holding the index permutation of x -> x g, and the int64
+    multiplicities of the steps, which sum to |A|. The walk operator is
+    then P v = mults @ v[perms] / |A|. Raises MissingIdentity without the
+    identity, and NotSymmetric unless each step's inverse has its
+    multiplicity.
     """
     merged: Dict = {}
     for g, m in A.pairs:
@@ -444,14 +446,16 @@ def walk_permutations(A: GeneratorMultiset, quotient):
         raise MissingIdentity("reduced multiset must contain the identity")
     codes = quotient.element_codes()
     digits = quotient.decode(codes)
-    maps = [(np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g]))), m)
-            for g, m in merged.items()]
+    perms = np.empty((len(merged), codes.size), dtype=np.intp)
+    for perm, g in zip(perms, merged):
+        perm[:] = np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g])))
+    mults = np.array(list(merged.values()), dtype=np.int64)
     # x -> x g sends the identity e to g, and g^-1 to e
     e = quotient.index(quotient.identity())
-    weight = {int(perm[e]): m for perm, m in maps}
-    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in maps):
+    weight = dict(zip(perms[:, e].tolist(), mults.tolist()))
+    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in zip(perms, mults)):
         raise NotSymmetric("reduced multiset is not symmetric")
-    return codes, sum(merged.values()), maps
+    return codes, perms, mults
 
 
 def quotient_for(A: GeneratorMultiset, moduli: Sequence[int]):

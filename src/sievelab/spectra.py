@@ -36,7 +36,6 @@ from .walker import convolve_counts
 DENSE_THRESHOLD = 4000
 _LANCZOS_TOL = 1e-9
 _KRYLOV_BYTES = 1 << 28
-_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,9 @@ class AdjacencySpectrum:
 
 
 def _cyclic_translation(quotient, codes):
-    """(h, L, mults): the element h whose left translations split the
+    """(h, L, units): the element h whose left translations split the
     dense route, the index permutation L of x -> h x over the sorted
-    codes, and multipliers a with n h n^-1 = h^a for elements n of the
+    codes, and the units a with n h n^-1 = h^a for elements n of the
     normaliser of <h>.
 
     h is c E_1d(1) in each prime's block of a matrix quotient, with c = -1
@@ -80,9 +79,9 @@ def _cyclic_translation(quotient, codes):
     Each odd prime's block gives one n: diag(x, x^-1, 1, ..., 1) there, x
     a generator of F_p^x, and the identity in the other blocks; a is the
     index of n h n^-1 among the powers of h. Abelian quotients and p = 2
-    give no multiplier.
+    give no unit.
     """
-    mults = []
+    units = []
     if isinstance(quotient, AbelianQuotient):
         h = (1,) + (0,) * (quotient.rank - 1)
     else:
@@ -101,13 +100,13 @@ def _cyclic_translation(quotient, codes):
             n, n_inv = list(one), list(one)
             n[at], n[at + d + 1] = x, x_inv
             n_inv[at], n_inv[at + d + 1] = x_inv, x
-            mults.append(powers.index(quotient.multiply(quotient.multiply(n, h), n_inv)))
+            units.append(powers.index(quotient.multiply(quotient.multiply(n, h), n_inv)))
     hx = quotient.multiply_digits(np.array([h], dtype=quotient.dtype), quotient.decode(codes))
-    return h, np.searchsorted(codes, quotient.encode(hx)), tuple(mults)
+    return h, np.searchsorted(codes, quotient.encode(hx)), tuple(units)
 
 
-def _dense_spectrum(maps, left, mults) -> np.ndarray:
-    """All eigenvalues of P = sum of its (permutation, weight) maps, ascending.
+def _dense_spectrum(perms, weights, left, units) -> np.ndarray:
+    """All eigenvalues of P v = weights @ v[perms], ascending.
 
     left permutes x -> h x for an h of order r. P moves by right
     multiplication, (Pv)(x) = sum_g w_g v(x g), and so commutes with every
@@ -117,9 +116,9 @@ def _dense_spectrum(maps, left, mults) -> np.ndarray:
     omega = e^(2 pi i/r), block k is the Hermitian
     B_k[i, c(r_i g)] += w_g omega^(k a(r_i g)) of order |G|/r, P on the
     functions with v(h x) = omega^k v(x). An n with n h n^-1 = h^m, m in
-    mults, maps that space onto the one of k m by L_n, which commutes
+    units, maps that space onto the one of k m by L_n, which commutes
     with P, and complex conjugation maps it onto the one of -k; so blocks
-    whose k share an orbit of the group generated by -1 and mults have
+    whose k share an orbit of the group generated by -1 and units have
     one spectrum. One block per orbit is solved, and its eigenvalues are
     counted once per member.
     """
@@ -133,36 +132,25 @@ def _dense_spectrum(maps, left, mults) -> np.ndarray:
         cur, r = left[cur], r + 1
     rows = np.flatnonzero(best == np.arange(ell))
     coset = np.searchsorted(rows, best)
-    # the group generated by -1 and mults, and its orbits on Z/r, each
+    # the group generated by -1 and units, and its orbits on Z/r, each
     # keyed by its least member
     group = {1}
-    while not (grown := {g * a % r for g in group for a in (-1,) + mults}) <= group:
+    while not (grown := {g * a % r for g in group for a in (-1,) + units}) <= group:
         group |= grown
     orbits = {min(o): len(o) for o in ({k * g % r for g in group} for k in range(r))}
     ks = np.array(list(orbits))
     # x = h^(-shift(x)) r_c(x), so a(x) = -shift(x) mod r
     phase = np.exp(-2j * np.pi * np.arange(r) / r)
     blocks = np.zeros((ks.size, rows.size, rows.size), dtype=complex)
-    for perm, w in maps:
+    for perm, w in zip(perms, weights):
         t = perm[rows]
         blocks[:, np.arange(rows.size), coset[t]] += w * phase[np.outer(ks, shift[t]) % r]
     return np.sort(np.repeat(np.linalg.eigvalsh(blocks), list(orbits.values()), axis=0).ravel())
 
 
-def _orthogonalise(w, u, blocks):
-    """w less its components along u and the rows of each block, by two
-    Gram-Schmidt passes (the second restores what rounding in the first
-    left)."""
-    for _ in range(2):
-        w -= (u @ w) * u
-        for rows in blocks:
-            w -= rows.T @ (rows @ w)
-    return w
-
-
-def _lanczos_extremes(maps, dim: int):
-    """Top and bottom eigenpairs of P = sum of its (permutation, weight)
-    maps on the complement of the constant vector u.
+def _lanczos_extremes(perms, weights):
+    """Top and bottom eigenpairs of P v = weights @ v[perms] on the
+    complement of the constant vector u.
 
     One Lanczos run with full reorthogonalisation (Lanczos, J. Res. NBS
     45, 1950; Parlett, The Symmetric Eigenvalue Problem, 1980) from a
@@ -172,38 +160,37 @@ def _lanczos_extremes(maps, dim: int):
     [(theta, y, residual)] for the top and the bottom Ritz pair: y a
     unit vector, residual the explicit 2-norm ||P y - theta y|| plus a
     floor for the rounding in evaluating it, so it bounds |lambda -
-    theta| for some eigenvalue lambda of P. The basis is held in blocks
-    of _BLOCK rows, added as needed up to _KRYLOV_BYTES in all, so it is
-    never copied; ConvergenceFailure if the budget is reached first.
+    theta| for some eigenvalue lambda of P. The basis is one array of at
+    most _KRYLOV_BYTES whose rows are written, and so committed to
+    memory, one step at a time; ConvergenceFailure if the budget is
+    reached first.
     """
-    def matvec(v):
-        out = np.zeros_like(v)
-        for idx, w in maps:
-            out += w * v[idx]
-        return out
-
-    # an entry of P y - theta y sums len(maps) + 1 products; P is
+    # an entry of P y - theta y sums len(weights) + 1 products; P is
     # nonnegative with ||P|| = 1, so the rounding of the vector is below
-    # 2 (len(maps) + 1) eps in norm, which this floor covers
-    floor = 4 * len(maps) * float(np.finfo(float).eps)
+    # 2 (len(weights) + 1) eps in norm, which this floor covers
+    floor = 4 * len(weights) * float(np.finfo(float).eps)
+    dim = perms.shape[1]
     u = np.full(dim, 1.0 / np.sqrt(dim))
     steps = min(dim - 1, _KRYLOV_BYTES // (8 * dim))
     if steps < 1:
         raise ConvergenceFailure(
             f"Krylov budget of {_KRYLOV_BYTES} bytes holds no vector of order {dim}")
-    blocks = []
-    w = _orthogonalise(np.random.default_rng(987654321).standard_normal(dim), u, blocks)
+    basis = np.empty((steps, dim))
+    w = np.random.default_rng(987654321).standard_normal(dim)
+    for _ in range(2):
+        w -= (u @ w) * u
     b = float(np.linalg.norm(w))
     alpha, beta = [], []
     for k in range(steps):
-        if k % _BLOCK == 0:
-            blocks.append(np.empty((min(_BLOCK, steps - k), dim)))
-        v = blocks[-1][k % _BLOCK]
+        v, done = basis[k], basis[:k + 1]
         np.divide(w, b, out=v)
-        w = matvec(v)
+        w = weights @ v[perms]
         alpha.append(v @ w)
-        filled = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
-        w = _orthogonalise(w, u, filled)
+        # two Gram-Schmidt passes against u and the basis: the second
+        # restores what rounding in the first left
+        for _ in range(2):
+            w -= (u @ w) * u
+            w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         beta.append(b)
         if (k + 1) % 8 == 0 or k + 1 == steps or b <= _LANCZOS_TOL:
@@ -213,11 +200,10 @@ def _lanczos_extremes(maps, dim: int):
             if estimate <= _LANCZOS_TOL:
                 pairs = []
                 for j in (-1, 0):
-                    y = sum(rows.T @ s[i * _BLOCK:i * _BLOCK + len(rows), j]
-                            for i, rows in enumerate(filled))
+                    y = done.T @ s[:, j]
                     y /= np.linalg.norm(y)
-                    pairs.append((float(theta[j]), y,
-                                  float(np.linalg.norm(matvec(y) - theta[j] * y)) + floor))
+                    pairs.append((float(theta[j]), y, float(
+                        np.linalg.norm(weights @ y[perms] - theta[j] * y)) + floor))
                 if max(res for _, _, res in pairs) <= _LANCZOS_TOL:
                     return pairs
         if b == 0:
@@ -235,19 +221,19 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     distance of pi_1 and of pi_min to eigenvalues of P, and raises
     ConvergenceFailure if its Krylov basis outgrows _KRYLOV_BYTES first.
     """
-    codes, a_size, maps = walk_permutations(A, quotient)
-    ell = len(codes)
-    maps = [(perm, m / a_size) for perm, m in maps]
+    codes, perms, mults = walk_permutations(A, quotient)
+    ell, a_size = len(codes), int(mults.sum())
+    weights = mults / a_size
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
     if ell <= DENSE_THRESHOLD:
-        _, left, mults = _cyclic_translation(quotient, codes)
-        eig = _dense_spectrum(maps, left, mults)
+        _, left, units = _cyclic_translation(quotient, codes)
+        eig = _dense_spectrum(perms, weights, left, units)
         return AdjacencySpectrum(quotient.label, ell, a_size,
                                  pi_1=float(eig[-2]), pi_min=float(eig[0]),
                                  method="dense", residual=0.0)
 
-    (pi_1, _, res_1), (pi_min, _, res_min) = _lanczos_extremes(maps, ell)
+    (pi_1, _, res_1), (pi_min, _, res_min) = _lanczos_extremes(perms, weights)
     return AdjacencySpectrum(quotient.label, ell, a_size,
                              pi_1=pi_1, pi_min=pi_min,
                              method="iterative", residual=max(res_1, res_min))
@@ -279,10 +265,10 @@ def exact_deviation_sweep(A: GeneratorMultiset, quotient,
     """
     if not grid or min(grid) < 0:
         raise DomainError("grid must be non-empty with n >= 0")
-    codes, a_size, maps = walk_permutations(A, quotient)
-    ell = len(codes)
+    codes, perms, mults = walk_permutations(A, quotient)
+    ell, a_size = len(codes), int(mults.sum())
     out: Dict[int, Fraction] = {}
-    for n, c in convolve_counts(maps, quotient.index(quotient.identity()), grid).items():
+    for n, c in convolve_counts(perms, mults, quotient.index(quotient.identity()), grid).items():
         # |c/total - 1/ell| = |c ell - total| / (total ell), largest at the
         # largest or the smallest count
         total = a_size ** n

@@ -144,12 +144,13 @@ class _CharpolyOracle:
     def residual_mask(self, digits, quotient) -> np.ndarray:
         """Whether each row of digits (quotient elements, block after
         block) passes the test in every block, as the reduction of a
-        member does. The test reads only chi mod p."""
+        member does. Digits are in [0, p), as enumerate_elements and
+        sample_rows give them. The test reads only chi mod p."""
         _same_kind(quotient, "dimension", self.dimension)
         d = self.dimension
         mask = np.ones(len(digits), dtype=bool)
         for b, p in enumerate(quotient.moduli):
-            m = digits[:, b * d * d:(b + 1) * d * d] % p
+            m = digits[:, b * d * d:(b + 1) * d * d]
             if 3 * p * p >= 1 << 62:
                 m = m.astype(object)  # the SL_3 minors would pass int64
             mask &= self._block_mask(m.T, p)

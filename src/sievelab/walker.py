@@ -75,19 +75,17 @@ def run_walk(config: WalkConfig, trial_index: int) -> List[GroupElement]:
 
 # ----- exact distributions -----
 
-def convolve_counts(maps, start: int, grid: Sequence[int]) -> Dict[int, np.ndarray]:
+def convolve_counts(perms, mults, start: int, grid: Sequence[int]) -> Dict[int, np.ndarray]:
     """Integer path counts of a walk on a quotient's element indices, one
     array over |A|^n per n of the grid, from the index start; the
     deviation sweep of spectra uses it.
 
-    maps are the (permutation, multiplicity) steps of walk_permutations,
-    whose multiset is symmetric, so the count of y after a step sums the
-    counts of y g, and a step is counts = mults @ counts[perms]. Counts
-    are int64 while |A|^n < 2^63, then Python ints.
+    perms and mults are the steps of walk_permutations, whose multiset is
+    symmetric, so the count of y after a step sums the counts of y g, and
+    a step is counts = mults @ counts[perms]. Counts are int64 while
+    |A|^n < 2^63, then Python ints.
     """
     grid = law_grid(grid)
-    perms = np.array([perm for perm, _ in maps])
-    mults = np.array([m for _, m in maps], dtype=np.int64)
     a_size = int(mults.sum())
     counts = np.zeros(perms.shape[1], dtype=np.int64)
     counts[start] = 1

@@ -187,10 +187,18 @@ def test_closure_single_prime(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["closure", "spectrum"])
-def test_pair_modulus_on_an_abelian_scenario_exits_2(tmp_path, command):
+def test_pair_modulus_on_an_abelian_scenario_exits_2(tmp_path, capsys, command):
     rc, _ = run(tmp_path, command, "--scenario", "z_origin",
-                "--prime", "3", "--prime2", "5")
+                "--prime", "5", "--prime2", "7")
     assert rc == 2
+    assert "pair moduli apply to matrix groups only" in capsys.readouterr().err
+
+
+def test_equal_pair_moduli_exit_2(tmp_path, capsys):
+    rc, _ = run(tmp_path, "spectrum", "--scenario", "sl2_trace",
+                "--prime", "5", "--prime2", "5")
+    assert rc == 2
+    assert "pair moduli must be distinct" in capsys.readouterr().err
 
 
 def test_closure_pair_modulus(tmp_path):
@@ -367,6 +375,22 @@ def test_fit_too_few_rows_exits_2(tmp_path):
     rc = cli.main(["fit", "--input", str(csv_path),
                    "--out", str(tmp_path / "fit.json")])
     assert rc == 2
+
+
+HEADER = "scenario,n,trials,hits,unknown,estimate,ci_halfwidth,theory_bound,regime\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("z_origin,8,100,20,0,0.2,0.1,,polynomial\n" * 4,
+     "need rows at two or more walk lengths, got only n = 8"),
+    ("", "no rows in {path}"),
+], ids=["one_walk_length", "header_only"])
+def test_fit_refusals_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "rows.csv"
+    path.write_text(HEADER + body)
+    rc = cli.main(["fit", "--input", str(path), "--out", str(tmp_path / "fit.json")])
+    assert rc == 2
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 BAD_CSV = {

@@ -1,6 +1,7 @@
 """No module of the package or test file imports a name it never reads,
-no package module imports a private name of another, and no public name
-or package module is read only by tests.
+no package module imports a private name of another, no public name or
+package module is read only by tests, and every private top-level name
+is read by the package.
 
 No linter is installed, and a deletion easily leaves an import behind.
 The unread-import check skips the package's __init__.py: its imports are
@@ -82,10 +83,11 @@ def references(node):
     return found
 
 
-def unread_public_names(modules, readers):
-    """"module.name" of each public top-level function or class of modules
-    ({module: source}) that neither readers (sources) nor any module reads,
-    outside the name's own definition."""
+def unread_names(modules, readers, defines):
+    """"module.name" of each name that defines(statement) gives for a
+    top-level statement of modules ({module: source}) and that neither
+    readers (sources) nor any module reads, outside the name's own
+    definition."""
     bodies = {mod: ast.parse(source).body for mod, source in modules.items()}
     refs = {mod: [references(stmt) for stmt in body] for mod, body in bodies.items()}
     outside = set().union(*(references(ast.parse(source)) for source in readers))
@@ -94,10 +96,33 @@ def unread_public_names(modules, readers):
         read = outside.union(*(r for other, rs in refs.items() if other != mod for r in rs))
         for i, stmt in enumerate(body):
             elsewhere = read.union(*(r for j, r in enumerate(refs[mod]) if j != i))
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_") and stmt.name not in elsewhere):
-                found.append(f"{mod}.{stmt.name}")
+            found += [f"{mod}.{name}" for name in defines(stmt) if name not in elsewhere]
     return sorted(found)
+
+
+def public_definitions(stmt):
+    """The public function or class a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+        return [stmt.name]
+    return []
+
+
+def unread_public_names(modules, readers):
+    return unread_names(modules, readers, public_definitions)
+
+
+def private_definitions(stmt):
+    """The private function, class or module constants a top-level
+    statement defines; dunder names are not private."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
 def test_unread_public_names_are_found():
@@ -109,6 +134,17 @@ def test_unread_public_names_are_found():
     assert unread_public_names(modules, ["import a\na.f\ngetattr(b, 'j')\nprint('h ')\n"]) == [
         "a.h"]
     assert unread_public_names(modules, []) == ["a.f", "a.h", "b.j"]
+
+
+def test_unread_private_names_are_found():
+    modules = {"a": "_K = 1\n_L: int = 2\n__all__ = []\n\n"
+                    "def _f():\n    return _g() + _K\n\n"
+                    "def _g():\n    return _g()\n\nclass _C:\n    pass\n\n"
+                    "def h():\n    pass\n",
+               "b": "import a\n\ndef j():\n    return a._C\n\n_M = 3\n"}
+    assert unread_names(modules, [], private_definitions) == ["a._L", "a._f", "b._M"]
+    assert unread_names(modules, ["a._f\nfrom b import _M\n"], private_definitions) == [
+        "a._L"]
 
 
 def package_modules():
@@ -173,3 +209,10 @@ def test_no_package_module_is_imported_only_by_tests():
     """A module no package module, benchmark file or acceptance criterion
     imports is code that only its own tests run."""
     assert unimported_modules(package_modules(), outside_readers()) == []
+
+
+def test_no_private_name_is_read_only_by_tests():
+    """A private top-level function, class or constant that no statement
+    of the package reads is dead code; tests may still monkeypatch it."""
+    readers = [(PACKAGE / "__init__.py").read_text()]
+    assert unread_names(package_modules(), readers, private_definitions) == []

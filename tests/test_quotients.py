@@ -145,6 +145,28 @@ def test_pair_quotient():
     assert r == (1, 1, 0, 1, 1, 4, 0, 1)
 
 
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: MatrixQuotient(1, (5,)), DomainError, "dimension must be at least 2"),
+    (lambda: MatrixQuotient(2, (3, 5, 7)), DomainError, "one prime or a pair"),
+    (lambda: MatrixQuotient(2, (5, 5)), DomainError, "pair moduli must be distinct"),
+    (lambda: MatrixQuotient(2, (3, 9)), CompositeModulus, "modulus 9 is not prime"),
+    (lambda: AbelianQuotient(0, 5), DomainError, "rank >= 1"),
+    (lambda: AbelianQuotient(2, 1), DomainError, "modulus >= 2"),
+], ids=["dimension_1", "three_moduli", "equal_pair", "composite", "rank_0", "modulus_1"])
+def test_quotients_refuse_bad_shapes(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_reduce_refuses_another_dimension_or_rank():
+    with pytest.raises(DomainError, match="element dimension 3 != quotient dimension 2"):
+        MatrixQuotient(2, (5,)).reduce(MatrixElement.identity(3))
+    with pytest.raises(DomainError, match="element rank 3 != quotient rank 2"):
+        AbelianQuotient(2, 5).reduce(AbelianElement((1, 2, 3)))
+    with pytest.raises(DomainError, match="element dimension None"):
+        MatrixQuotient(2, (5,)).reduce(AbelianElement((1, 2)))
+
+
 def test_enumerate_elements_counts():
     q3 = MatrixQuotient(2, (3,))
     els = q3.enumerate_elements()

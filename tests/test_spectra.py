@@ -214,15 +214,16 @@ def test_iterative_spectrum_csv_cells_are_plain_numbers():
 ])
 def test_neighbor_permutations_match_multiply(quotient, A):
     els = elements(quotient)
-    codes, a_size, maps = spectra.walk_permutations(A, quotient)
+    codes, perms, mults = spectra.walk_permutations(A, quotient)
     ell = len(codes)
     assert ell == len(els) == quotient.order()
     merged = {}
     for g, m in A.pairs:
         merged[quotient.reduce(g)] = merged.get(quotient.reduce(g), 0) + m
-    assert a_size == A.size and [m for _, m in maps] == list(merged.values())
-    pairs = [(g, perm) for g, (perm, _) in zip(merged, maps)]
-    for g, idx in pairs:
+    assert mults.sum() == A.size and mults.tolist() == list(merged.values())
+    assert perms.shape == (len(merged), ell)
+    assert perms.dtype == np.intp and mults.dtype == np.int64
+    for g, idx in zip(merged, perms):
         assert sorted(idx) == list(range(ell))
         assert all(els[j] == quotient.multiply(x, g) for x, j in zip(els, idx))
     h, left, _ = spectra._cyclic_translation(quotient, codes)
@@ -241,10 +242,9 @@ BLOCK_CASES = (
 @pytest.mark.parametrize("quotient,A", BLOCK_CASES,
                          ids=[f"{q.label}-{A.tag}" for q, A in BLOCK_CASES])
 def test_block_spectrum_equals_dense_eigvalsh(quotient, A):
-    codes, a_size, maps = spectra.walk_permutations(A, quotient)
-    maps = [(perm, m / a_size) for perm, m in maps]
-    _, left, mults = spectra._cyclic_translation(quotient, codes)
-    blocks = spectra._dense_spectrum(maps, left, mults)
+    codes, perms, mults = spectra.walk_permutations(A, quotient)
+    _, left, units = spectra._cyclic_translation(quotient, codes)
+    blocks = spectra._dense_spectrum(perms, mults / mults.sum(), left, units)
     want = np.linalg.eigvalsh(_walk_matrix(quotient, A))
     assert blocks.shape == want.shape
     assert np.max(np.abs(blocks - want)) <= 1e-12
@@ -273,7 +273,7 @@ def test_dense_route_splits_by_the_order_of_h(moduli, r, order, monkeypatch):
     assert shapes == [(orbits, order, order)]
 
 
-def _character_blocks(maps, left):
+def _character_blocks(perms, weights, left):
     """Every block B_0 .. B_(r-1) of P over the characters of <h>, built
     one by one as the dense route built them before it solved one block
     per orbit."""
@@ -288,7 +288,7 @@ def _character_blocks(maps, left):
     coset = np.searchsorted(rows, best)
     phase = np.exp(-2j * np.pi * np.arange(r) / r)
     blocks = np.zeros((r, rows.size, rows.size), dtype=complex)
-    for perm, w in maps:
+    for perm, w in zip(perms, weights):
         t = perm[rows]
         for k in range(r):
             blocks[k, np.arange(rows.size), coset[t]] += w * phase[k * shift[t] % r]
@@ -301,9 +301,9 @@ def test_blocks_in_one_orbit_share_a_spectrum(moduli, orbits):
     # 6 orbits for p = 1 mod 4, where -1 is a square mod p, and 4 for
     # p = 3 mod 4, where it is not
     q = MatrixQuotient(2, moduli)
-    codes, a_size, maps = spectra.walk_permutations(sl2_st_generators(), q)
-    _, left, mults = spectra._cyclic_translation(q, codes)
-    blocks = _character_blocks([(perm, m / a_size) for perm, m in maps], left)
+    codes, perms, mults = spectra.walk_permutations(sl2_st_generators(), q)
+    _, left, units = spectra._cyclic_translation(q, codes)
+    blocks = _character_blocks(perms, mults / mults.sum(), left)
     r = len(blocks)
     rep = {}
     for k in range(r):
@@ -312,7 +312,7 @@ def test_blocks_in_one_orbit_share_a_spectrum(moduli, orbits):
             while frontier:
                 j = frontier.pop()
                 rep.setdefault(j, k)
-                frontier += [j * a % r for a in (-1,) + mults if j * a % r not in rep]
+                frontier += [j * a % r for a in (-1,) + units if j * a % r not in rep]
     eig = np.linalg.eigvalsh(blocks)
     for k in range(r):
         assert np.max(np.abs(eig[k] - eig[rep[k]])) <= 1e-12
@@ -335,8 +335,8 @@ def test_iterative_residual_is_a_two_norm_bound(quotient, A, monkeypatch):
     assert np.min(np.abs(eig - it.pi_min)) <= it.residual
     # each end reports the explicit 2-norm of the residual vector of the
     # Ritz pair it returns, plus a floor for the rounding in evaluating it
-    codes, a_size, maps = spectra.walk_permutations(A, quotient)
-    pairs = spectra._lanczos_extremes([(perm, m / a_size) for perm, m in maps], len(codes))
+    _, perms, mults = spectra.walk_permutations(A, quotient)
+    pairs = spectra._lanczos_extremes(perms, mults / mults.sum())
     assert [theta for theta, _, _ in pairs] == [it.pi_1, it.pi_min]
     assert max(res for _, _, res in pairs) == it.residual
     for theta, y, res in pairs:
@@ -369,10 +369,10 @@ def test_krylov_budget_exhausted_raises_convergence_failure(vectors, monkeypatch
 
 
 def _walk_matrix(quotient, A):
-    codes, a_size, maps = spectra.walk_permutations(A, quotient)
+    codes, perms, mults = spectra.walk_permutations(A, quotient)
     P = np.zeros((len(codes), len(codes)))
-    for perm, m in maps:
-        P[np.arange(len(codes)), perm] += m / a_size
+    for perm, m in zip(perms, mults):
+        P[np.arange(len(codes)), perm] += m / mults.sum()
     return P
 
 

@@ -846,9 +846,9 @@ def test_parity_law_equals_quotient_convolution(A):
     # the character sums against the step-by-step law on (Z/2)^rank
     rank = A.pairs[0][0].rank
     q = AbelianQuotient(rank, 2)
-    codes, _, maps = walk_permutations(A, q)
+    codes, perms, mults = walk_permutations(A, q)
     grid = range(13)
-    want = walker.convolve_counts(maps, q.index(q.identity()), grid)
+    want = walker.convolve_counts(perms, mults, q.index(q.identity()), grid)
     got = list(walker._parity_laws(A, rank, grid))
     assert [n for n, *_ in got] == list(grid)
     for n, rows, counts in got:
