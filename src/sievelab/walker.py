@@ -19,6 +19,13 @@ over the element indices, and a step is one gather by the index
 permutations of the generators and one dot product with their
 multiplicities. The torus parity law and the line law on Z are closed
 forms: a character sum mod 2, and trinomial coefficients by recurrence.
+
+The draw tiles of a sweep's chunk (prng.draw_block) and its abelian
+histogram tiles (_advance) spread over every CPU by prng.on_cores, each
+tile written by one thread, so no hit count depends on the CPU count.
+Verdicts, oracle and quotient calls, the matrix block products (about as
+cheap as a thread hand-off) and every exact law stay on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -439,8 +446,10 @@ def _advance(st, gens, draws, abelian):
     the draws d of its segment: a tile of lanes at a time takes one
     bincount of the keys lane|A| + draw, and the counts times the
     (|A|, rank) step table. That is lanes (seg + |A| rank) work per
-    segment, against lanes seg rank gathers of each draw. A tile holds at most _KEYS keys and _KEYS bins;
-    a segment longer than _KEYS is counted a tile of columns at a time.
+    segment, against lanes seg rank gathers of each draw. A tile holds at
+    most _KEYS keys and _KEYS bins, and writes its own rows of the result,
+    so the tiles run as tasks of prng.on_cores; a segment longer than
+    _KEYS is counted a tile of columns at a time.
     No count exceeds seg, so the caller's int64 guard bounds every partial
     sum, and Python-int lanes take the int64 counts @ the object table.
     """
@@ -453,12 +462,16 @@ def _advance(st, gens, draws, abelian):
     rows = max(1, _KEYS // max(width, size))
     offsets = np.arange(0, rows * size, size)[:, None]
     out = np.empty_like(st)
-    for r0 in range(0, len(st), rows):
+
+    def tile(i):
+        r0 = i * rows
         part = draws[r0:r0 + rows]
         bins = len(part) * size
         counts = sum(np.bincount((part[:, c0:c0 + width] + offsets[:len(part)]).ravel(),
                                  minlength=bins) for c0 in range(0, seg, width))
         out[r0:r0 + rows] = st[r0:r0 + rows] + counts.reshape(len(part), size) @ gens
+
+    prng.on_cores(tile, -(-len(st) // rows))
     return out
 
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 
 from sievelab import prng
 from sievelab.errors import DomainError
+from sievelab.thinsets import NongenericGaloisOracle, residual
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -132,6 +137,96 @@ def test_block_peak_memory_is_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * block.nbytes
+
+
+# tiles of 64 draws: 45 trials of 9 steps fill 7 tiles of 7 rows, a count
+# that neither 2 nor 3 workers divide, and 7 trials of 100 steps fill 14
+# tiles, one of 64 columns and a ragged one of 36 a row; the trial ids
+# are unsorted and far out, and the steps start at 18
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("bound", [3, 300, 70000, 2**64 + 1])
+@pytest.mark.parametrize("ntrials,nsteps", [(45, 9), (7, 100)])
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, cores, bound, ntrials, nsteps):
+    monkeypatch.setattr(prng, "_TILE", 64)
+    monkeypatch.setattr(prng, "_CORES", cores)
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        # every byte 0xFF, which no draw below these bounds has, so that a
+        # tile no stripe wrote cannot pass for the last test's block
+        out = empty(*args, **kwargs)
+        if out.dtype != object:
+            out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    trials = (np.arange(ntrials) * 17) % ntrials + 2**40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+    try:
+        rows = prng.draw_block(2024, trials, nsteps, bound, start=18)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows.dtype == {3: np.uint8, 300: np.uint16, 70000: np.int64}.get(bound, object)
+    assert rows.tolist() == [prng.draw_indices(2024, int(t), nsteps, bound, start=18)
+                             for t in trials]
+
+
+def test_a_stripe_exception_reaches_the_caller(monkeypatch):
+    # 6 tiles in stripes (0, 1), (2, 3), (4, 5): tile 5 runs on a pool
+    # thread and tile 0 on the calling one. A stripe stops at its
+    # exception, and on_cores raises it once every stripe has ended
+    monkeypatch.setattr(prng, "_CORES", 3)
+    for bad, want in ((5, [0, 1, 2, 3, 4]), (0, [2, 3, 4, 5])):
+        done, threads = [], {}
+
+        def work(i, bad=bad):
+            threads[i] = threading.current_thread()
+            if i == bad:
+                raise KeyError(i)
+            done.append(i)
+
+        with pytest.raises(KeyError):
+            prng.on_cores(work, 6)
+        assert sorted(done) == want
+        assert (threads[bad] is threading.current_thread()) == (bad == 0)
+
+
+def test_one_tile_makes_no_pool(monkeypatch):
+    # a sample of 700 elements of SL_3(F_5) draws 700 x 9 entries, one
+    # tile, so it runs on the calling thread, however many CPUs there are
+    monkeypatch.setattr(prng, "_CORES", 3)
+    monkeypatch.setattr(prng, "_POOL", None)
+    oracle = NongenericGaloisOracle(3)
+    rep = residual(oracle, oracle.quotient_for_prime(5), mode="sample", samples=700, seed=4)
+    assert rep.checked == rep.hits == 700
+    assert prng._POOL is None
+    ran = []
+    prng.on_cores(ran.append, 1)
+    assert ran == [0] and prng._POOL is None
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # the child of a fork has none of the pool threads of its parent, so
+    # a pool it inherited would never run a stripe; tiles of 64 draws
+    # make the child's block 7 tiles
+    monkeypatch.setattr(prng, "_TILE", 64)
+    monkeypatch.setattr(prng, "_CORES", 2)
+    prng.on_cores(lambda i: None, 2)
+    want = [prng.draw_indices(5, t, 9, 7) for t in range(45)]
+    pid = os.fork()
+    if pid == 0:  # the child reports by its exit code alone
+        try:
+            os._exit(0 if prng.draw_block(5, np.arange(45), 9, 7).tolist() == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_block_bound_validation():

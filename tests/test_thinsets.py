@@ -421,6 +421,24 @@ def test_residual_fixed_flag_mod_three():
     assert rep.density == Fraction(3, 4)
 
 
+# |{g in SL_2(F_p) : tr g = t}| = p^2 + p ((t^2 - 4)/p) gives the density of
+# the Galois set (t^2 - 4 a square mod p) and of the fixed flag (t = +-2)
+SL2_DENSITIES = ((NongenericGaloisOracle, lambda p: Fraction(p + 3, 2 * (p + 1))),
+                 (RationalFixedFlagOracle, lambda p: Fraction(2 * p, p * p - 1)))
+
+
+@pytest.mark.parametrize("oracle_cls,density", SL2_DENSITIES)
+def test_sl2_residual_densities_have_closed_forms(oracle_cls, density):
+    for p in primerange(3, 60):
+        rep = residual(oracle_cls(2), MatrixQuotient(2, (p,)))
+        assert rep.checked == p * (p * p - 1)
+        assert rep.density == density(p), p
+    # over a pair of primes the residual set is the product of the two
+    for p, q in ((3, 5), (3, 7), (5, 7)):
+        rep = residual(oracle_cls(2), MatrixQuotient(2, (p, q)))
+        assert rep.density == density(p) * density(q)
+
+
 def test_residual_sampling_matches_enumeration():
     oracle = RationalFixedFlagOracle(2)
     q = MatrixQuotient(2, (5,))

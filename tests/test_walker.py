@@ -601,9 +601,14 @@ def test_matrix_lanes_exact_past_int64():
         assert swept_counts(A, oracle, [8], m, 6) == (want[0][-1:], want[1][-1:])
 
 
-def test_abelian_lanes_exact_past_int64():
+@pytest.mark.parametrize("cores", [1, 3])
+def test_abelian_lanes_exact_past_int64(monkeypatch, cores):
     # steps +-2^60 pass the guard's 2^62 within four steps; steps +-3*2^60
-    # pass 2^63 within three, where int64 lanes would wrap
+    # pass 2^63 within three, where int64 lanes would wrap. Tiles of at
+    # most 16 keys split the 500 lanes into many tiles, which the stripes
+    # of 3 workers share, Python-int lanes included
+    monkeypatch.setattr(walker, "_KEYS", 16)
+    monkeypatch.setattr(prng, "_CORES", cores)
     for step, seed, past in ((1 << 60, 12, 1 << 62), (3 << 60, 13, 1 << 63)):
         A = validate_generators([AbelianElement((0,)), AbelianElement((step,)),
                                  AbelianElement((-step,))])
@@ -888,11 +893,13 @@ def test_histogram_step_with_uint16_draws(monkeypatch):
     assert max(keys for keys, _ in calls) <= 1 << 16
 
 
-def test_histogram_tiles_split_lanes_and_long_segments(monkeypatch):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_histogram_tiles_split_lanes_and_long_segments(monkeypatch, cores):
     # with tiles of at most 16 keys, a segment of 21 steps is counted in
     # two tiles of columns, and segments of 1 and 5 steps take three lanes
-    # a tile
+    # a tile; the hits do not depend on how many workers share the tiles
     monkeypatch.setattr(walker, "_KEYS", 16)
+    monkeypatch.setattr(prng, "_CORES", cores)
     calls = _spy_bincount(monkeypatch)
     A = torus_generators()
     grid, m = [5, 26, 27, 40], 50
