@@ -21,8 +21,8 @@ multiplicities. The torus parity law and the line law on Z are closed
 forms: a character sum mod 2, and trinomial coefficients by recurrence.
 
 The draw tiles of a sweep's chunk (prng.draw_block) and its abelian
-histogram tiles (_advance) spread over every CPU by prng.on_cores, each
-tile written by one thread, so no hit count depends on the CPU count.
+histogram tiles (_advance) spread over the CPUs by prng.on_cores, each
+tile written by one thread, so no hit count depends on the worker count.
 Verdicts, oracle and quotient calls, the matrix block products (about as
 cheap as a thread hand-off) and every exact law stay on the calling
 thread.
@@ -448,7 +448,7 @@ def _advance(st, gens, draws, abelian):
     (|A|, rank) step table. That is lanes (seg + |A| rank) work per
     segment, against lanes seg rank gathers of each draw. A tile holds at
     most _KEYS keys and _KEYS bins, and writes its own rows of the result,
-    so the tiles run as tasks of prng.on_cores; a segment longer than
+    so the stripes of prng.on_cores share the tiles; a segment longer than
     _KEYS is counted a tile of columns at a time.
     No count exceeds seg, so the caller's int64 guard bounds every partial
     sum, and Python-int lanes take the int64 counts @ the object table.
@@ -463,15 +463,15 @@ def _advance(st, gens, draws, abelian):
     offsets = np.arange(0, rows * size, size)[:, None]
     out = np.empty_like(st)
 
-    def tile(i):
-        r0 = i * rows
-        part = draws[r0:r0 + rows]
-        bins = len(part) * size
-        counts = sum(np.bincount((part[:, c0:c0 + width] + offsets[:len(part)]).ravel(),
-                                 minlength=bins) for c0 in range(0, seg, width))
-        out[r0:r0 + rows] = st[r0:r0 + rows] + counts.reshape(len(part), size) @ gens
+    def stripe(lo, hi):
+        for r0 in range(lo * rows, hi * rows, rows):
+            part = draws[r0:r0 + rows]
+            bins = len(part) * size
+            counts = sum(np.bincount((part[:, c0:c0 + width] + offsets[:len(part)]).ravel(),
+                                     minlength=bins) for c0 in range(0, seg, width))
+            out[r0:r0 + rows] = st[r0:r0 + rows] + counts.reshape(len(part), size) @ gens
 
-    prng.on_cores(tile, -(-len(st) // rows))
+    prng.on_cores(stripe, -(-len(st) // rows))
     return out
 
 

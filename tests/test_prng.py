@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -139,10 +140,11 @@ def test_block_peak_memory_is_near_its_output():
     assert peak < 2 * block.nbytes
 
 
-# tiles of 64 draws: 45 trials of 9 steps fill 7 tiles of 7 rows, a count
-# that neither 2 nor 3 workers divide, and 7 trials of 100 steps fill 14
-# tiles, one of 64 columns and a ragged one of 36 a row; the trial ids
-# are unsorted and far out, and the steps start at 18
+# tiles of 64 draws: 45 trials of 9 steps fill 7 row tiles of 7 rows, a
+# count that neither 2 nor 3 workers divide, and 7 trials of 100 steps
+# fill 7 row tiles of one row, each mixed as one tile of 64 columns and a
+# ragged one of 36; the trial ids are unsorted and far out, and the steps
+# start at 18
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("bound", [3, 300, 70000, 2**64 + 1])
 @pytest.mark.parametrize("ntrials,nsteps", [(45, 9), (7, 100)])
@@ -180,11 +182,12 @@ def test_a_stripe_exception_reaches_the_caller(monkeypatch):
     for bad, want in ((5, [0, 1, 2, 3, 4]), (0, [2, 3, 4, 5])):
         done, threads = [], {}
 
-        def work(i, bad=bad):
-            threads[i] = threading.current_thread()
-            if i == bad:
-                raise KeyError(i)
-            done.append(i)
+        def work(lo, hi, bad=bad):
+            for i in range(lo, hi):
+                threads[i] = threading.current_thread()
+                if i == bad:
+                    raise KeyError(i)
+                done.append(i)
 
         with pytest.raises(KeyError):
             prng.on_cores(work, 6)
@@ -202,8 +205,8 @@ def test_one_tile_makes_no_pool(monkeypatch):
     assert rep.checked == rep.hits == 700
     assert prng._POOL is None
     ran = []
-    prng.on_cores(ran.append, 1)
-    assert ran == [0] and prng._POOL is None
+    prng.on_cores(lambda lo, hi: ran.append((lo, hi)), 1)
+    assert ran == [(0, 1)] and prng._POOL is None
 
 
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
@@ -212,7 +215,7 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
     # make the child's block 7 tiles
     monkeypatch.setattr(prng, "_TILE", 64)
     monkeypatch.setattr(prng, "_CORES", 2)
-    prng.on_cores(lambda i: None, 2)
+    prng.on_cores(lambda lo, hi: None, 2)
     want = [prng.draw_indices(5, t, 9, 7) for t in range(45)]
     pid = os.fork()
     if pid == 0:  # the child reports by its exit code alone
@@ -227,6 +230,41 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
         os.kill(pid, 9)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.parametrize("cores", [4, 8])
+def test_block_scratch_does_not_grow_with_the_worker_count(monkeypatch, cores):
+    # the 4 MiB block of the test above, its row tiles shared by a fresh
+    # pool of cores - 1 threads: the stripes' scratch pairs together stay
+    # within 2 MiB, so the peak keeps the same 2x bound
+    monkeypatch.setattr(prng, "_CORES", cores)
+    monkeypatch.setattr(prng, "_POOL", None)
+    tracemalloc.start()
+    try:
+        block = prng.draw_block(3, np.arange(4096), 1024, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if prng._POOL is not None:
+            prng._POOL.shutdown()
+    assert prng._POOL is not None
+    for t in (0, 4095):  # rows of the first and the last stripe
+        assert block[t, :9].tolist() == prng.draw_indices(3, t, 9, 3)
+    assert peak < 2 * block.nbytes
+
+
+def test_imports_without_affinity_or_fork_hooks():
+    # os.sched_getaffinity is missing on macOS and Windows, and
+    # os.register_at_fork on Windows: the worker count falls back to
+    # os.cpu_count, and no fork hook is registered
+    code = ("import os; del os.sched_getaffinity, os.register_at_fork; "
+            "from sievelab import prng; "
+            "assert prng._CORES == min(2, os.cpu_count() or 1); "
+            "assert prng.draw_block(5, range(3), 4, 7).tolist() == "
+            "[prng.draw_indices(5, t, 4, 7) for t in range(3)]")
+    src = os.path.dirname(os.path.dirname(prng.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_block_bound_validation():
