@@ -6,17 +6,22 @@ self-adjoint, so its spectrum is real: 1 = lambda_1 >= lambda_2 >= ...
 pi_1 is lambda_2, pi_min the bottom eigenvalue, pi_star the largest
 modulus away from the top eigenvector.
 
-Small quotients get a dense route: P acts on the right, so it commutes
-with every left translation L_n, (L_n v)(x) = v(n x), and splits over
-the characters of a cyclic subgroup <h> into Hermitian blocks of order
-|G|/ord(h). An n of the normaliser of <h>, n h n^-1 = h^a, carries the
-block of character k onto the block of k a through L_n, and complex
-conjugation carries it onto the block of -k, so the blocks of one orbit
-share a spectrum: one block per orbit goes to a dense eigensolver. Past
-DENSE_THRESHOLD one Lanczos run on P, deflated by the constant vector,
-extracts both extremes with a residual: the 2-norm ||Py - theta y|| of
-each Ritz pair plus a rounding floor, which bounds |lambda - theta| for
-some eigenvalue lambda of P.
+An abelian quotient (Z/q)^rank is diagonal in its characters (Diaconis,
+Group Representations in Probability and Statistics, 1988, ch. 3): its
+spectrum is sum_g w_g cos(2 pi <u, g>/q), one value per element u.
+
+Only matrix quotients reach what follows. Small ones get a dense
+route: P acts on the right, so it commutes with every left translation
+L_n, (L_n v)(x) = v(n x), and splits over the characters of a cyclic
+subgroup <h> into Hermitian blocks of order |G|/ord(h). An n of the
+normaliser of <h>, n h n^-1 = h^a, carries the block of character k
+onto the block of k a through L_n, and complex conjugation carries it
+onto the block of -k, so the blocks of one orbit share a spectrum: one
+block per orbit goes to a dense eigensolver. Past DENSE_THRESHOLD one
+Lanczos run on P, deflated by the constant vector, extracts both
+extremes with a residual: the 2-norm ||Py - theta y|| of each Ritz pair
+plus a rounding floor, which bounds |lambda - theta| for some
+eigenvalue lambda of P.
 Consumers add the residual before comparing against thresholds.
 """
 
@@ -68,41 +73,46 @@ class AdjacencySpectrum:
 
 
 def _cyclic_translation(quotient, codes):
-    """(h, L, units): the element h whose left translations split the
-    dense route, the index permutation L of x -> h x over the sorted
-    codes, and the units a with n h n^-1 = h^a for elements n of the
-    normaliser of <h>.
+    """(h, L, units) of a matrix quotient: the element h whose left
+    translations split the dense route, the index permutation L of
+    x -> h x over the sorted codes, and the units a with n h n^-1 = h^a
+    for elements n of the normaliser of <h>.
 
-    h is c E_1d(1) in each prime's block of a matrix quotient, with c = -1
-    when d is even and p odd (so <h> holds -I) and c = 1 otherwise; it is
-    e_1 in an abelian quotient, where left and right translation agree.
-    Each odd prime's block gives one n: diag(x, x^-1, 1, ..., 1) there, x
-    a generator of F_p^x, and the identity in the other blocks; a is the
-    index of n h n^-1 among the powers of h. Abelian quotients and p = 2
-    give no unit.
+    h is c E_1d(1) in each prime's block, with c = -1 when d is even and
+    p odd (so <h> holds -I) and c = 1 otherwise. Each odd prime's block
+    gives one n: diag(x, x^-1, 1, ..., 1) there, x a generator of F_p^x,
+    and the identity in the other blocks; a is the index of n h n^-1
+    among the powers of h. p = 2 gives no unit.
     """
+    d = quotient.dimension
+    h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
+              for p in quotient.moduli for i in range(d) for j in range(d))
+    one = quotient.identity()
+    powers = [one]
+    while (nxt := quotient.multiply(powers[-1], h)) != one:
+        powers.append(nxt)
     units = []
-    if isinstance(quotient, AbelianQuotient):
-        h = (1,) + (0,) * (quotient.rank - 1)
-    else:
-        d = quotient.dimension
-        h = tuple((p - 1 if d % 2 == 0 and p % 2 else 1) * (i == j or (i, j) == (0, d - 1))
-                  for p in quotient.moduli for i in range(d) for j in range(d))
-        one = quotient.identity()
-        powers = [one]
-        while (nxt := quotient.multiply(powers[-1], h)) != one:
-            powers.append(nxt)
-        for b, p in enumerate(quotient.moduli):
-            if p == 2:
-                continue
-            x = next(x for x in range(2, p) if all(pow(x, k, p) != 1 for k in range(1, p - 1)))
-            at, x_inv = b * d * d, pow(x, -1, p)
-            n, n_inv = list(one), list(one)
-            n[at], n[at + d + 1] = x, x_inv
-            n_inv[at], n_inv[at + d + 1] = x_inv, x
-            units.append(powers.index(quotient.multiply(quotient.multiply(n, h), n_inv)))
+    for b, p in enumerate(quotient.moduli):
+        if p == 2:
+            continue
+        x = next(x for x in range(2, p) if all(pow(x, k, p) != 1 for k in range(1, p - 1)))
+        at, x_inv = b * d * d, pow(x, -1, p)
+        n, n_inv = list(one), list(one)
+        n[at], n[at + d + 1] = x, x_inv
+        n_inv[at], n_inv[at + d + 1] = x_inv, x
+        units.append(powers.index(quotient.multiply(quotient.multiply(n, h), n_inv)))
     hx = quotient.multiply_digits(np.array([h], dtype=quotient.dtype), quotient.decode(codes))
     return h, np.searchsorted(codes, quotient.encode(hx)), tuple(units)
+
+
+def _character_spectrum(quotient, codes, perms, weights) -> np.ndarray:
+    """sum_g w_g cos(2 pi <u, g>/q) for every u of (Z/q)^rank, ascending; g
+    is the image of the identity under its permutation, <u, g> < rank q^2."""
+    q, u = quotient.modulus, quotient.decode(codes)
+    eig = np.zeros(codes.size)
+    for g, w in zip(u[perms[:, quotient.index(quotient.identity())]], weights):
+        eig += w * np.cos(2 * np.pi * (u @ g % q) / q)
+    return np.sort(eig)
 
 
 def _dense_spectrum(perms, weights, left, units) -> np.ndarray:
@@ -216,9 +226,10 @@ def _lanczos_extremes(perms, weights):
 def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     """pi_1, pi_min, pi_star of the walk operator of A on the quotient.
 
-    A dense spectrum is exact up to rounding (residual 0.0); an iterative
-    one (Lanczos, past DENSE_THRESHOLD) reports a residual that bounds the
-    distance of pi_1 and of pi_min to eigenvalues of P, and raises
+    Characters (abelian) and dense blocks (matrix, up to DENSE_THRESHOLD)
+    are exact up to rounding (method "dense", residual 0.0); Lanczos on a
+    larger matrix quotient reports a residual that bounds the distance
+    of pi_1 and of pi_min to eigenvalues of P, and raises
     ConvergenceFailure if its Krylov basis outgrows _KRYLOV_BYTES first.
     """
     codes, perms, mults = walk_permutations(A, quotient)
@@ -226,17 +237,19 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     weights = mults / a_size
     if ell < 2:
         raise DomainError("quotient must have at least 2 elements")
-    if ell <= DENSE_THRESHOLD:
+    if isinstance(quotient, AbelianQuotient):
+        eig = _character_spectrum(quotient, codes, perms, weights)
+    elif ell <= DENSE_THRESHOLD:
         _, left, units = _cyclic_translation(quotient, codes)
         eig = _dense_spectrum(perms, weights, left, units)
+    else:
+        (pi_1, _, res_1), (pi_min, _, res_min) = _lanczos_extremes(perms, weights)
         return AdjacencySpectrum(quotient.label, ell, a_size,
-                                 pi_1=float(eig[-2]), pi_min=float(eig[0]),
-                                 method="dense", residual=0.0)
-
-    (pi_1, _, res_1), (pi_min, _, res_min) = _lanczos_extremes(perms, weights)
+                                 pi_1=pi_1, pi_min=pi_min,
+                                 method="iterative", residual=max(res_1, res_min))
     return AdjacencySpectrum(quotient.label, ell, a_size,
-                             pi_1=pi_1, pi_min=pi_min,
-                             method="iterative", residual=max(res_1, res_min))
+                             pi_1=float(eig[-2]), pi_min=float(eig[0]),
+                             method="dense", residual=0.0)
 
 
 # ----- mixing bounds -----

@@ -134,6 +134,15 @@ def test_spectrum_json_iterative_route(tmp_path):
     assert obj["residual"] <= 1e-9
 
 
+def test_spectrum_json_large_abelian_quotient(tmp_path):
+    # Z/10007 is past DENSE_THRESHOLD; its characters answer at once
+    rc, text = run(tmp_path, "spectrum", "--scenario", "z_origin",
+                   "--prime", "10007", "--format", "json")
+    assert rc == 0
+    obj = json.loads(text)
+    assert obj["method"] == "dense" and obj["order"] == 10007 and obj["residual"] == 0.0
+
+
 # each subcommand accepts only the options it reads
 BASE_ARGS = {
     "walk": ["--scenario", "z_origin", "--n", "2"],

@@ -28,7 +28,7 @@ from helpers import (
     walk_elements,
 )
 import sievelab
-from sievelab import prng
+from sievelab import lab, prng
 from sievelab.errors import ArityMismatch, DegreeUnsupported, DimensionMismatch, DomainError
 from sievelab.matgroup import (
     AbelianElement,
@@ -37,7 +37,7 @@ from sievelab.matgroup import (
     kernel_vector,
     sl2_st_generators,
 )
-from sievelab.quotients import AbelianQuotient, MatrixQuotient
+from sievelab.quotients import AbelianQuotient, MatrixQuotient, walk_permutations
 from sievelab.thinsets import (
     IN,
     OUT,
@@ -52,6 +52,7 @@ from sievelab.thinsets import (
     residual,
     sample_rows,
 )
+from sievelab.walker import convolve_counts, hit_probabilities_exact
 
 T = MatrixElement(((1, 1), (0, 1)))
 S = MatrixElement(((0, 1), (-1, 0)))
@@ -437,6 +438,28 @@ def test_sl2_residual_densities_have_closed_forms(oracle_cls, density):
     for p, q in ((3, 5), (3, 7), (5, 7)):
         rep = residual(oracle_cls(2), MatrixQuotient(2, (p, q)))
         assert rep.density == density(p) * density(q)
+
+
+@pytest.mark.parametrize("name", lab.list_scenarios())
+def test_quotient_law_bounds_the_exact_law(name):
+    # a member reduces into the residual set, so P(omega_n in Z) can be
+    # no larger than P(omega_n mod p in Z_p), the quotient walk's mass on
+    # the residual set
+    scenario = lab.get_scenario(name)
+    A, oracle = scenario.generators, scenario.oracle
+    primes, n_max = ((2, 3), 6) if name == "sl3_galois" else ((2, 3, 5, 7), 8)
+    exact = hit_probabilities_exact(A, range(n_max + 1), oracle)
+    for p in primes:
+        q = oracle.quotient_for_prime(p)
+        codes, perms, mults = walk_permutations(A, q)
+        mask = oracle.residual_mask(q.decode(codes), q)
+        laws = convolve_counts(perms, mults, q.index(q.identity()), range(n_max + 1))
+        for n, counts in laws.items():
+            law = Fraction(int(counts[mask].sum()), A.size ** n)
+            assert exact[n] <= law, (p, n)
+            if name == "torus_squares" and p == 2:
+                # the parity law is the mod-2 law
+                assert exact[n] == law, n
 
 
 def test_residual_sampling_matches_enumeration():
