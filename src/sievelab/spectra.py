@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .matgroup import GeneratorMultiset
-from .quotients import AbelianQuotient, walk_permutations
+from .quotients import AbelianQuotient, reduced_steps, walk_permutations
 from .walker import convolve_counts
 
 DENSE_THRESHOLD = 4000
@@ -105,12 +105,12 @@ def _cyclic_translation(quotient, codes):
     return h, np.searchsorted(codes, quotient.encode(hx)), tuple(units)
 
 
-def _character_spectrum(quotient, codes, perms, weights) -> np.ndarray:
-    """sum_g w_g cos(2 pi <u, g>/q) for every u of (Z/q)^rank, ascending; g
-    is the image of the identity under its permutation, <u, g> < rank q^2."""
-    q, u = quotient.modulus, quotient.decode(codes)
-    eig = np.zeros(codes.size)
-    for g, w in zip(u[perms[:, quotient.index(quotient.identity())]], weights):
+def _character_spectrum(quotient, steps, weights) -> np.ndarray:
+    """sum_g w_g cos(2 pi <u, g>/q) for every u of (Z/q)^rank, ascending,
+    over the digit tuples g of steps; <u, g> < rank q^2."""
+    q, u = quotient.modulus, quotient.enumerate_elements()
+    eig = np.zeros(len(u))
+    for g, w in zip(steps, weights):
         eig += w * np.cos(2 * np.pi * (u @ g % q) / q)
     return np.sort(eig)
 
@@ -232,13 +232,15 @@ def second_eigenvalue(A: GeneratorMultiset, quotient) -> AdjacencySpectrum:
     of pi_1 and of pi_min to eigenvalues of P, and raises
     ConvergenceFailure if its Krylov basis outgrows _KRYLOV_BYTES first.
     """
-    codes, perms, mults = walk_permutations(A, quotient)
-    ell, a_size = len(codes), int(mults.sum())
+    abelian = isinstance(quotient, AbelianQuotient)
+    if abelian:
+        steps, mults = reduced_steps(A, quotient)
+    else:
+        codes, perms, mults = walk_permutations(A, quotient)
+    ell, a_size = quotient.order(), int(mults.sum())
     weights = mults / a_size
-    if ell < 2:
-        raise DomainError("quotient must have at least 2 elements")
-    if isinstance(quotient, AbelianQuotient):
-        eig = _character_spectrum(quotient, codes, perms, weights)
+    if abelian:
+        eig = _character_spectrum(quotient, steps, weights)
     elif ell <= DENSE_THRESHOLD:
         _, left, units = _cyclic_translation(quotient, codes)
         eig = _dense_spectrum(perms, weights, left, units)

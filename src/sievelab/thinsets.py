@@ -7,8 +7,9 @@ entry polynomials, and the squares in a rank-2 multiplicative lattice.
 The two characteristic-polynomial kinds cover SL_2 and SL_3.
 
 Every oracle answers three ways:
-  * global_verdict(g): exact IN/OUT over the ambient group where
-    decidable, with a checkable certificate; UNKNOWN carries a reason.
+  * global_verdict(g): exact IN/OUT over the ambient group, with a
+    checkable certificate. Every set is decided over Z, so there is no
+    third answer.
   * residual_mask(digits, quotient): a mod-p test on a whole array of
     quotient elements, one digit row each, whose residual set contains
     the reduction of the global set (never excludes a genuine member).
@@ -16,9 +17,9 @@ Every oracle answers three ways:
     criterion on the discriminant mod p.
   * exactly one Monte Carlo test: hit_raw(flat), the global test on one
     raw flat state, a sequence of Python ints in the order of g.flat()
-    (the walker hands over tuples; None where undecided), or
+    (the walker hands over tuples), giving a bool, or
     hit_raw_batch(coords), the same test on one array per coordinate,
-    int64 or Python ints.
+    int64 or Python ints, giving one bool per row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .quotients import AbelianQuotient, MatrixQuotient, cofactors
 
 IN = "IN"
 OUT = "OUT"
-UNKNOWN = "UNKNOWN"
 
 
 def is_perfect_square(n: int) -> bool:
@@ -50,25 +50,17 @@ def is_perfect_square(n: int) -> bool:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """IN/OUT with a witness, or UNKNOWN with the reason."""
+    """IN or OUT, with a witness."""
 
     status: str
-    certificate: Optional[dict] = None
-    reason: str = ""
+    certificate: dict
 
     def __post_init__(self):
-        if self.status not in (IN, OUT, UNKNOWN):
+        if self.status not in (IN, OUT):
             raise DomainError(f"bad verdict status {self.status!r}")
-        if self.status != UNKNOWN and self.certificate is None:
-            raise DomainError("IN/OUT verdicts require a certificate")
 
     def to_json_obj(self):
-        out = {"status": self.status}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        if self.reason:
-            out["reason"] = self.reason
-        return out
+        return {"status": self.status, "certificate": self.certificate}
 
 
 def _sl3_ts(f):

@@ -37,7 +37,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import prng
-from .errors import BudgetExceeded, DomainError, UndecidedMembership
+from .errors import BudgetExceeded, DomainError
 from .matgroup import (
     AbelianElement,
     GeneratorMultiset,
@@ -247,8 +247,7 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
     states are the digit rows of (Z/2)^rank. The walk on the integers with
     steps {0, +1, -1} takes the line law (_z_line_laws), any other
     multiset the rows of exact_laws. Either way the oracle's one Monte
-    Carlo test decides every reachable state, and a state it leaves
-    undecided raises UndecidedMembership.
+    Carlo test decides every reachable state.
     """
     if isinstance(oracle, TorusSquaresOracle):
         laws = _parity_laws(A, oracle.rank, grid)
@@ -258,11 +257,7 @@ def hit_probabilities_exact(A: GeneratorMultiset, grid: Sequence[int],
         laws = exact_laws(A, grid)
     out = {}
     for n, rows, counts in laws:
-        hit, undecided = _hit_mask(oracle, rows)
-        if undecided:
-            raise UndecidedMembership(
-                f"oracle undecided on {undecided} of the {len(rows)} states at n = {n}")
-        out[n] = Fraction(int(counts[hit].sum()), A.size ** n)
+        out[n] = Fraction(int(counts[_hit_mask(oracle, rows)].sum()), A.size ** n)
     return out
 
 
@@ -308,12 +303,11 @@ def exact_origin_scan_z(grid: Sequence[int]) -> Dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """One Monte Carlo row: hits and UNKNOWNs over m trials at length n."""
+    """One Monte Carlo row: hits over m trials at length n."""
 
     n: int
     trials: int
     hits: int
-    unknown: int
 
     @property
     def estimate(self) -> float:
@@ -323,10 +317,6 @@ class MCEstimate:
     def halfwidth(self) -> float:
         return halfwidth(self.hits, self.trials)
 
-    @property
-    def unknown_rate(self) -> float:
-        return self.unknown / self.trials
-
 
 _CHUNK = 1 << 14
 _KEYS = 1 << 16  # most draw keys, and most histogram bins, in one abelian tile
@@ -334,7 +324,7 @@ _SPAN = 1 << 10  # most products in one block table: K is the largest k with |A|
 
 
 def _sweep_lanes(A, oracle, grid, m, seed):
-    """Hits and UNKNOWNs per n of the sorted grid, up to _CHUNK trials at once.
+    """Hits per n of the sorted grid, up to _CHUNK trials at once.
 
     Each trial is one lane, and steps come from A.draw_table() alone.
     Matrix lanes step a block of up to K draws at a time (_block_tables):
@@ -352,7 +342,7 @@ def _sweep_lanes(A, oracle, grid, m, seed):
     gens, fast, growth, abelian = _step_table(table)
     tables = [(gens, fast, growth)] if abelian else _block_tables(gens, fast, growth)
     start = np.array(A.identity_element().flat(), dtype=np.int64).reshape(1, *gens.shape[1:])
-    hits, unknown = dict.fromkeys(grid, 0), dict.fromkeys(grid, 0)
+    hits = dict.fromkeys(grid, 0)
     chunk = max(1, min(_CHUNK, (1 << 22) // grid[-1]))
     for t0 in range(0, m, chunk):
         cnt = min(chunk, m - t0)
@@ -381,11 +371,9 @@ def _sweep_lanes(A, oracle, grid, m, seed):
                          for (ids, st), g in zip(lanes, (ints, objs))]
                 big = big + (b1 - b0) * grow if abelian else big * grow
             k = cp
-            for ids, st in lanes:
-                hit, undecided = _hit_mask(oracle, st.reshape(-1, start.size))
-                hits[cp] += int(np.count_nonzero(hit))
-                unknown[cp] += undecided
-    return hits, unknown
+            for _, st in lanes:
+                hits[cp] += int(np.count_nonzero(_hit_mask(oracle, st.reshape(-1, start.size))))
+    return hits
 
 
 def _block_tables(gens, fast, growth):
@@ -418,23 +406,21 @@ def _block_index(draws, size):
 
 
 def _hit_mask(oracle, flat):
-    """(hit, undecided) for the rows of flat, int64 or Python ints, by the
+    """The hit mask of the rows of flat, int64 or Python ints, by the
     oracle's one Monte Carlo test: hit_raw_batch on the columns in one
     call where the oracle has it, else one hit_raw per row, each row a
-    tuple of Python ints equal to g.flat(). hit is a bool array;
-    undecided counts the rows where hit_raw gave None, which are not
-    hits."""
+    tuple of Python ints equal to g.flat()."""
     if not len(flat):
-        return np.zeros(0, dtype=bool), 0
+        return np.zeros(0, dtype=bool)
     batch = getattr(oracle, "hit_raw_batch", None)
     if batch is not None:
-        return np.asarray(batch(tuple(flat.T)), dtype=bool), 0
+        return np.asarray(batch(tuple(flat.T)), dtype=bool)
     # a chunk of rows at a time, handed over as column lists zipped into
     # row tuples: Python-int rows cost far more memory than the array
     verdicts = []
     for i in range(0, len(flat), _CHUNK):
         verdicts += map(oracle.hit_raw, zip(*flat[i:i + _CHUNK].T.tolist()))
-    return np.array(verdicts, dtype=bool), verdicts.count(None)
+    return np.array(verdicts, dtype=bool)
 
 
 def _advance(st, gens, draws, abelian):
@@ -485,6 +471,6 @@ def mc_sweep(A: GeneratorMultiset, oracle, grid: Sequence[int], m: int,
     if not grid or min(grid) < 1 or m < 1:
         raise DomainError("grid must be non-empty with n >= 1 and m >= 1")
     grid = sorted(set(grid))
-    hits, unknown = _sweep_lanes(A, oracle, grid, m, seed)
-    return [MCEstimate(n=n, trials=m, hits=hits[n], unknown=unknown[n]) for n in grid]
+    hits = _sweep_lanes(A, oracle, grid, m, seed)
+    return [MCEstimate(n=n, trials=m, hits=hits[n]) for n in grid]
 

@@ -248,7 +248,7 @@ def test_criterion_08_galois_oracle_equivalence(capsys):
     decreasing = all(estimates[i] > estimates[i + 1] for i in range(len(estimates) - 1))
     generic_40 = 1.0 - next(r.estimate for r in table.rows if r.n == 40)
     ok = (disagreements == 0
-          and mc.unknown == 0 and mc.hits == brute_hits
+          and mc.hits == brute_hits
           and decreasing
           and fit.model == "exponential"
           and fit.r_squared >= 0.98)

@@ -11,7 +11,7 @@ import pkgutil
 
 import sievelab
 
-CONSTANTS = {"budget", "exact_budget", "dense_threshold", "unknown_cap"}
+CONSTANTS = {"budget", "exact_budget", "dense_threshold"}
 
 
 def _parameters():

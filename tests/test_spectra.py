@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,13 +257,26 @@ CHARACTER_CASES = ([(AbelianQuotient(1, q), z_generators()) for q in (2, 3, 6, 9
 @pytest.mark.parametrize("quotient,A", CHARACTER_CASES,
                          ids=[f"{q.label}-{A.tag}" for q, A in CHARACTER_CASES])
 def test_character_spectrum_equals_dense_eigvalsh(quotient, A):
-    codes, perms, mults = spectra.walk_permutations(A, quotient)
-    chars = spectra._character_spectrum(quotient, codes, perms, mults / mults.sum())
+    steps, mults = spectra.reduced_steps(A, quotient)
+    chars = spectra._character_spectrum(quotient, steps, mults / mults.sum())
     want = np.linalg.eigvalsh(_walk_matrix(quotient, A))
     assert chars.shape == want.shape
     assert np.max(np.abs(chars - want)) <= 1e-12
     s = second_eigenvalue(A, quotient)
     assert (s.pi_1, s.pi_min, s.method, s.residual) == (chars[-2], chars[0], "dense", 0.0)
+
+
+def test_character_spectrum_peak_below_the_operator_array():
+    # the characters read only the reduced steps: building the (steps, |G|)
+    # index array and its digit rows first traced a 61.1 MiB peak, against
+    # 38.2 MiB without them
+    tracemalloc.start()
+    try:
+        second_eigenvalue(z_generators(), AbelianQuotient(1, 1000003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2 ** 20
 
 
 def test_large_abelian_quotients_take_their_characters(monkeypatch):

@@ -41,7 +41,6 @@ from sievelab.quotients import AbelianQuotient, MatrixQuotient, walk_permutation
 from sievelab.thinsets import (
     IN,
     OUT,
-    UNKNOWN,
     EntryPolynomial,
     NongenericGaloisOracle,
     OracleVerdict,
@@ -52,7 +51,7 @@ from sievelab.thinsets import (
     residual,
     sample_rows,
 )
-from sievelab.walker import convolve_counts, hit_probabilities_exact
+from sievelab.walker import WalkConfig, convolve_counts, hit_probabilities_exact, run_walk
 
 T = MatrixElement(((1, 1), (0, 1)))
 S = MatrixElement(((0, 1), (-1, 0)))
@@ -813,11 +812,39 @@ def test_oracle_json_objects():
         json.dumps(obj)
 
 
+@pytest.mark.parametrize("name", lab.list_scenarios())
+def test_every_oracle_decides(name):
+    # no built-in oracle leaves a state undecided: each verdict is IN or
+    # OUT with a certificate, and the Monte Carlo test gives bools that
+    # agree with it, S/T endpoints past 2^62 included
+    scenario = lab.get_scenario(name)
+    runs = [(2, 60), (8, 60)]
+    if scenario.group == "sl2":
+        runs.append((1500, 30))  # S/T endpoints mostly past 2^62
+    for n, m in runs:
+        config = WalkConfig(scenario.generators, n=n, m=m, seed=8)
+        ends = [run_walk(config, t)[-1] for t in range(m)]
+        verdicts = [scenario.oracle.global_verdict(g) for g in ends]
+        assert all(v.status in (IN, OUT) and v.certificate is not None for v in verdicts)
+        want = [v.status == IN for v in verdicts]
+        if n == 1500:
+            assert max(abs(x) for g in ends for x in g.flat()) >= 1 << 62
+        if hasattr(scenario.oracle, "hit_raw_batch"):
+            flat = np.array([g.flat() for g in ends], dtype=np.int64)
+            got = np.asarray(scenario.oracle.hit_raw_batch(tuple(flat.T)))
+            assert got.dtype == bool and got.tolist() == want
+        else:
+            got = [scenario.oracle.hit_raw(g.flat()) for g in ends]
+            assert all(type(x) is bool for x in got) and got == want
+
+
 def test_verdict_validation():
-    with pytest.raises(DomainError):
-        OracleVerdict("MAYBE")
-    with pytest.raises(DomainError):
+    # every oracle decides: IN and OUT are the only statuses
+    for status in ("MAYBE", "UNKNOWN"):
+        with pytest.raises(DomainError):
+            OracleVerdict(status, {})
+    with pytest.raises(TypeError):
         OracleVerdict(IN)  # needs a certificate
-    v = OracleVerdict(UNKNOWN, reason="undecided")
-    assert v.to_json_obj() == {"status": "UNKNOWN", "reason": "undecided"}
+    v = OracleVerdict(OUT, {"witness": "w"})
+    assert v.to_json_obj() == {"status": "OUT", "certificate": {"witness": "w"}}
 

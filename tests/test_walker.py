@@ -12,8 +12,6 @@ from sievelab.errors import (
     BudgetExceeded,
     DomainError,
     ResourceError,
-    UndecidedMembership,
-    UnknownRateExceeded,
 )
 from sievelab.matgroup import (
     AbelianElement,
@@ -51,7 +49,6 @@ class TraceOracle:
             pass
         v = V()
         v.status = "IN" if g.entries[0][0] + g.entries[1][1] in (-2, 2) else "OUT"
-        v.reason = ""
         return v
 
     def hit_raw(self, flat):
@@ -300,27 +297,13 @@ def test_hit_probability_exact_sl2_trace_frozen():
         8: Fraction(185873, 390625)}
 
 
-def test_hit_probability_exact_undecided():
-    # the exact laws decide by the oracle's one Monte Carlo test
-    class Undecided:
-        def hit_raw(self, flat):
-            return None
-
-    try:
-        hit_probabilities_exact(z_generators(), [2], Undecided())
-        assert False
-    except UndecidedMembership:
-        pass
-
-
 def test_mc_estimate_properties():
-    e = MCEstimate(n=4, trials=100, hits=25, unknown=5)
+    e = MCEstimate(n=4, trials=100, hits=25)
     assert e.estimate == 0.25
     assert abs(e.halfwidth - 1.96 * (0.25 * 0.75 / 100) ** 0.5) < 1e-15
-    assert e.unknown_rate == 0.05
-    full = MCEstimate(n=1, trials=10, hits=10, unknown=0)
+    full = MCEstimate(n=1, trials=10, hits=10)
     assert full.estimate == 1.0 and full.halfwidth == 0.0
-    assert MCEstimate(n=1, trials=20, hits=0, unknown=0).halfwidth == 3 / 20
+    assert MCEstimate(n=1, trials=20, hits=0).halfwidth == 3 / 20
 
 
 def test_mc_matches_exact_z():
@@ -347,7 +330,6 @@ def test_sweep_equals_per_n_calls():
     for est in swept:
         single = mc_sweep(A, oracle, [est.n], 500, seed=31)[0]
         assert est.hits == single.hits
-        assert est.unknown == single.unknown
 
 
 def test_sweep_duplicate_grid_entries_collapse():
@@ -369,7 +351,7 @@ def test_specialized_kernel_matches_generic():
     a = mc_sweep(st, oracle, grid, 400, seed=17)
     b = mc_sweep(generic, oracle, grid, 400, seed=17)
     for x, y in zip(a, b):
-        assert (x.n, x.hits, x.unknown) == (y.n, y.hits, y.unknown)
+        assert (x.n, x.hits) == (y.n, y.hits)
 
 
 def test_abelian_batch_matches_scalar():
@@ -389,29 +371,6 @@ def test_abelian_batch_matches_scalar():
     batched = mc_sweep(z_generators(), BatchOrigin(), grid, 2000, seed=8)
     for x, y in zip(scalar, batched):
         assert (x.n, x.hits) == (y.n, y.hits)
-
-
-def test_unknown_counting_and_cap(monkeypatch):
-    class Flaky:
-        kind = "FLAKY"
-
-        def hit_raw(self, state):
-            if state[0] % 3 == 0 and state[0] != 0:
-                return None
-            return state[0] == 0
-
-        def global_verdict(self, g):
-            raise AssertionError("not used here")
-
-    ests = mc_sweep(z_generators(), Flaky(), [6], 500, seed=2)
-    assert ests[0].unknown > 0
-    # run_experiment refuses a row whose UNKNOWN share passes lab.UNKNOWN_CAP
-    flaky = lab.Scenario(name="flaky", group="z_additive", generators=z_generators(),
-                         oracle=Flaky(), regime="polynomial", description="")
-    assert lab.run_experiment(flaky, [6], 500, 2).rows[0].unknown == ests[0].unknown
-    monkeypatch.setattr(lab, "UNKNOWN_CAP", 0.0)
-    with pytest.raises(UnknownRateExceeded, match="at n=6 above cap 0.0"):
-        lab.run_experiment(flaky, [6], 500, 2)
 
 
 def test_mc_grid_validation():
@@ -439,23 +398,20 @@ def test_identity_multiplicity_lazy_walk():
 # ----- the lane kernel against the exact path -----
 
 def reference_counts(A, oracle, grid, m, seed):
-    """Hits and UNKNOWNs per n from run_walk plus global_verdict."""
+    """Hits per n from run_walk plus global_verdict."""
     config = WalkConfig(generators=A, n=max(grid), m=m, seed=seed)
     hits = [0] * len(grid)
-    unknown = [0] * len(grid)
     for t in range(m):
         path = run_walk(config, t)
         for i, n in enumerate(grid):
-            status = oracle.global_verdict(path[n]).status
-            hits[i] += status == "IN"
-            unknown[i] += status == "UNKNOWN"
-    return tuple(hits), tuple(unknown)
+            hits[i] += oracle.global_verdict(path[n]).status == "IN"
+    return tuple(hits)
 
 
 def swept_counts(A, oracle, grid, m, seed):
     ests = mc_sweep(A, oracle, grid, m, seed)
     assert [e.n for e in ests] == sorted(set(grid))
-    return tuple(e.hits for e in ests), tuple(e.unknown for e in ests)
+    return tuple(e.hits for e in ests)
 
 
 def _st_reversed():
@@ -492,7 +448,7 @@ def test_sweep_equals_run_walk_verdicts(name, seed):
 
 
 # mc_sweep on every built-in multiset, frozen from the four-kernel walker
-# this kernel replaced: (hits per n, UNKNOWNs per n)
+# this kernel replaced: hits per n
 FROZEN_GRIDS = {"sl2": ((1, 2, 4, 8, 16, 32), 2000), "sl3": ((5, 10, 20, 40), 300),
                 "z_additive": ((1, 4, 16, 64, 256), 2000),
                 "torus_23": ((1, 4, 16, 64, 256), 2000),
@@ -500,18 +456,18 @@ FROZEN_GRIDS = {"sl2": ((1, 2, 4, 8, 16, 32), 2000), "sl3": ((5, 10, 20, 40), 30
                 # 48 of 300 lanes pass 2^61 by n = 1000 and 206 by n = 1300
                 "sl2_fixed_flag": ((2, 8, 700, 1000, 1300), 300)}
 FROZEN = {
-    ("sl2_trace", 11): ((1197, 1017, 1062, 952, 758, 538), (0,) * 6),
-    ("sl2_trace", 2029): ((1207, 1036, 1082, 968, 783, 549), (0,) * 6),
-    ("sl3_galois", 11): ((243, 142, 76, 22), (0,) * 4),
-    ("sl3_galois", 2029): ((239, 146, 65, 17), (0,) * 4),
-    ("z_origin", 11): ((630, 467, 225, 138, 58), (0,) * 5),
-    ("z_origin", 2029): ((681, 492, 212, 144, 57), (0,) * 5),
-    ("torus_squares", 11): ((381, 566, 500, 478, 508), (0,) * 5),
-    ("torus_squares", 2029): ((411, 557, 521, 528, 524), (0,) * 5),
-    ("sl2_fixed_flag", 11): ((159, 157, 0, 0, 0), (0,) * 5),
-    ("sl2_fixed_flag", 2029): ((159, 149, 0, 0, 0), (0,) * 5),
-    ("sl2_elementary", 11): ((2000, 1332, 979, 715, 495, 219), (0,) * 6),
-    ("sl2_elementary", 2029): ((2000, 1362, 1021, 704, 495, 213), (0,) * 6),
+    ("sl2_trace", 11): (1197, 1017, 1062, 952, 758, 538),
+    ("sl2_trace", 2029): (1207, 1036, 1082, 968, 783, 549),
+    ("sl3_galois", 11): (243, 142, 76, 22),
+    ("sl3_galois", 2029): (239, 146, 65, 17),
+    ("z_origin", 11): (630, 467, 225, 138, 58),
+    ("z_origin", 2029): (681, 492, 212, 144, 57),
+    ("torus_squares", 11): (381, 566, 500, 478, 508),
+    ("torus_squares", 2029): (411, 557, 521, 528, 524),
+    ("sl2_fixed_flag", 11): (159, 157, 0, 0, 0),
+    ("sl2_fixed_flag", 2029): (159, 149, 0, 0, 0),
+    ("sl2_elementary", 11): (2000, 1332, 979, 715, 495, 219),
+    ("sl2_elementary", 2029): (2000, 1362, 1021, 704, 495, 213),
 }
 
 
@@ -528,7 +484,7 @@ def test_sweep_ignores_tag_reordered_st():
     # tag's step rules, not the draw table: 1034 hits instead of 997
     oracle = NongenericGaloisOracle(2)
     got = swept_counts(_st_reversed(), oracle, [6], 2000, 1)
-    assert got == ((997,), (0,))
+    assert got == (997,)
     assert got == reference_counts(_st_reversed(), oracle, [6], 2000, 1)
 
 
@@ -537,8 +493,8 @@ def test_sweep_ignores_tag_mislabelled_st():
     # elementary group: 8150 hits instead of 10202
     oracle = NongenericGaloisOracle(2)
     plain = GeneratorMultiset(sl2_st_generators().pairs)
-    assert swept_counts(_st_mistagged(), oracle, [6], 20000, 1) == ((10202,), (0,))
-    assert swept_counts(plain, oracle, [6], 20000, 1) == ((10202,), (0,))
+    assert swept_counts(_st_mistagged(), oracle, [6], 20000, 1) == (10202,)
+    assert swept_counts(plain, oracle, [6], 20000, 1) == (10202,)
 
 
 # ----- overflow boundary: lanes leave int64 before they could wrap -----
@@ -598,7 +554,7 @@ def test_matrix_lanes_exact_past_int64():
         assert swept_counts(A, oracle, grid, m, 6) == want
         # one segment of eight steps, in blocks of three products of
         # growth up to about 2^60
-        assert swept_counts(A, oracle, [8], m, 6) == (want[0][-1:], want[1][-1:])
+        assert swept_counts(A, oracle, [8], m, 6) == want[-1:]
 
 
 @pytest.mark.parametrize("cores", [1, 3])
@@ -620,7 +576,7 @@ def test_abelian_lanes_exact_past_int64(monkeypatch, cores):
             want = reference_counts(A, oracle, grid, m, seed)
             assert swept_counts(A, oracle, grid, m, seed) == want
             # one segment of eight steps, past the guard before its checkpoint
-            assert swept_counts(A, oracle, [8], m, seed) == (want[0][-1:], want[1][-1:])
+            assert swept_counts(A, oracle, [8], m, seed) == want[-1:]
 
 
 def test_long_walk_splits_lanes_exactly():
@@ -635,9 +591,8 @@ def test_long_walk_splits_lanes_exactly():
     assert min(tops) < 1 << 61 <= max(tops)
     for oracle in (CornerSignOracle(), NongenericGaloisOracle(2),
                    SubvarietyOracle([coordinate_polynomial(4, 1)])):
-        want = tuple(tuple(sum(oracle.global_verdict(path[n]).status == status
-                               for path in paths) for n in grid)
-                     for status in ("IN", "UNKNOWN"))
+        want = tuple(sum(oracle.global_verdict(path[n]).status == "IN" for path in paths)
+                     for n in grid)
         assert swept_counts(A, oracle, grid, m, 11) == want
 
 
@@ -805,8 +760,8 @@ def test_hit_mask_hands_each_row_over_once():
     for elems, dtype in ((ends, np.int64), (ends, object), ([huge, huge.inverse()] * 3, object)):
         flat = np.array([g.flat() for g in elems], dtype=dtype)
         oracle = CountingOracle()
-        hit, undecided = walker._hit_mask(oracle, flat)
-        assert len(oracle.rows) == len(elems) and undecided == 0
+        hit = walker._hit_mask(oracle, flat)
+        assert len(oracle.rows) == len(elems)
         for row, g in zip(oracle.rows, elems):
             assert tuple(row) == g.flat()
             assert all(type(x) is int for x in row)
